@@ -1,5 +1,6 @@
 # One-command gates for this repository. `make check` is the bar every
-# PR must clear: vet, build, the full test suite under the race
+# PR must clear: vet (which also fails on any file gofmt would
+# rewrite), build, the full test suite under the race
 # detector — the race run is what proves the parallel experiment
 # harness (experiments.RunAll) shares no hidden state — plus a short
 # fuzz pass over the plan/trace parsers and a bounded schedule-
@@ -20,6 +21,8 @@ check: vet build race fuzz-short explore
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l *.go cmd examples internal perfbench); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

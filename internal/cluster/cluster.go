@@ -519,16 +519,16 @@ type InstanceSummary struct {
 // The advance shard count is deliberately absent: it must not — and
 // therefore cannot — appear in the output.
 type Summary struct {
-	Preset      string            `json:"preset"`
-	Instances   int               `json:"instances"`
-	Sessions    int               `json:"sessions_per_instance"`
-	Router      string            `json:"router"`
-	Admission   string            `json:"admission"`
-	Seed        int64             `json:"seed"`
-	Offered   int64 `json:"offered"`
-	Admitted  int64 `json:"admitted"`
-	Rejected  int64 `json:"rejected"`
-	Completed int64 `json:"completed"`
+	Preset    string `json:"preset"`
+	Instances int    `json:"instances"`
+	Sessions  int    `json:"sessions_per_instance"`
+	Router    string `json:"router"`
+	Admission string `json:"admission"`
+	Seed      int64  `json:"seed"`
+	Offered   int64  `json:"offered"`
+	Admitted  int64  `json:"admitted"`
+	Rejected  int64  `json:"rejected"`
+	Completed int64  `json:"completed"`
 	// Graceful-degradation buckets. Every offered request lands in
 	// exactly one: offered == rejected + shed + failed + degraded +
 	// goodput. On the legacy (fault-free, fire-and-forget) path goodput
@@ -590,6 +590,11 @@ func (c *Cluster) summarize(offered, admitted, rejected int64) *Summary {
 		Rejected:  rejected,
 	}
 	agg := &stats.LatencyRecorder{}
+	n := 0
+	for _, in := range c.insts {
+		n += in.srv.Stats.Latency.Count()
+	}
+	agg.Grow(n)
 	first, last := vclock.Never, vclock.Time(0)
 	for _, in := range c.insts { // instance-ID order: aggregation is reproducible
 		ls := in.srv.Finish()

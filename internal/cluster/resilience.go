@@ -179,8 +179,8 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(*clientEvent)) }
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*clientEvent)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -211,7 +211,7 @@ type resilientRun struct {
 	pendingArrivals int64
 	outstanding     int64 // admitted, unresolved requests
 
-	offered, admitted, rejected    int64
+	offered, admitted, rejected     int64
 	goodput, degraded, shed, failed int64
 
 	retriesIssued, retriesDenied int64
@@ -709,6 +709,11 @@ func (r *resilientRun) summary() *Summary {
 	// server-side attempt latencies: retries and hedges must not launder
 	// the tail. Phase slices carry the before/during/after story.
 	agg := &stats.LatencyRecorder{}
+	n := 0
+	for i := range r.phases {
+		n += r.phases[i].Count()
+	}
+	agg.Grow(n)
 	for i := range r.phases {
 		ph := &r.phases[i]
 		if ph.Count() == 0 {

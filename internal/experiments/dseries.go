@@ -1,7 +1,6 @@
 package experiments
 
 import (
-
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/stats"

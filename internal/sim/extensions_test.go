@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -118,6 +119,82 @@ func TestKilledAccessor(t *testing.T) {
 	w.Shutdown()
 	if !th.Killed() {
 		t.Fatal("thread not marked killed after shutdown")
+	}
+}
+
+// TestShutdownReleasesGoroutines: after Shutdown no goroutine is left
+// running a thread, whatever state the thread was in — never
+// dispatched, blocked, in the middle of a Compute, dead of an uncaught
+// error, rejuvenating (recovering application errors, re-panicking when
+// Killed), or finished. Every coroutine the world used is back on the
+// idle list, so a second world of the same shape starts no goroutine.
+func TestShutdownReleasesGoroutines(t *testing.T) {
+	idleCount := func() int {
+		idle.Lock()
+		defer idle.Unlock()
+		return len(idle.list)
+	}
+	busy := func() int { return runtime.NumGoroutine() - idleCount() }
+	runWorld := func() {
+		w := NewWorld(Config{SwitchCost: -1})
+		w.Spawn("blocked", PriorityNormal, func(th *Thread) any {
+			th.Block(BlockCV)
+			return nil
+		})
+		computing := w.Spawn("computing", PriorityLow, func(th *Thread) any {
+			th.Compute(vclock.Second)
+			return nil
+		})
+		panicked := w.Spawn("panicked", PriorityHigh, func(th *Thread) any {
+			panic("boom")
+		})
+		w.Spawn("finished", PriorityHigh, func(th *Thread) any { return nil })
+		restarts := 0
+		w.Spawn("rejuvenating", PriorityNormal, func(th *Thread) any {
+			for {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							if th.Killed() {
+								panic(r)
+							}
+							restarts++
+						}
+					}()
+					th.Sleep(10 * vclock.Millisecond)
+					panic("application error")
+				}()
+			}
+		})
+		w.Run(vclock.Time(100 * vclock.Millisecond))
+		w.Spawn("never-dispatched", PriorityNormal, func(th *Thread) any { return nil })
+
+		if computing.State() != StateRunning {
+			t.Fatalf("computing thread is %v at the horizon, want running", computing.State())
+		}
+		if _, ok := panicked.Err().(*PanicError); !ok {
+			t.Fatalf("panicked thread err = %v, want a PanicError", panicked.Err())
+		}
+		if restarts == 0 {
+			t.Fatal("rejuvenating thread never recovered an application error")
+		}
+		w.Shutdown()
+		for _, th := range w.Threads() {
+			if th.State() != StateDead {
+				t.Errorf("%s is %v after Shutdown", th.Name(), th.State())
+			}
+		}
+	}
+
+	base := busy()
+	runWorld()
+	if n := busy(); n > base {
+		t.Errorf("%d goroutines besides idle coroutines after Shutdown, %d before the world existed", n, base)
+	}
+	total := runtime.NumGoroutine()
+	runWorld()
+	if n := runtime.NumGoroutine(); n > total {
+		t.Errorf("second world left %d goroutines, first %d: idle coroutines were not reused", n, total)
 	}
 }
 

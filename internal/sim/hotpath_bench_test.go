@@ -98,6 +98,35 @@ func BenchmarkComputeFastPath(b *testing.B) {
 	stop = true
 }
 
+// newHandoffWorld returns a world in which two equal-priority threads
+// compute against each other in 1 µs steps. With a peer always ready the
+// compute fast path never applies, so every step is one park/resume round
+// trip between the driver and a thread, and every 10 µs quantum the CPU
+// round-robins to the other thread.
+func newHandoffWorld() *World {
+	w := NewWorld(Config{SwitchCost: -1, TimeoutGranularity: 1, Quantum: 10 * vclock.Microsecond})
+	for _, name := range []string{"ping", "pong"} {
+		w.Spawn(name, PriorityNormal, func(t *Thread) any {
+			for {
+				t.Compute(vclock.Microsecond)
+			}
+		})
+	}
+	return w
+}
+
+// BenchmarkHandoff measures the driver/thread switch: one op is one
+// virtual microsecond of newHandoffWorld, i.e. one park/resume round trip
+// plus its completion event.
+func BenchmarkHandoff(b *testing.B) {
+	w := newHandoffWorld()
+	defer w.Shutdown()
+	w.Run(vclock.Time(100 * vclock.Microsecond)) // both threads started
+	b.ReportAllocs()
+	b.ResetTimer()
+	w.Run(w.Now().Add(vclock.Duration(b.N) * vclock.Microsecond))
+}
+
 // BenchmarkWheelScheduleCancel measures the mostly-cancelled timer
 // population the paper's CV timeouts produce: schedule a spread of
 // pooled timers across every wheel level, then cancel them all before
@@ -247,5 +276,20 @@ func TestHotPathAllocs(t *testing.T) {
 	if drained-before != 10*batchN+batchN {
 		// AllocsPerRun does runs+1 invocations (one extra warmup call).
 		t.Errorf("batch admission drained %d events, want %d", drained-before, 11*batchN)
+	}
+
+	// Thread handoff: park/resume round trips between the driver and two
+	// threads computing against each other, quantum rotations included.
+	hw := newHandoffWorld()
+	defer hw.Shutdown()
+	const span = 100 * vclock.Microsecond
+	handoffs := func() { hw.Run(hw.Now().Add(span)) }
+	handoffs() // start both threads
+	events := hw.EventsProcessed()
+	if got := testing.AllocsPerRun(10, handoffs); got > 0 {
+		t.Errorf("thread handoff: %.1f allocs per %v of round trips, want 0", got, span)
+	}
+	if n := hw.EventsProcessed() - events; n < 11*int64(span/vclock.Microsecond) {
+		t.Errorf("thread handoff: %d events in 11 spans, want one completion per µs", n)
 	}
 }

@@ -11,9 +11,10 @@ import (
 // settle brings the scheduler to a fixed point at the current instant:
 // every CPU either is idle with an empty run queue, or runs the thread
 // strict-priority dispatch (as modified by any boost) selects, with that
-// thread's pending compute scheduled as a completion event. Threads whose
-// goroutines have instantaneous work to do are pumped until they park
-// again. The driver calls settle after every event.
+// thread's pending compute scheduled as a completion event. Running
+// threads with instantaneous work to do (no compute pending) are resumed
+// one at a time until they park again. The driver calls settle after
+// every event.
 func (w *World) settle() {
 	for {
 		progress := false
@@ -268,15 +269,20 @@ func (w *World) quantumFor(t *Thread) vclock.Duration {
 	return q
 }
 
-// pump resumes t's goroutine, waits for it to park again, and applies the
+// pump runs t until it parks again (or its body ends) and applies the
 // state transition it requested.
 func (w *World) pump(t *Thread) {
-	t.resume <- struct{}{}
-	parked := <-w.yield
-	if parked != t {
-		panic(fmt.Sprintf("sim: pumped %s but %s parked", t.name, parked.name))
-	}
+	w.resume(t)
 	w.afterPark(t)
+}
+
+// resume switches to t's coroutine and returns when t parks or its body
+// ends; an ended thread's coroutine goes back to the idle list.
+func (w *World) resume(t *Thread) {
+	t.co.next()
+	if t.finished {
+		t.releaseCoroutine()
+	}
 }
 
 // afterPark applies the effect of whatever sim call made t park.

@@ -10,11 +10,13 @@
 // yield, and the high-priority SystemDaemon that donates random timeslices
 // to overcome stable priority inversions (§6.2).
 //
-// Simulated threads are goroutines, but exactly one goroutine — a thread
-// or the driver loop — runs at a time, enforced by unbuffered channel
-// handoff. All time is virtual (package vclock), so every run is exactly
-// reproducible and the instrumentation has true microsecond resolution,
-// like the instrumented PCR the paper's authors built.
+// Simulated threads are runtime coroutines (iter.Pull): the driver loop
+// switches directly into a thread and the thread switches straight back
+// when it parks, so exactly one of them runs at a time and no switch goes
+// through the Go scheduler. All time is virtual (package vclock), so
+// every run is exactly reproducible and the instrumentation has true
+// microsecond resolution, like the instrumented PCR the paper's authors
+// built.
 //
 // A thread's body interacts with the world only through its *Thread
 // handle: Compute consumes virtual CPU, Sleep blocks for virtual time,

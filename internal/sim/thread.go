@@ -8,7 +8,7 @@ import (
 	"repro/internal/vclock"
 )
 
-// killSignal is panicked into a thread goroutine by Shutdown.
+// killSignal is panicked into a thread's coroutine by Shutdown.
 type killSignalT struct{}
 
 var killSignal any = killSignalT{}
@@ -100,10 +100,12 @@ type Thread struct {
 	result   any
 	err      error
 
-	body    Proc
-	resume  chan struct{}
-	started bool
-	killed  bool
+	body Proc
+	// co runs the body (see coroutine); yield, called on it, parks the
+	// thread and switches back to the driver.
+	co     *coroutine
+	yield  func(struct{}) bool
+	killed bool
 }
 
 // ID returns the thread's world-unique identifier (also used in traces).
@@ -189,24 +191,22 @@ func (t *Thread) String() string {
 	return fmt.Sprintf("t%d(%s pri=%d %v)", t.id, t.name, t.pri, t.state)
 }
 
-// main is the goroutine body wrapping the thread's Proc.
-func (t *Thread) main() {
+// main runs the thread's Proc on its coroutine, from the first dispatch
+// to the end of the body. A panic escaping the body is recovered here,
+// so the coroutine survives it and can run another thread: Shutdown's
+// killSignal just marks the thread finished, and anything else is an
+// uncaught error — the thread dies (paper §4.5) and JOIN observes it.
+func (t *Thread) main(yield func(struct{}) bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if r == killSignal {
 				t.finished = true
-				t.w.yield <- t // hand control back to Shutdown
 				return
 			}
-			// An uncaught error: the thread dies (paper §4.5); JOIN
-			// observes the error.
 			t.exit(nil, &PanicError{Thread: t.name, Value: r})
-			t.w.yield <- t
-			return
 		}
 	}()
-	<-t.resume // first dispatch
-	t.started = true
+	t.yield = yield
 	if t.killed {
 		panic(killSignal)
 	}
@@ -216,7 +216,6 @@ func (t *Thread) main() {
 	}
 	res := t.body(t)
 	t.exit(res, nil)
-	t.w.yield <- t // final handoff; goroutine ends
 }
 
 // exit performs end-of-life bookkeeping in thread context (which is
@@ -245,12 +244,11 @@ func (t *Thread) exit(result any, err error) {
 	}
 }
 
-// park transfers control to the driver and blocks until the driver
-// resumes this thread. Every operation that consumes time or gives up the
-// CPU funnels through here.
+// park switches from the thread's coroutine back to the driver and
+// returns when the driver resumes this thread. Every operation that
+// consumes time or gives up the CPU funnels through here.
 func (t *Thread) park() {
-	t.w.yield <- t
-	<-t.resume
+	t.yield(struct{}{})
 	if t.killed {
 		panic(killSignal)
 	}
@@ -275,7 +273,7 @@ func (t *Thread) Compute(d vclock.Duration) {
 	w := t.w
 	// Fast path: a running thread with no runnable competitor and no
 	// intervening event can consume its demand by advancing the clock in
-	// place, skipping two goroutine handoffs and a heap round-trip. This
+	// place, skipping two coroutine switches and a heap round-trip. This
 	// is legal exactly when nothing could observe the difference: no
 	// thread is ready (readyMask == 0 — an idle peer CPU stays idle), no
 	// event fires at or before the completion instant (strict >, so

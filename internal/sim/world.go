@@ -53,7 +53,6 @@ type World struct {
 	threadArena []Thread
 	arenaNext   int
 
-	yield   chan *Thread // a thread hands control back to the driver
 	stopped bool
 
 	monitorIDs int64
@@ -113,10 +112,9 @@ type cpu struct {
 func NewWorld(cfg Config) *World {
 	cfg = cfg.Defaults()
 	w := &World{
-		cfg:   cfg,
-		sink:  cfg.Trace,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		yield: make(chan *Thread),
+		cfg:  cfg,
+		sink: cfg.Trace,
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
 	}
 	pol := cfg.Hooks.Policy
 	if pol == nil {
@@ -335,14 +333,13 @@ func (w *World) newThread(name string, pri Priority, body Proc, parent *Thread) 
 	w.nextID++
 	t := w.allocThread()
 	*t = Thread{
-		w:      w,
-		id:     w.nextID,
-		name:   name,
-		pri:    pri,
-		state:  StateNew,
-		cpu:    -1,
-		body:   body,
-		resume: make(chan struct{}),
+		w:     w,
+		id:    w.nextID,
+		name:  name,
+		pri:   pri,
+		state: StateNew,
+		cpu:   -1,
+		body:  body,
 	}
 	// The wake-timeout and compute-completion callbacks close over the
 	// thread once at creation; re-creating them per Block/Compute would
@@ -361,7 +358,14 @@ func (w *World) newThread(name string, pri Priority, body Proc, parent *Thread) 
 	}
 	w.threads = append(w.threads, t)
 	w.liveCount++
-	go t.main()
+	// The coroutine is attached here, not at first dispatch. The runtime
+	// sizes a new goroutine's stack from the average stack use it saw at
+	// recent collections, so a population spawned while a world is being
+	// set up gets the minimum stack, whereas creating the same coroutines
+	// lazily, once the run is under way, would give each the larger
+	// adaptive size — measurably more resident memory in worlds holding
+	// thousands of session threads.
+	t.attachCoroutine()
 	if f := w.cfg.Hooks.OnFork; f != nil {
 		f(parent, t)
 	}
@@ -515,17 +519,20 @@ func (w *World) DumpState(out io.Writer) {
 	}
 }
 
-// Shutdown terminates every live thread goroutine. After Shutdown the
-// world must not be used again. Tests use it to avoid leaking goroutines;
-// experiments that simply let the process exit may skip it.
+// Shutdown terminates every unfinished thread: each is resumed once with
+// its killed flag set, so it panics with killSignal at its park (or at
+// its first dispatch), unwinds through the body's deferred calls, and
+// its coroutine goes back to the idle list for the next world. After
+// Shutdown the world must not be used again. Tests use it so that no
+// goroutine stays parked in a dead world; experiments that simply let
+// the process exit may skip it.
 func (w *World) Shutdown() {
 	for _, t := range w.threads {
-		if t.state == StateDead || t.started && t.finished {
+		if t.state == StateDead || t.finished {
 			continue
 		}
 		t.killed = true
-		t.resume <- struct{}{}
-		<-w.yield
+		w.resume(t)
 		t.state = StateDead
 	}
 }

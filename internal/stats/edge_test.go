@@ -130,6 +130,38 @@ func TestLatencyRecorderMerge(t *testing.T) {
 	}
 }
 
+// TestLatencyRecorderGrow: Grow sizes the recorder once, so merging the
+// announced samples reallocates nothing, and it changes no statistic.
+func TestLatencyRecorderGrow(t *testing.T) {
+	us := vclock.Microsecond
+	parts := make([]*LatencyRecorder, 4)
+	plain := &LatencyRecorder{}
+	for i := range parts {
+		parts[i] = &LatencyRecorder{}
+		for j := 0; j < 100; j++ {
+			parts[i].Add(vclock.Duration((i*37+j*11)%97) * us)
+		}
+		plain.Merge(parts[i])
+	}
+	grown := &LatencyRecorder{}
+	grown.Grow(400)
+	reserved := cap(grown.samples)
+	for _, p := range parts {
+		grown.Merge(p)
+	}
+	if reserved < 400 || cap(grown.samples) != reserved {
+		t.Errorf("Grow(400) reserved %d, capacity after 400 merged samples %d", reserved, cap(grown.samples))
+	}
+	if grown.Count() != plain.Count() || grown.Mean() != plain.Mean() {
+		t.Fatalf("grown recorder %s, plain %s", grown, plain)
+	}
+	for _, p := range []float64{0, 0.5, 0.99, 1} {
+		if g, w := grown.Percentile(p), plain.Percentile(p); g != w {
+			t.Errorf("p%v: grown %s, plain %s", p, g, w)
+		}
+	}
+}
+
 func TestHistogramEdges(t *testing.T) {
 	ms := vclock.Millisecond
 	t.Run("empty", func(t *testing.T) {

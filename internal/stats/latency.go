@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/vclock"
@@ -43,6 +44,13 @@ func (r *LatencyRecorder) Merge(o *LatencyRecorder) {
 	r.samples = append(r.samples, o.samples...)
 	r.sum += o.sum
 	r.sorted = false
+}
+
+// Grow reserves room for n more samples, so a caller that knows how
+// many are coming — a cluster summary merging every instance — sizes the
+// recorder once instead of re-growing it geometrically. Negative n panics.
+func (r *LatencyRecorder) Grow(n int) {
+	r.samples = slices.Grow(r.samples, n)
 }
 
 // Mean returns the average sample, or 0 if empty.

@@ -44,7 +44,7 @@ type SpecOptions struct {
 // SpecRun is a compiled, started workload. Exactly one of the instance
 // fields is non-nil, matching the spec's kind.
 type SpecRun struct {
-	Spec    *spec.Spec
+	Spec *spec.Spec
 	// Horizon is the recommended Run bound: the spec's declared horizon
 	// or the generator's historical derivation.
 	Horizon vclock.Duration
