@@ -69,9 +69,6 @@
 //	                             # one resilience experiment, with the
 //	                             # graceful-degradation buckets and the
 //	                             # mechanism ledger in the summary
-//
-// The former per-series flags (-wseries, -cseries, -dseries, -sseries)
-// remain as deprecated aliases for -series w/c/d/s and warn on stderr.
 package main
 
 import (
@@ -131,10 +128,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list      = fs.Bool("list", false, "list experiment IDs and exit")
 		expID     = fs.String("experiment", "", "run selected experiments by ID, comma-separated (default: all; opt-in series ids need their series in -series)")
 		series    = fs.String("series", "", "enable opt-in experiment series, comma-separated keys: w (load), c (cluster), d (resilience), s (scheduling), k (capacity)")
-		wseries   = fs.Bool("wseries", false, "deprecated alias for -series w")
-		cseries   = fs.Bool("cseries", false, "deprecated alias for -series c")
-		dseries   = fs.Bool("dseries", false, "deprecated alias for -series d")
-		sseries   = fs.Bool("sseries", false, "deprecated alias for -series s")
 		policy    = fs.String("policy", "", "scheduling policy for the W-series worlds, as name[:key=val,...] (default pcr-rr)")
 		quick     = fs.Bool("quick", false, "use ~3x shorter measurement windows")
 		format    = fs.String("format", "text", "output format: text or markdown")
@@ -193,26 +186,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fs.Fail(fmt.Errorf("-benchbaseline requires -bench"))
 	}
 	// -series enables opt-in experiment series by one-letter key, in the
-	// order given. The four former per-series flags survive as deprecated
-	// aliases that append their key (so existing scripts keep working),
-	// each warning once on stderr. A duplicated or unknown key is a usage
-	// error either way.
+	// order given. A duplicated or unknown key is a usage error.
 	seriesKeys := cliflag.List(*series)
-	for _, alias := range []struct {
-		set  bool
-		flag string
-		key  string
-	}{
-		{*wseries, "wseries", "w"},
-		{*cseries, "cseries", "c"},
-		{*dseries, "dseries", "d"},
-		{*sseries, "sseries", "s"},
-	} {
-		if alias.set {
-			fs.Warnf("-%s is deprecated; use -series %s", alias.flag, alias.key)
-			seriesKeys = append(seriesKeys, alias.key)
-		}
-	}
 	if err := cliflag.NoDuplicates("series", seriesKeys); err != nil {
 		return fs.Fail(err)
 	}

@@ -120,10 +120,8 @@ func TestCLIValidation(t *testing.T) {
 			[]string{"-series", "w,w"}, 2, `duplicate value "w"`, ""},
 		{"unknown series key rejected",
 			[]string{"-series", "x"}, 2, `unknown series "x"`, ""},
-		{"alias duplicating -series rejected",
-			[]string{"-series", "c", "-cseries"}, 2, `duplicate value "c"`, ""},
-		{"deprecated alias warns but lists",
-			[]string{"-list", "-wseries"}, 0, "-wseries is deprecated; use -series w", "W1"},
+		{"removed series alias is an unknown flag",
+			[]string{"-list", "-wseries"}, 2, "flag provided but not defined: -wseries", ""},
 		{"series union lists in given order",
 			[]string{"-list", "-series", "s,w"}, 0, "", "S1"},
 		{"bad policy rejected",
@@ -324,7 +322,7 @@ func TestCLIVerify(t *testing.T) {
 }
 
 // TestCLIWSeries: the load workloads are an explicit opt-in. They never
-// appear in the default list (the golden stdout pins that), -wseries
+// appear in the default list (the golden stdout pins that), -series w
 // selects them, and their latency percentiles flow into the -json
 // summary.
 func TestCLIWSeries(t *testing.T) {
@@ -388,7 +386,7 @@ func TestCLIWSeries(t *testing.T) {
 }
 
 // TestCLICSeries: the cluster fleet experiments are opt-in like the W
-// series — absent from the default list, selected by -cseries, and
+// series — absent from the default list, selected by -series c, and
 // their per-instance and aggregate SLO records flow into -json under
 // the same schema.
 func TestCLICSeries(t *testing.T) {
@@ -445,7 +443,7 @@ func TestCLICSeries(t *testing.T) {
 }
 
 // TestCLIDSeries: the resilience study is opt-in like the W and C
-// series — absent from the default list, selected by -dseries — and a
+// series — absent from the default list, selected by -series d — and a
 // single D experiment's graceful-degradation buckets and mechanism
 // ledger flow into -json under the same schema.
 func TestCLIDSeries(t *testing.T) {
@@ -544,7 +542,7 @@ func TestCLISchemaFields(t *testing.T) {
 }
 
 // TestCLISSeries: the scheduling-policy lab is opt-in like the W series
-// — absent from the default list, selected by -sseries, per-policy
+// — absent from the default list, selected by -series s, per-policy
 // summaries in -json, and byte-identical output at any -shards value
 // (the S-series worlds never consult the shard count).
 func TestCLISSeries(t *testing.T) {

@@ -66,8 +66,8 @@ func loadTable(title string, s *workload.LoadStats) *stats.Table {
 
 // shippedSpec loads a shipped W-series spec, scaled to the run mode by
 // the mutator. The experiments consume the embedded JSON through the
-// same StartSpec path any user-supplied spec takes; the bridge tests pin
-// this output byte-identical to the historical hardcoded parameters.
+// same StartSpec path any user-supplied spec takes; TestTraceDigests
+// (internal/sim) pins their quick-scale traces and stats.
 func shippedSpec(name string, quick bool, scale func(*spec.Spec)) *spec.Spec {
 	sp := spec.MustShipped(name)
 	if quick && scale != nil {
@@ -156,14 +156,14 @@ func LoadMixed(cfg Config) *Report {
 	w, run := startSpec(cfg, sp)
 	defer w.Shutdown()
 	outcome := w.Run(vclock.Time(0).Add(run.Horizon))
-	m := run.Mixed
+	chunks := run.Batch.Chunks
 	s := run.Load()
 
 	c := &sp.Cohorts[0]
 	t := loadTable(fmt.Sprintf("Interactive: %d sessions at %.0f req/s over %d batch threads",
 		c.Sessions, c.Arrival.Rate, sp.Batch.Workers), s)
-	t.AddRowf("%s", "batch chunks completed", "%d", m.BatchChunks)
-	t.AddRowf("%s", "batch throughput", "%.0f chunks/s", float64(m.BatchChunks)/run.Horizon.Seconds())
+	t.AddRowf("%s", "batch chunks completed", "%d", chunks)
+	t.AddRowf("%s", "batch throughput", "%.0f chunks/s", float64(chunks)/run.Horizon.Seconds())
 	return &Report{ID: "W3", Title: "Mixed interactive and batch priorities under load (§6.2)",
 		Tables: []*stats.Table{t},
 		Notes: []string{

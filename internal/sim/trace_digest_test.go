@@ -9,14 +9,17 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	_ "repro/internal/explore" // registers the R-series fault scenarios
 	"repro/internal/paradigm"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 	"repro/internal/workload"
+	"repro/internal/workload/spec"
 )
 
 var updateDigests = flag.Bool("update", false, "rewrite testdata/trace_digests.json from current traces")
@@ -57,11 +60,15 @@ type traceDigest struct {
 }
 
 // digestWorld runs a built world to until, then shuts it down, hashing
-// the complete event stream, the outcome, the driver's event count, and
-// every thread's final state and error — before and after teardown.
-func digestWorld(w *sim.World, s *digestSink, until vclock.Time) traceDigest {
+// the complete event stream, the outcome, the driver's event count, the
+// report (when non-nil, rendered right after the run), and every
+// thread's final state and error — before and after teardown.
+func digestWorld(w *sim.World, s *digestSink, until vclock.Time, report func() string) traceDigest {
 	out := w.Run(until)
 	s.note("outcome %v now %v events %d", out, w.Now(), w.EventsProcessed())
+	if report != nil {
+		s.note("%s", report())
+	}
 	threads := func() {
 		w.EachThread(func(t *sim.Thread) bool {
 			s.note("%s err=%v", t, t.Err())
@@ -90,14 +97,41 @@ func traceDigests(t *testing.T) map[string]traceDigest {
 				cfg.Hooks.OnSchedule = steer
 			}
 			w, _ := sc.Build(cfg)
-			got["scenario/"+sc.Name+"/"+variant] = digestWorld(w, s, vclock.Time(sc.Horizon))
+			got["scenario/"+sc.Name+"/"+variant] = digestWorld(w, s, vclock.Time(sc.Horizon), nil)
 		}
 	}
 
+	// The echo/w1 world predates the spec pins and hashes no report.
+	echo := &spec.Spec{Schema: spec.Schema, Name: "echo", Kind: spec.KindEcho,
+		Cohorts: []spec.Cohort{{Name: "echo", Sessions: 200, Requests: 2000,
+			Arrival: &spec.Arrival{Process: spec.ProcPoisson, Rate: 4000},
+			Service: &spec.Service{Dist: spec.DistConst, MeanUS: 5}}}}
 	s := newDigestSink()
 	w := sim.NewWorld(sim.Config{Seed: 1, Trace: s})
-	workload.StartEcho(w, workload.EchoParams{Sessions: 200, Requests: 2000, Rate: 4000, Service: 5 * vclock.Microsecond})
-	got["echo/w1"] = digestWorld(w, s, vclock.Time(0).Add(10*vclock.Second))
+	if _, err := workload.StartSpec(w, echo, workload.SpecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	got["echo/w1"] = digestWorld(w, s, vclock.Time(0).Add(10*vclock.Second), nil)
+
+	for name, sp := range pinnedSpecs(t) {
+		got["spec/"+name] = digestSpec(t, sp, "", 1, workload.SpecOptions{})
+	}
+	s1 := sloLabSpec()
+	for _, policy := range []string{"pcr-rr", "edf", "sjf", "hybrid"} {
+		got["spec/s1/"+policy] = digestSpec(t, s1, policy, 1, workload.SpecOptions{})
+	}
+	diurnal, err := spec.Load(filepath.Join("..", "workload", "spec", "testdata", "cohorts-diurnal.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["spec/cohorts-diurnal"] = digestSpec(t, diurnal, "", 1, workload.SpecOptions{})
+	// A record->replay pair: the replay runs under another seed, so only
+	// the trace can reproduce the recorded arrivals. The recorded bytes
+	// are hashed into the replay's digest.
+	rec := spec.NewTrace(diurnal.Name, 1)
+	got["replay/record"] = digestSpec(t, diurnal, "", 1, workload.SpecOptions{Record: rec})
+	got["replay/replay"] = digestSpec(t, diurnal, "", 2, workload.SpecOptions{Replay: rec},
+		string(rec.Bytes()))
 
 	for _, name := range []string{"cedar", "gvx"} {
 		p, err := workload.FindPreset(name)
@@ -107,14 +141,107 @@ func traceDigests(t *testing.T) map[string]traceDigest {
 		s := newDigestSink()
 		w := sim.NewWorld(sim.Config{Seed: 1, Trace: s, SystemDaemon: true})
 		p.Background(w)
-		got["desktop/"+name] = digestWorld(w, s, vclock.Time(0).Add(3*vclock.Second))
+		got["desktop/"+name] = digestWorld(w, s, vclock.Time(0).Add(3*vclock.Second), nil)
 	}
 	return got
 }
 
+// pinnedSpecs returns the shipped W-series specs at the experiments'
+// quick scale.
+func pinnedSpecs(t *testing.T) map[string]*spec.Spec {
+	t.Helper()
+	scale := map[string]func(*spec.Spec){
+		"w1": func(sp *spec.Spec) {
+			sp.Cohorts[0].Sessions = 1000
+			sp.Cohorts[0].Requests = 10_000
+		},
+		"w2": func(sp *spec.Spec) {
+			sp.Pipeline.Pipelines = 16
+			sp.Pipeline.Requests = 5000
+		},
+		"w3": func(sp *spec.Spec) {
+			sp.Cohorts[0].Sessions = 64
+			sp.Cohorts[0].Requests = 8000
+			sp.Batch.Workers = 16
+			sp.HorizonUS = (10 * vclock.Second).Micros()
+		},
+	}
+	out := map[string]*spec.Spec{}
+	for name, f := range scale {
+		sp, err := spec.Shipped(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f(sp)
+		out[name] = sp
+	}
+	return out
+}
+
+// sloLabSpec is the S1 policy-lab workload at quick scale: interactive
+// and bulk SLO cohorts over a four-worker batch pool.
+func sloLabSpec() *spec.Spec {
+	cohort := func(name string, sessions int, requests int64, rate float64, serviceUS, sloUS int64, prio string) spec.Cohort {
+		return spec.Cohort{Name: name, Sessions: sessions, Requests: requests,
+			Arrival:  &spec.Arrival{Process: spec.ProcPoisson, Rate: rate},
+			Service:  &spec.Service{Dist: spec.DistConst, MeanUS: serviceUS},
+			Priority: prio, SLOUS: sloUS}
+	}
+	return &spec.Spec{Schema: spec.Schema, Name: "s1-policy-lab", Kind: spec.KindSLO,
+		HorizonUS: (8 * vclock.Second).Micros(),
+		Batch:     &spec.Batch{Workers: 4, ChunkUS: 5000, SLOUS: 50_000, Priority: "background"},
+		Cohorts: []spec.Cohort{
+			cohort("interactive", 16, 2800, 450, 1000, 25_000, "high"),
+			cohort("bulk", 8, 600, 100, 2000, 100_000, "normal"),
+		}}
+}
+
+// digestSpec compiles sp through StartSpec into a fresh world (under
+// policy, when named) and digests its run to the spec's horizon,
+// folding the run's stats rendering and any extra facts into the hash.
+func digestSpec(t *testing.T, sp *spec.Spec, policy string, seed int64, opts workload.SpecOptions, extra ...string) traceDigest {
+	t.Helper()
+	s := newDigestSink()
+	cfg := sim.Config{Seed: seed, Trace: s, SystemDaemon: sp.SystemDaemon}
+	if policy != "" {
+		cfg.Hooks.Policy = sched.MustParse(policy)
+	}
+	w := sim.NewWorld(cfg)
+	run, err := workload.StartSpec(w, sp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range extra {
+		s.note("%s", e)
+	}
+	return digestWorld(w, s, vclock.Time(0).Add(run.Horizon), func() string { return specReport(run) })
+}
+
+// specReport renders a finished run's stats: the per-class SLO lines
+// for the slo kind, LoadStats.String otherwise.
+func specReport(run *workload.SpecRun) string {
+	if run.SLO == nil {
+		return run.Load().String()
+	}
+	st := run.SLO.Finish()
+	var b strings.Builder
+	fmt.Fprintf(&b, "threads=%d\n", st.Threads)
+	for _, class := range st.Classes() {
+		lat := "n=0"
+		if r := st.Latency.Class(class); r != nil {
+			lat = r.String()
+		}
+		fmt.Fprintf(&b, "%s off=%d done=%d ontime=%d lat[%s]\n",
+			class, st.Offered[class], st.Completed[class], st.OnTime[class], lat)
+	}
+	return b.String()
+}
+
 // TestTraceDigests pins the full trace of every registered paradigm
-// scenario (default and steered schedules), a W1 echo world and the two
-// desktop preset worlds. Any change to the thread execution machinery
+// scenario (default and steered schedules), a W1 echo world, the two
+// desktop preset worlds, and worlds compiled through workload.StartSpec:
+// the shipped W-series specs, the S1 SLO lab under four policies, the
+// diurnal cohorts spec, and a record->replay pair. Any change to the thread execution machinery
 // must leave every digest byte-identical: the simulated program may not
 // observe how its threads are run.
 func TestTraceDigests(t *testing.T) {

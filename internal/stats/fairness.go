@@ -64,6 +64,19 @@ func (c *ClassLatency) Add(class string, d vclock.Duration) {
 	r.Add(d)
 }
 
+// Set makes r the recorder for class, live: later adds to r show in c,
+// and no sample is copied. An empty r leaves class without a recorder,
+// so Class keeps returning nil for a class with no samples.
+func (c *ClassLatency) Set(class string, r *LatencyRecorder) {
+	if r.Count() == 0 {
+		return
+	}
+	if c.classes == nil {
+		c.classes = map[string]*LatencyRecorder{}
+	}
+	c.classes[class] = r
+}
+
 // Class returns the recorder for a class, or nil if the class has no
 // samples. The returned recorder is live: adding to it adds to c.
 func (c *ClassLatency) Class(name string) *LatencyRecorder {

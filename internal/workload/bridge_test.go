@@ -12,10 +12,10 @@ import (
 	"repro/internal/workload/spec"
 )
 
-// These tests pin the API-redesign bridge: a workload compiled from its
-// spec document through StartSpec must reproduce the hand-parameterised
-// generator run event-for-event. EventsProcessed counts every scheduling
-// decision the world made, so equality there plus equal load stats is
+// These tests pin the spec compiler's trace contract: record and replay
+// reproduce a run event for event, and every invalid spec or trace fails
+// with the sentinel. EventsProcessed counts every scheduling decision the
+// world made, so equality there plus equal stats renderings is
 // byte-identity for everything the experiments report.
 
 // quickShipped returns a shipped W-series spec scaled to test size.
@@ -55,88 +55,6 @@ func runSpec(t *testing.T, sp *spec.Spec, seed int64, opts SpecOptions) (int64, 
 		return w.EventsProcessed(), b.String()
 	}
 	return w.EventsProcessed(), run.Load().String()
-}
-
-func TestSpecBridgeEcho(t *testing.T) {
-	sp := quickShipped(t, "w1", func(s *spec.Spec) {
-		s.Cohorts[0].Sessions = 200
-		s.Cohorts[0].Requests = 2000
-	})
-	c := sp.Cohorts[0]
-	w := sim.NewWorld(sim.Config{Seed: 3})
-	defer w.Shutdown()
-	e := StartEcho(w, EchoParams{
-		Sessions: c.Sessions, Requests: c.Requests, Rate: c.Arrival.Rate,
-		Service: c.ServiceMean(), Priority: c.SimPriority(),
-	})
-	w.Run(vclock.Time(0).Add(sp.Horizon()))
-	directEvents, directStats := w.EventsProcessed(), e.Finish().String()
-
-	specEvents, specStats := runSpec(t, sp, 3, SpecOptions{})
-	if specEvents != directEvents || specStats != directStats {
-		t.Errorf("spec-compiled W1 diverged from StartEcho:\n spec:   %d events, %s\n direct: %d events, %s",
-			specEvents, specStats, directEvents, directStats)
-	}
-}
-
-func TestSpecBridgePipeline(t *testing.T) {
-	sp := quickShipped(t, "w2", func(s *spec.Spec) {
-		s.Pipeline.Pipelines = 8
-		s.Pipeline.Requests = 1000
-	})
-	p := sp.Pipeline
-	w := sim.NewWorld(sim.Config{Seed: 3})
-	defer w.Shutdown()
-	pl := StartPipeline(w, PipelineParams{
-		Pipelines: p.Pipelines, Stages: p.Stages, Buffer: p.Buffer,
-		Requests: p.Requests, Rate: p.Rate, StageCost: vclock.Duration(p.StageCostUS),
-	})
-	w.Run(vclock.Time(0).Add(sp.Horizon()))
-	directEvents, directStats := w.EventsProcessed(), pl.Finish().String()
-
-	specEvents, specStats := runSpec(t, sp, 3, SpecOptions{})
-	if specEvents != directEvents || specStats != directStats {
-		t.Errorf("spec-compiled W2 diverged from StartPipeline:\n spec:   %d events, %s\n direct: %d events, %s",
-			specEvents, specStats, directEvents, directStats)
-	}
-}
-
-func TestSpecBridgeMixed(t *testing.T) {
-	sp := quickShipped(t, "w3", func(s *spec.Spec) {
-		s.Cohorts[0].Sessions = 64
-		s.Cohorts[0].Requests = 4000
-		s.Batch.Workers = 8
-		s.HorizonUS = (5 * vclock.Second).Micros()
-	})
-	c := sp.Cohorts[0]
-	w := sim.NewWorld(sim.Config{Seed: 3, SystemDaemon: sp.SystemDaemon})
-	defer w.Shutdown()
-	m := StartMixed(w, MixedParams{
-		Interactive: c.Sessions, Batch: sp.Batch.Workers,
-		Requests: c.Requests, Rate: c.Arrival.Rate, Service: c.ServiceMean(),
-		BatchChunk: vclock.Duration(sp.Batch.ChunkUS), Horizon: sp.Horizon(),
-	})
-	w.Run(vclock.Time(0).Add(sp.Horizon()))
-	directEvents := w.EventsProcessed()
-	directStats := m.Finish().String()
-	directChunks := m.BatchChunks
-
-	w2 := sim.NewWorld(sim.Config{Seed: 3, SystemDaemon: sp.SystemDaemon})
-	defer w2.Shutdown()
-	run, err := StartSpec(w2, sp, SpecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2.Run(vclock.Time(0).Add(run.Horizon))
-	if got, want := w2.EventsProcessed(), directEvents; got != want {
-		t.Errorf("spec-compiled W3 event count %d != direct %d", got, want)
-	}
-	if got, want := run.Load().String(), directStats; got != want {
-		t.Errorf("spec-compiled W3 stats diverged:\n spec:   %s\n direct: %s", got, want)
-	}
-	if run.Mixed.BatchChunks != directChunks {
-		t.Errorf("spec-compiled W3 batch chunks %d != direct %d", run.Mixed.BatchChunks, directChunks)
-	}
 }
 
 // specsUnderTest returns one spec per replayable kind, test-sized.

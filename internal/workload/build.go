@@ -2,20 +2,22 @@ package workload
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/sim"
 	"repro/internal/vclock"
 	"repro/internal/workload/spec"
 )
 
-// This file is the single construction entry point the API redesign
-// demanded: every workload — the W-series presets, the S-series SLO
-// cohorts, the general cohort mix, and the cluster's per-instance
-// server pools with their cedar/gvx background populations — is built
-// by compiling a spec.Spec through StartSpec. The hand-rolled Start*
-// constructors remain as the generator layer underneath, but callers
-// above this package (experiments, cluster, the CLI) describe load as
-// data and come through here.
+// This file is the single construction entry point: every workload —
+// the W-series presets, the S-series SLO cohorts, the general cohort
+// mix, and the cluster's per-instance server pools with their cedar/gvx
+// background populations — is built by compiling a spec.Spec through
+// StartSpec. Every open-loop kind compiles onto the same two parts: a
+// Server session pool per cohort (server.go) fed by the shared arrival
+// generator (cohorts.go). The kinds differ only in the constants of
+// kindTable, in the mixed and slo kinds' batch pool, and in the
+// pipeline kind's stage chains behind its first-stage pool.
 
 // RequestTap observes one injected request at injection time: the
 // arrival instant, the cohort label, the target session index, and the
@@ -41,38 +43,88 @@ type SpecOptions struct {
 	Names *NameTable
 }
 
-// SpecRun is a compiled, started workload. Exactly one of the instance
-// fields is non-nil, matching the spec's kind.
+// SpecRun is a compiled, started workload.
 type SpecRun struct {
 	Spec *spec.Spec
 	// Horizon is the recommended Run bound: the spec's declared horizon
 	// or the generator's historical derivation.
 	Horizon vclock.Duration
 
-	Echo     *EchoServer
+	// Pools holds one session pool per cohort, in spec order (none for
+	// the pipeline kind). Server is the first: the only pool of the
+	// echo, mixed and server kinds.
+	Pools  []*Server
+	Server *Server
+	// Batch is the mixed and slo kinds' always-ready compute pool.
+	Batch *BatchPool
+	// Pipeline is the pipeline kind's stage chains.
 	Pipeline *Pipeline
-	Mixed    *Mixed
-	SLO      *SLOLoad
-	Cohorts  *CohortLoad
-	Server   *Server
+	// SLO is the slo kind's per-class view.
+	SLO *SLOLoad
 }
 
-// Load returns the run's aggregate LoadStats (stamping windows), for
-// the kinds that keep one; nil for the slo kind (use SLO.Finish).
+// Load returns the run's aggregate LoadStats (stamping windows); nil
+// for the slo kind (use SLO.Finish). Several pools merge exactly.
 func (r *SpecRun) Load() *LoadStats {
 	switch {
-	case r.Echo != nil:
-		return r.Echo.Finish()
 	case r.Pipeline != nil:
 		return r.Pipeline.Finish()
-	case r.Mixed != nil:
-		return r.Mixed.Finish()
-	case r.Cohorts != nil:
-		return r.Cohorts.Finish()
-	case r.Server != nil:
+	case r.SLO != nil:
+		return nil
+	case len(r.Pools) == 1:
 		return r.Server.Finish()
 	}
-	return nil
+	s := &LoadStats{}
+	var first, last vclock.Time
+	for _, p := range r.Pools {
+		p.Finish()
+		if p.Stats.Offered > 0 && (s.Offered == 0 || p.First().Before(first)) {
+			first = p.First()
+		}
+		if p.LastDone().After(last) {
+			last = p.LastDone()
+		}
+		s.Offered += p.Stats.Offered
+		s.Completed += p.Stats.Completed
+		s.Threads += p.Stats.Threads
+		s.Latency.Merge(&p.Stats.Latency)
+	}
+	if s.Completed > 0 {
+		s.Window = last.Sub(first)
+	}
+	return s
+}
+
+// kindConsts is everything StartSpec derives from spec.Kind alone; no
+// spec field or option selects any of it.
+type kindConsts struct {
+	// stream names each cohort's RNG stream and names prefixes its
+	// session threads ("-i" appended); a perCohort kind appends the
+	// cohort name to both.
+	stream, names string
+	perCohort     bool
+	// The first arrival waits for every fresh thread to run once and
+	// park: parkers × (SwitchCost + grain) + 100ms, where the parkers
+	// are the sessions (and, with parkBatch, the batch pool).
+	grain     vclock.Duration
+	parkBatch bool
+	// stamp makes sessions and batch workers carry SLO metadata and the
+	// batch pool keep per-class books.
+	stamp bool
+	// prio, when set, pins every session's priority.
+	prio sim.Priority
+	// chunk, when set, gives the kind a batch pool with this default
+	// grain.
+	chunk vclock.Duration
+}
+
+var kindTable = map[string]kindConsts{
+	spec.KindEcho:    {stream: "workload.echo", names: "echo", grain: 10 * vclock.Microsecond},
+	spec.KindMixed:   {stream: "workload.echo", names: "echo", grain: 10 * vclock.Microsecond, prio: sim.PriorityHigh, chunk: 200 * vclock.Microsecond},
+	spec.KindSLO:     {stream: "workload.slo.", names: "slo-", perCohort: true, grain: 10 * vclock.Microsecond, parkBatch: true, stamp: true, chunk: 5 * vclock.Millisecond},
+	spec.KindCohorts: {stream: "workload.cohort.", perCohort: true, grain: 10 * vclock.Microsecond},
+	// The pipeline kind's one "cohort" is its chains' first stages.
+	spec.KindPipeline: {stream: "workload.pipeline", grain: 20 * vclock.Microsecond},
 }
 
 // StartSpec validates sp, builds its background preset population (if
@@ -97,84 +149,82 @@ func StartSpec(w *sim.World, sp *spec.Spec, opts SpecOptions) (*SpecRun, error) 
 	if err != nil {
 		return nil, err
 	}
-	var tap RequestTap
-	if opts.Record != nil {
-		rec := opts.Record
-		tap = rec.Add
-	}
 	run := &SpecRun{Spec: sp, Horizon: sp.Horizon()}
-	switch sp.Kind {
-	case spec.KindEcho:
+	if sp.Kind == spec.KindServer {
 		c := &sp.Cohorts[0]
-		run.Echo = startEcho(w, EchoParams{
-			Sessions: c.Sessions,
-			Requests: c.Requests,
-			Rate:     c.Arrival.Rate,
-			Service:  c.ServiceMean(),
-			Priority: c.SimPriority(),
-			Start:    vclock.Duration(sp.StartUS),
-		}, tap, c.Name, replays[c.Name])
-	case spec.KindPipeline:
-		p := sp.Pipeline
-		run.Pipeline = startPipeline(w, PipelineParams{
-			Pipelines: p.Pipelines,
-			Stages:    p.Stages,
-			Buffer:    p.Buffer,
-			Requests:  p.Requests,
-			Rate:      p.Rate,
-			StageCost: vclock.Duration(p.StageCostUS),
-		}, tap, replays["pipeline"])
-	case spec.KindMixed:
-		c := &sp.Cohorts[0]
-		run.Mixed = startMixed(w, MixedParams{
-			Interactive: c.Sessions,
-			Batch:       sp.Batch.Workers,
-			Requests:    c.Requests,
-			Rate:        c.Arrival.Rate,
-			Service:     c.ServiceMean(),
-			BatchChunk:  vclock.Duration(sp.Batch.ChunkUS),
-			Horizon:     run.Horizon,
-		}, tap, c.Name, replays[c.Name])
-	case spec.KindSLO:
-		p := SLOParams{
-			Horizon: run.Horizon,
-			Start:   vclock.Duration(sp.StartUS),
-		}
-		for _, c := range sp.Cohorts {
-			p.Cohorts = append(p.Cohorts, SLOCohort{
-				Name:     c.Name,
-				Sessions: c.Sessions,
-				Requests: c.Requests,
-				Rate:     c.Arrival.Rate,
-				Service:  c.ServiceMean(),
-				SLO:      vclock.Duration(c.SLOUS),
-				Priority: c.SimPriority(),
-			})
-		}
-		if b := sp.Batch; b != nil {
-			p.Batch = b.Workers
-			p.BatchChunk = vclock.Duration(b.ChunkUS)
-			p.BatchSLO = vclock.Duration(b.SLOUS)
-			bp, _ := spec.ParsePriority(b.Priority)
-			p.BatchPriority = bp
-		}
-		run.SLO = startSLO(w, p, tap, replays)
-	case spec.KindCohorts:
-		run.Cohorts = startCohorts(w, sp, tap, replays)
-	case spec.KindServer:
-		c := &sp.Cohorts[0]
-		if opts.Replay != nil {
-			return nil, fmt.Errorf("%w: %s: the server kind is externally driven — replay lives in its driver", spec.ErrInvalidSpec, sp.Name)
-		}
 		names := opts.Names
 		if names == nil {
 			names = NewNameTable(c.Name, c.Sessions)
 		}
-		prio := c.SimPriority()
-		if prio == 0 {
-			prio = sim.PriorityNormal
+		run.Server = startServer(w, names, c.Sessions, c.SimPriority())
+		run.Pools = []*Server{run.Server}
+		return run, nil
+	}
+
+	k := kindTable[sp.Kind]
+	g := &generator{w: w}
+	if opts.Record != nil {
+		g.tap = opts.Record.Add
+	}
+	parkers := 0
+	if p := sp.Pipeline; p != nil {
+		run.Pipeline = startPipeline(w, p)
+		cost := run.Pipeline.cost
+		g.add(&arrivals{name: "pipeline", pool: run.Pipeline.src, rng: w.DeriveRand(k.stream),
+			gap:      (&spec.Arrival{Process: spec.ProcPoisson, Rate: p.Rate}).GapSampler(),
+			svc:      func(*rand.Rand) vclock.Duration { return cost },
+			requests: p.Requests, replay: replays["pipeline"]})
+		parkers = p.Pipelines * p.Stages
+	}
+	for i := range sp.Cohorts {
+		c := &sp.Cohorts[i]
+		stream, prefix := k.stream, k.names
+		if k.perCohort {
+			stream, prefix = stream+c.Name, prefix+c.Name
 		}
-		run.Server = StartServer(w, names, c.Sessions, prio)
+		prio := c.SimPriority()
+		if k.prio != 0 {
+			prio = k.prio
+		}
+		pool := startServer(w, NewNameTable(prefix, c.Sessions), c.Sessions, prio)
+		pool.slo = vclock.Duration(c.SLOUS)
+		if k.stamp {
+			pool.stampSLO(c.Name, c.ServiceMean())
+		}
+		run.Pools = append(run.Pools, pool)
+		g.add(&arrivals{name: c.Name, pool: pool, rng: w.DeriveRand(stream),
+			gap: c.Arrival.GapSampler(), svc: c.ServiceSampler(), mod: c.Modulation,
+			requests: c.Requests, replay: replays[c.Name]})
+		parkers += c.Sessions
+	}
+	if len(run.Pools) > 0 {
+		run.Server = run.Pools[0]
+	}
+	if k.chunk > 0 {
+		run.Batch = startBatch(w, sp.Batch, k)
+		if k.parkBatch {
+			parkers += run.Batch.workers
+		}
+		if sp.Kind == spec.KindMixed {
+			// W3 reports both populations as its threads.
+			run.Server.Stats.Threads += run.Batch.workers
+		}
+	}
+	if k.stamp {
+		run.SLO = &SLOLoad{pools: run.Pools, batch: run.Batch}
+		for _, c := range sp.Cohorts {
+			run.SLO.classes = append(run.SLO.classes, c.Name)
+		}
+	}
+	start := vclock.Duration(sp.StartUS)
+	if start <= 0 {
+		start = vclock.Duration(parkers)*(w.Config().SwitchCost+k.grain) + 100*vclock.Millisecond
+	}
+	g.start(start)
+	if b := run.Batch; b != nil {
+		// End the batch loops at the horizon, so a single Run(horizon)
+		// suffices and Shutdown has little to unwind.
+		w.At(vclock.Time(0).Add(run.Horizon), func() { b.stopped = true })
 	}
 	return run, nil
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/sim"
@@ -9,233 +8,106 @@ import (
 	"repro/internal/workload/spec"
 )
 
-// This file holds the general cohort generator — the spec "cohorts"
-// kind. Where W1's echo server is one Poisson cohort with constant
-// service, CohortLoad runs any number of named cohorts, each with its
-// own arrival process (Poisson/Gamma/Weibull), service-demand
-// distribution (const/exp/Pareto), priority, optional latency target,
-// and rate modulation over virtual-time windows. Each cohort owns a
-// derived RNG stream ("workload.cohort.<name>"), so adding a cohort
-// never perturbs another's draws, and the per-arrival draw order is
-// fixed — session pick, service demand, next gap — so recorded traces
-// replay byte-identically.
+// This file holds the one arrival process every open-loop kind runs on.
+// Each cohort owns a derived RNG stream, so adding a cohort never
+// perturbs another's draws, and injects into its own session pool. The
+// per-arrival draw order is fixed — session pick, service demand, next
+// gap — so recorded traces replay byte-identically. Rate modulation
+// scales each drawn gap by 1/factor at the instant of scheduling, so a
+// window with factor 2 doubles the cohort's instantaneous rate. When the
+// last cohort has injected its last request, every pool is closed at
+// once, so idle sessions observe the end and exit as their queues drain.
 
-// cohortReq is one queued request: arrival instant plus drawn demand.
-type cohortReq struct {
-	born    vclock.Time
-	service vclock.Duration
-}
-
-// cohortSession is one session thread plus its driver-owned queue.
-type cohortSession struct {
-	th   *sim.Thread
-	q    []cohortReq
-	head int
-}
-
-// cohortState is one cohort's arrival process and books.
-type cohortState struct {
-	c        spec.Cohort
+// arrivals is one cohort's arrival process.
+type arrivals struct {
+	// name labels the cohort's requests for the tap.
+	name     string
+	pool     *Server
 	rng      *rand.Rand
-	gap      spec.Sampler
-	svc      spec.Sampler
-	sessions []*cohortSession
+	gap, svc spec.Sampler
+	mod      []spec.Window
+	requests int64
 	injected int64
-	replay   []spec.Entry
-	// Stats is the cohort's own slice of the run; OnTime counts
-	// completions within the cohort's slo_us when one is declared.
-	Stats    LoadStats
-	OnTime   int64
-	firstAt  vclock.Time
-	lastDone vclock.Time
+	// replay, when set, supplies every arrival instant, session and
+	// demand instead of the samplers: no RNG draws at all.
+	replay []spec.Entry
+	// fire is the scheduled callback, built once per cohort.
+	fire func()
 }
 
-// CohortLoad is the general-cohort workload instance.
-type CohortLoad struct {
-	w  *sim.World
-	sp *spec.Spec
-	// Stats aggregates every cohort (exact merged percentiles).
-	Stats    LoadStats
-	cohorts  []*cohortState
-	tap      RequestTap
-	closed   bool
-	firstAt  vclock.Time
-	lastDone vclock.Time
+// generator drives every cohort of one run. Once left reaches zero the
+// cohorts' pools are closed together, in cohort order.
+type generator struct {
+	w       *sim.World
+	tap     RequestTap
+	cohorts []*arrivals
+	left    int
 }
 
-// startCohorts compiles and spawns the cohorts kind. Reached through
-// StartSpec (the one construction entry point); sp must have passed
-// Check. replays maps cohort name to recorded entries, as in startSLO.
-func startCohorts(w *sim.World, sp *spec.Spec, tap RequestTap, replays map[string][]spec.Entry) *CohortLoad {
-	cl := &CohortLoad{w: w, sp: sp, tap: tap}
-	total := 0
-	for _, c := range sp.Cohorts {
-		st := &cohortState{c: c, rng: w.DeriveRand("workload.cohort." + c.Name)}
-		st.gap = c.Arrival.GapSampler()
-		st.svc = c.Service.Sampler()
-		if replays != nil {
-			if ents := replays[c.Name]; ents != nil {
-				st.replay = ents
-				st.c.Requests = int64(len(ents))
-			}
-		}
-		prio := c.SimPriority()
-		if !prio.Valid() {
-			prio = sim.PriorityNormal
-		}
-		for i := 0; i < c.Sessions; i++ {
-			s := &cohortSession{}
-			s.th = w.Spawn(fmt.Sprintf("%s-%d", c.Name, i), prio, cl.sessionBody(st, s))
-			st.sessions = append(st.sessions, s)
-		}
-		st.Stats.Threads = c.Sessions
-		cl.cohorts = append(cl.cohorts, st)
-		total += c.Sessions
+// add registers one cohort. A replayed cohort offers exactly its
+// recorded entries.
+func (g *generator) add(a *arrivals) {
+	if a.replay != nil {
+		a.requests = int64(len(a.replay))
 	}
-	cl.Stats.Threads = total
-	start := vclock.Duration(sp.StartUS)
-	if start <= 0 {
-		perPark := w.Config().SwitchCost + 10*vclock.Microsecond
-		start = vclock.Duration(total)*perPark + 100*vclock.Millisecond
-	}
-	for _, st := range cl.cohorts {
-		st := st
+	a.fire = func() { g.arrive(a) }
+	g.cohorts = append(g.cohorts, a)
+	g.left++
+}
+
+// start schedules each cohort's first arrival at start, or at its first
+// recorded instant under replay.
+func (g *generator) start(start vclock.Duration) {
+	for _, a := range g.cohorts {
 		first := start
-		if st.replay != nil {
-			first = vclock.Duration(st.replay[0].AtUS)
+		if a.replay != nil {
+			first = vclock.Duration(a.replay[0].AtUS)
 		}
-		w.After(first, func() { cl.arrive(st) })
+		g.w.After(first, a.fire)
 	}
-	return cl
 }
 
 // arrive injects one request (driver context) and schedules the next.
-// Draw order per arrival is fixed: session, service, gap. Modulation
-// scales the drawn gap by 1/factor at the instant of scheduling, so a
-// window with factor 2 doubles the cohort's instantaneous rate.
-func (cl *CohortLoad) arrive(st *cohortState) {
-	if st.injected >= st.c.Requests {
-		return
-	}
-	now := cl.w.Now()
+func (g *generator) arrive(a *arrivals) {
+	now := g.w.Now()
 	var idx int
 	var service vclock.Duration
-	if st.replay != nil {
-		e := st.replay[st.injected]
+	if a.replay != nil {
+		e := a.replay[a.injected]
 		idx, service = e.Session, vclock.Duration(e.ServiceUS)
 	} else {
-		idx = st.rng.Intn(len(st.sessions))
-		service = st.svc(st.rng)
+		idx = a.rng.Intn(a.pool.Sessions())
+		service = a.svc(a.rng)
 	}
-	s := st.sessions[idx]
-	if cl.Stats.Offered == 0 {
-		cl.firstAt = now
+	a.pool.Inject(idx, service)
+	a.injected++
+	if g.tap != nil {
+		g.tap(now, a.name, idx, service)
 	}
-	if st.Stats.Offered == 0 {
-		st.firstAt = now
+	if a.injected < a.requests {
+		g.w.After(a.nextGap(now), a.fire)
+		return
 	}
-	s.q = append(s.q, cohortReq{born: now, service: service})
-	cl.Stats.Offered++
-	st.Stats.Offered++
-	st.injected++
-	if cl.tap != nil {
-		cl.tap(now, st.c.Name, idx, service)
-	}
-	cl.w.WakeIfBlocked(s.th, nil)
-	if st.injected < st.c.Requests {
-		var gap vclock.Duration
-		if st.replay != nil {
-			gap = vclock.Time(0).Add(vclock.Duration(st.replay[st.injected].AtUS)).Sub(now)
-		} else {
-			gap = st.gap(st.rng)
-			if f := spec.FactorAt(st.c.Modulation, now); f != 1 {
-				gap = vclock.Duration(float64(gap) / f)
-				if gap < vclock.Microsecond {
-					gap = vclock.Microsecond
-				}
-			}
-		}
-		cl.w.After(gap, func() { cl.arrive(st) })
-	} else if cl.allInjected() {
-		cl.close()
-	}
-}
-
-func (cl *CohortLoad) allInjected() bool {
-	for _, st := range cl.cohorts {
-		if st.injected < st.c.Requests {
-			return false
-		}
-	}
-	return true
-}
-
-func (cl *CohortLoad) close() {
-	cl.closed = true
-	for _, st := range cl.cohorts {
-		for _, s := range st.sessions {
-			cl.w.WakeIfBlocked(s.th, nil)
+	if g.left--; g.left == 0 {
+		for _, c := range g.cohorts {
+			c.pool.Close()
 		}
 	}
 }
 
-func (cl *CohortLoad) sessionBody(st *cohortState, s *cohortSession) sim.Proc {
-	return func(t *sim.Thread) any {
-		for {
-			if s.head == len(s.q) {
-				s.q, s.head = s.q[:0], 0
-				if cl.closed {
-					return nil
-				}
-				t.Block(sim.BlockCV)
-				continue
-			}
-			req := s.q[s.head]
-			s.head++
-			t.Compute(req.service)
-			lat := t.Now().Sub(req.born)
-			cl.Stats.Completed++
-			cl.Stats.Latency.Add(lat)
-			st.Stats.Completed++
-			st.Stats.Latency.Add(lat)
-			if st.c.SLOUS > 0 && lat <= vclock.Duration(st.c.SLOUS) {
-				st.OnTime++
-			}
-			cl.lastDone = t.Now()
-			st.lastDone = t.Now()
+// nextGap returns the delay to the cohort's next arrival: the recorded
+// gap under replay, otherwise a fresh draw scaled by the modulation in
+// effect now (floored at the clock grain).
+func (a *arrivals) nextGap(now vclock.Time) vclock.Duration {
+	if a.replay != nil {
+		return vclock.Time(0).Add(vclock.Duration(a.replay[a.injected].AtUS)).Sub(now)
+	}
+	gap := a.gap(a.rng)
+	if f := spec.FactorAt(a.mod, now); f != 1 {
+		gap = vclock.Duration(float64(gap) / f)
+		if gap < vclock.Microsecond {
+			gap = vclock.Microsecond
 		}
 	}
-}
-
-// Cohort returns one cohort's stats and on-time completion count by
-// name (nil when unknown). Call after Finish.
-func (cl *CohortLoad) Cohort(name string) (*LoadStats, int64) {
-	for _, st := range cl.cohorts {
-		if st.c.Name == name {
-			return &st.Stats, st.OnTime
-		}
-	}
-	return nil, 0
-}
-
-// CohortNames lists the cohorts in spec order.
-func (cl *CohortLoad) CohortNames() []string {
-	names := make([]string, len(cl.cohorts))
-	for i, st := range cl.cohorts {
-		names[i] = st.c.Name
-	}
-	return names
-}
-
-// Finish stamps the measurement windows after the driving Run returns.
-func (cl *CohortLoad) Finish() *LoadStats {
-	if cl.Stats.Completed > 0 {
-		cl.Stats.Window = cl.lastDone.Sub(cl.firstAt)
-	}
-	for _, st := range cl.cohorts {
-		if st.Stats.Completed > 0 {
-			st.Stats.Window = st.lastDone.Sub(st.firstAt)
-		}
-	}
-	return &cl.Stats
+	return gap
 }

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/monitor"
 	"repro/internal/sim"
@@ -11,21 +10,20 @@ import (
 	"repro/internal/workload/spec"
 )
 
-// This file holds the W-series open-loop load workloads: server-scale
-// thread populations driven by Poisson arrivals, the regime the paper's
-// interactive systems never reached but our ROADMAP points at. Unlike the
-// closed-loop Cedar/GVX activities (a fixed population of eternal threads
-// pacing themselves), an open-loop generator injects requests on its own
+// This file holds the W-series open-loop load shapes' shared pieces:
+// server-scale thread populations driven by arrivals that keep their own
 // schedule whether or not the system keeps up, so queueing delay — not
-// just service time — shows up in the latency percentiles.
+// just service time — shows up in the latency percentiles. Unlike the
+// closed-loop Cedar/GVX activities (a fixed population of eternal
+// threads pacing themselves), these are compiled from specs (build.go):
 //
-//	W1 (Echo)     — a multi-user echo server: one session thread per
-//	                user, arrivals fan out uniformly across sessions.
-//	W2 (Pipeline) — slack-process pipelines (§5.2): stages at descending
+//	W1 (echo)     — a multi-user echo server: one session thread per
+//	                user, arrivals fanned uniformly across sessions.
+//	W2 (pipeline) — slack-process pipelines (§5.2): stages at descending
 //	                priority connected by monitor-based bounded buffers,
 //	                so downstream stages batch work the way the paper's
 //	                slack process batches screen updates.
-//	W3 (Mixed)    — interactive echo sessions at high priority over a
+//	W3 (mixed)    — interactive echo sessions at high priority over a
 //	                pool of low-priority batch compute loops (§6.2's
 //	                priority structure under load).
 
@@ -57,239 +55,6 @@ func (s *LoadStats) Throughput() float64 {
 func (s *LoadStats) String() string {
 	return fmt.Sprintf("offered=%d completed=%d threads=%d window=%s rate=%.0f/s lat[%s]",
 		s.Offered, s.Completed, s.Threads, s.Window, s.Throughput(), s.Latency.String())
-}
-
-// expDelay draws one exponential inter-arrival gap (mean 1/rate seconds)
-// from the generator's derived stream, quantized to the simulator's
-// microsecond clock with a 1us floor so same-instant arrival storms can't
-// form by rounding. The stream comes from World.DeriveRand, not
-// World.Rand: an open-loop generator is outside code driving the world,
-// and drawing from the live world stream would entangle the arrival
-// process with the SystemDaemon's victim choices — and, in a fleet, one
-// instance's arrivals with its siblings'.
-func expDelay(rng *rand.Rand, rate float64) vclock.Duration {
-	d := vclock.Duration(rng.ExpFloat64() / rate * 1e6)
-	if d < vclock.Microsecond {
-		d = vclock.Microsecond
-	}
-	return d
-}
-
-// ---------------------------------------------------------------- W1 ---
-
-// EchoParams configures the W1 open-loop echo server.
-type EchoParams struct {
-	// Sessions is the number of server session threads (one per user).
-	Sessions int
-	// Requests is the total number of requests to inject.
-	Requests int64
-	// Rate is the aggregate Poisson arrival rate, requests per virtual
-	// second, fanned uniformly across sessions.
-	Rate float64
-	// Service is the CPU charged per request.
-	Service vclock.Duration
-	// Priority is the session threads' priority.
-	Priority sim.Priority
-	// Start delays the first arrival, giving the spawned sessions time
-	// to park; 0 selects a bound derived from the population size.
-	Start vclock.Duration
-}
-
-// DefaultEchoParams returns the full-scale W1 operating point: ten
-// thousand live session threads serving one hundred thousand requests.
-func DefaultEchoParams() EchoParams {
-	return EchoParams{
-		Sessions: 10_000,
-		Requests: 100_000,
-		Rate:     5000,
-		Service:  5 * vclock.Microsecond,
-		Priority: sim.PriorityNormal,
-	}
-}
-
-// echoSession is one user's server-side thread plus its request queue
-// (arrival timestamps). The queue is driver-owned state: the driver and
-// the session mutate it under the simulator's one-goroutine-at-a-time
-// discipline, modeling an interrupt handler posting work to a server
-// thread.
-type echoSession struct {
-	th   *sim.Thread
-	q    []vclock.Time
-	head int
-}
-
-// EchoServer is the W1 workload instance.
-type EchoServer struct {
-	w        *sim.World
-	p        EchoParams
-	rng      *rand.Rand
-	Stats    LoadStats
-	sessions []*echoSession
-	injected int64
-	closed   bool
-	firstAt  vclock.Time
-	lastDone vclock.Time
-	tap      RequestTap
-	cohort   string
-	replay   []spec.Entry
-}
-
-// StartEcho spawns the session population and schedules the arrival
-// process. Drive the world with Run until it quiesces (every session
-// exits once the offered load is injected and drained), then read Stats.
-func StartEcho(w *sim.World, p EchoParams) *EchoServer {
-	return startEcho(w, p, nil, "echo", nil)
-}
-
-// startEcho is the shared constructor behind StartEcho and the spec
-// path. A non-nil replay drives arrivals from the recorded entries —
-// same timestamps, same session picks, no RNG draws — producing the
-// identical event population the generated run had; tap observes each
-// injection for trace recording.
-func startEcho(w *sim.World, p EchoParams, tap RequestTap, cohort string, replay []spec.Entry) *EchoServer {
-	if replay != nil {
-		p.Requests = int64(len(replay))
-		p.Start = vclock.Duration(replay[0].AtUS)
-	}
-	if p.Sessions < 1 || p.Requests < 1 || p.Rate <= 0 {
-		panic(fmt.Sprintf("workload: bad EchoParams %+v", p))
-	}
-	if p.Service <= 0 {
-		p.Service = 5 * vclock.Microsecond
-	}
-	if !p.Priority.Valid() {
-		p.Priority = sim.PriorityNormal
-	}
-	e := &EchoServer{w: w, p: p, rng: w.DeriveRand("workload.echo"),
-		tap: tap, cohort: cohort, replay: replay}
-	e.Stats.Threads = p.Sessions
-	for i := 0; i < p.Sessions; i++ {
-		s := &echoSession{}
-		// Thread names keep the historical "echo-" prefix whatever the
-		// cohort label says: names feed the profiler's per-thread books
-		// and must not drift when a spec renames its one cohort.
-		s.th = w.Spawn(fmt.Sprintf("echo-%d", i), p.Priority, e.sessionBody(s))
-		e.sessions = append(e.sessions, s)
-	}
-	start := p.Start
-	if start <= 0 {
-		// Every freshly spawned session runs once (paying the switch
-		// cost) before parking; begin injecting after that stampede.
-		perPark := w.Config().SwitchCost + 10*vclock.Microsecond
-		start = vclock.Duration(p.Sessions)*perPark + 100*vclock.Millisecond
-	}
-	w.After(start, e.arrive)
-	return e
-}
-
-// arrive injects one request (driver context) and schedules the next.
-func (e *EchoServer) arrive() {
-	if e.injected >= e.p.Requests {
-		return
-	}
-	idx := 0
-	if e.replay != nil {
-		idx = e.replay[e.injected].Session
-	} else {
-		idx = e.rng.Intn(len(e.sessions))
-	}
-	s := e.sessions[idx]
-	now := e.w.Now()
-	if e.Stats.Offered == 0 {
-		e.firstAt = now
-	}
-	s.q = append(s.q, now)
-	e.Stats.Offered++
-	e.injected++
-	if e.tap != nil {
-		e.tap(now, e.cohort, idx, e.p.Service)
-	}
-	e.w.WakeIfBlocked(s.th, nil)
-	if e.injected < e.p.Requests {
-		e.w.After(e.nextGap(now), e.arrive)
-	} else {
-		e.close()
-	}
-}
-
-// nextGap returns the delay to the next arrival: a fresh Poisson draw,
-// or — under replay — the recorded gap to the next entry.
-func (e *EchoServer) nextGap(now vclock.Time) vclock.Duration {
-	if e.replay != nil {
-		return vclock.Time(0).Add(vclock.Duration(e.replay[e.injected].AtUS)).Sub(now)
-	}
-	return expDelay(e.rng, e.p.Rate)
-}
-
-// close wakes every idle session so those with nothing left to serve can
-// observe the shutdown and exit, letting the world quiesce.
-func (e *EchoServer) close() {
-	e.closed = true
-	for _, s := range e.sessions {
-		e.w.WakeIfBlocked(s.th, nil)
-	}
-}
-
-func (e *EchoServer) sessionBody(s *echoSession) sim.Proc {
-	return func(t *sim.Thread) any {
-		for {
-			if s.head == len(s.q) {
-				s.q, s.head = s.q[:0], 0
-				if e.closed {
-					return nil
-				}
-				t.Block(sim.BlockCV)
-				continue
-			}
-			arrival := s.q[s.head]
-			s.head++
-			t.Compute(e.p.Service)
-			e.Stats.Completed++
-			e.Stats.Latency.Add(t.Now().Sub(arrival))
-			e.lastDone = t.Now()
-		}
-	}
-}
-
-// Finish stamps the measurement window after the driving Run returns.
-func (e *EchoServer) Finish() *LoadStats {
-	if e.Stats.Completed > 0 {
-		e.Stats.Window = e.lastDone.Sub(e.firstAt)
-	}
-	return &e.Stats
-}
-
-// ---------------------------------------------------------------- W2 ---
-
-// PipelineParams configures the W2 slack-process pipelines.
-type PipelineParams struct {
-	// Pipelines is the number of independent stage chains.
-	Pipelines int
-	// Stages is the number of threads per chain. Stage priorities descend
-	// from PriorityHigh toward PriorityBackground along the chain — the
-	// §5.2 slack-process shape, where the consumer runs below its
-	// producer so work batches up between dispatches.
-	Stages int
-	// Buffer is the bounded-buffer capacity between adjacent stages.
-	Buffer int
-	// Requests is the total number of items injected.
-	Requests int64
-	// Rate is the aggregate Poisson injection rate per virtual second.
-	Rate float64
-	// StageCost is the CPU charged at each stage.
-	StageCost vclock.Duration
-}
-
-// DefaultPipelineParams returns the full-scale W2 operating point.
-func DefaultPipelineParams() PipelineParams {
-	return PipelineParams{
-		Pipelines: 64,
-		Stages:    4,
-		Buffer:    8,
-		Requests:  25_000,
-		Rate:      1000,
-		StageCost: 10 * vclock.Microsecond,
-	}
 }
 
 // loadBuffer is a monitor-based bounded buffer of arrival timestamps —
@@ -344,27 +109,14 @@ func (b *loadBuffer) close(t *sim.Thread) {
 	b.m.Exit(t)
 }
 
-// Pipeline is the W2 workload instance.
+// Pipeline is the W2 workload instance: Pipelines chains of Stages
+// threads. Stage 0 of every chain is one session of a Server pool (the
+// arrivals' target); later stages hand off through loadBuffers.
 type Pipeline struct {
-	w        *sim.World
-	p        PipelineParams
-	rng      *rand.Rand
 	Stats    LoadStats
-	inboxes  []*pipeInbox
-	injected int64
-	closed   bool
-	firstAt  vclock.Time
+	src      *Server
+	cost     vclock.Duration
 	lastDone vclock.Time
-	tap      RequestTap
-	replay   []spec.Entry
-}
-
-// pipeInbox is the driver-to-stage-0 handoff of one chain, interrupt
-// style like W1's sessions; stages beyond 0 hand off through monitors.
-type pipeInbox struct {
-	th   *sim.Thread
-	q    []vclock.Time
-	head int
 }
 
 // stagePriority maps a stage index to its descending priority.
@@ -376,40 +128,27 @@ func stagePriority(i int) sim.Priority {
 	return p
 }
 
-// StartPipeline spawns the stage chains and schedules the arrival
-// process. Drive the world with Run until it quiesces.
-func StartPipeline(w *sim.World, p PipelineParams) *Pipeline {
-	return startPipeline(w, p, nil, nil)
-}
-
-// startPipeline is the shared constructor behind StartPipeline and the
-// spec path; see startEcho for the tap/replay contract. The recorded
-// service demand is the per-stage grain (each request costs Stages of
-// them end to end).
-func startPipeline(w *sim.World, p PipelineParams, tap RequestTap, replay []spec.Entry) *Pipeline {
-	if replay != nil {
-		p.Requests = int64(len(replay))
+// startPipeline spawns the stage chains, chain by chain; p must have
+// passed spec.Check. Stage priorities descend from PriorityHigh toward
+// PriorityBackground along the chain — the §5.2 slack-process shape,
+// where the consumer runs below its producer so work batches up between
+// dispatches.
+func startPipeline(w *sim.World, p *spec.Pipeline) *Pipeline {
+	buffer := p.Buffer
+	if buffer < 1 {
+		buffer = 8
 	}
-	if p.Pipelines < 1 || p.Stages < 2 || p.Requests < 1 || p.Rate <= 0 {
-		panic(fmt.Sprintf("workload: bad PipelineParams %+v", p))
+	pl := &Pipeline{src: &Server{w: w}, cost: vclock.Duration(p.StageCostUS)}
+	if pl.cost <= 0 {
+		pl.cost = 10 * vclock.Microsecond
 	}
-	if p.Buffer < 1 {
-		p.Buffer = 8
-	}
-	if p.StageCost <= 0 {
-		p.StageCost = 10 * vclock.Microsecond
-	}
-	pl := &Pipeline{w: w, p: p, rng: w.DeriveRand("workload.pipeline"),
-		tap: tap, replay: replay}
 	pl.Stats.Threads = p.Pipelines * p.Stages
 	for i := 0; i < p.Pipelines; i++ {
 		bufs := make([]*loadBuffer, p.Stages-1)
 		for j := range bufs {
-			bufs[j] = newLoadBuffer(w, fmt.Sprintf("pipe-%d-buf-%d", i, j), p.Buffer)
+			bufs[j] = newLoadBuffer(w, fmt.Sprintf("pipe-%d-buf-%d", i, j), buffer)
 		}
-		in := &pipeInbox{}
-		in.th = w.Spawn(fmt.Sprintf("pipe-%d-stage-0", i), stagePriority(0), pl.sourceBody(in, bufs[0]))
-		pl.inboxes = append(pl.inboxes, in)
+		pl.src.addSession(fmt.Sprintf("pipe-%d-stage-0", i), stagePriority(0), bufs[0])
 		for j := 1; j < p.Stages; j++ {
 			var out *loadBuffer
 			if j < p.Stages-1 {
@@ -418,75 +157,7 @@ func startPipeline(w *sim.World, p PipelineParams, tap RequestTap, replay []spec
 			w.Spawn(fmt.Sprintf("pipe-%d-stage-%d", i, j), stagePriority(j), pl.stageBody(bufs[j-1], out))
 		}
 	}
-	start := vclock.Duration(0)
-	if replay != nil {
-		start = vclock.Duration(replay[0].AtUS)
-	} else {
-		perPark := w.Config().SwitchCost + 20*vclock.Microsecond
-		start = vclock.Duration(p.Pipelines*p.Stages)*perPark + 100*vclock.Millisecond
-	}
-	w.After(start, pl.arrive)
 	return pl
-}
-
-func (pl *Pipeline) arrive() {
-	if pl.injected >= pl.p.Requests {
-		return
-	}
-	idx := 0
-	if pl.replay != nil {
-		idx = pl.replay[pl.injected].Session
-	} else {
-		idx = pl.rng.Intn(len(pl.inboxes))
-	}
-	in := pl.inboxes[idx]
-	now := pl.w.Now()
-	if pl.Stats.Offered == 0 {
-		pl.firstAt = now
-	}
-	in.q = append(in.q, now)
-	pl.Stats.Offered++
-	pl.injected++
-	if pl.tap != nil {
-		pl.tap(now, "pipeline", idx, pl.p.StageCost)
-	}
-	pl.w.WakeIfBlocked(in.th, nil)
-	if pl.injected < pl.p.Requests {
-		var gap vclock.Duration
-		if pl.replay != nil {
-			gap = vclock.Time(0).Add(vclock.Duration(pl.replay[pl.injected].AtUS)).Sub(now)
-		} else {
-			gap = expDelay(pl.rng, pl.p.Rate)
-		}
-		pl.w.After(gap, pl.arrive)
-	} else {
-		pl.closed = true
-		for _, in := range pl.inboxes {
-			pl.w.WakeIfBlocked(in.th, nil)
-		}
-	}
-}
-
-// sourceBody drains the inbox into the chain's first buffer, closing it
-// when the offered load ends so shutdown ripples down the stages.
-func (pl *Pipeline) sourceBody(in *pipeInbox, out *loadBuffer) sim.Proc {
-	return func(t *sim.Thread) any {
-		for {
-			if in.head == len(in.q) {
-				in.q, in.head = in.q[:0], 0
-				if pl.closed {
-					out.close(t)
-					return nil
-				}
-				t.Block(sim.BlockCV)
-				continue
-			}
-			v := in.q[in.head]
-			in.head++
-			t.Compute(pl.p.StageCost)
-			out.put(t, v)
-		}
-	}
 }
 
 // stageBody computes over items from in; a nil out marks the final stage,
@@ -501,7 +172,7 @@ func (pl *Pipeline) stageBody(in, out *loadBuffer) sim.Proc {
 				}
 				return nil
 			}
-			t.Compute(pl.p.StageCost)
+			t.Compute(pl.cost)
 			if out != nil {
 				out.put(t, v)
 				continue
@@ -513,106 +184,12 @@ func (pl *Pipeline) stageBody(in, out *loadBuffer) sim.Proc {
 	}
 }
 
-// Finish stamps the measurement window after the driving Run returns.
+// Finish stamps the offered count and measurement window after the
+// driving Run returns.
 func (pl *Pipeline) Finish() *LoadStats {
+	pl.Stats.Offered = pl.src.Stats.Offered
 	if pl.Stats.Completed > 0 {
-		pl.Stats.Window = pl.lastDone.Sub(pl.firstAt)
+		pl.Stats.Window = pl.lastDone.Sub(pl.src.First())
 	}
 	return &pl.Stats
-}
-
-// ---------------------------------------------------------------- W3 ---
-
-// MixedParams configures the W3 interactive-over-batch mix.
-type MixedParams struct {
-	// Interactive is the number of high-priority echo sessions.
-	Interactive int
-	// Batch is the number of background compute loops.
-	Batch int
-	// Requests is the total interactive requests injected.
-	Requests int64
-	// Rate is the aggregate interactive arrival rate per virtual second.
-	Rate float64
-	// Service is the CPU charged per interactive request.
-	Service vclock.Duration
-	// BatchChunk is one batch compute grain; chunks per virtual second
-	// is the batch throughput metric.
-	BatchChunk vclock.Duration
-	// Horizon bounds the run; batch threads never exit on their own.
-	Horizon vclock.Duration
-}
-
-// DefaultMixedParams returns the full-scale W3 operating point.
-func DefaultMixedParams() MixedParams {
-	return MixedParams{
-		Interactive: 256,
-		Batch:       64,
-		Requests:    40_000,
-		Rate:        2000,
-		Service:     50 * vclock.Microsecond,
-		BatchChunk:  200 * vclock.Microsecond,
-		Horizon:     30 * vclock.Second,
-	}
-}
-
-// Mixed is the W3 workload instance: W1's echo machinery at PriorityHigh
-// sharing the CPUs with an always-ready batch pool at PriorityBackground,
-// the §6.2 priority structure under open-loop load.
-type Mixed struct {
-	Echo *EchoServer
-	// BatchChunks counts completed batch grains; divide by the horizon
-	// for batch throughput.
-	BatchChunks int64
-	stopped     bool
-}
-
-// StartMixed spawns both populations. Drive with Run to params.Horizon;
-// the batch pool stays runnable forever, so the run ends at the horizon
-// (interactive load should drain well before it).
-func StartMixed(w *sim.World, p MixedParams) *Mixed {
-	return startMixed(w, p, nil, "interactive", nil)
-}
-
-// startMixed is the shared constructor behind StartMixed and the spec
-// path; tap/replay apply to the interactive echo half (the batch pool
-// is closed-loop and has no arrival process to record).
-func startMixed(w *sim.World, p MixedParams, tap RequestTap, cohort string, replay []spec.Entry) *Mixed {
-	if replay != nil {
-		p.Requests = int64(len(replay))
-	}
-	if p.Interactive < 1 || p.Batch < 0 || p.Requests < 1 || p.Rate <= 0 {
-		panic(fmt.Sprintf("workload: bad MixedParams %+v", p))
-	}
-	if p.BatchChunk <= 0 {
-		p.BatchChunk = 200 * vclock.Microsecond
-	}
-	m := &Mixed{}
-	m.Echo = startEcho(w, EchoParams{
-		Sessions: p.Interactive,
-		Requests: p.Requests,
-		Rate:     p.Rate,
-		Service:  p.Service,
-		Priority: sim.PriorityHigh,
-	}, tap, cohort, replay)
-	m.Echo.Stats.Threads = p.Interactive + p.Batch
-	for i := 0; i < p.Batch; i++ {
-		w.Spawn(fmt.Sprintf("batch-%d", i), sim.PriorityBackground, func(t *sim.Thread) any {
-			for !m.stopped {
-				t.Compute(p.BatchChunk)
-				m.BatchChunks++
-			}
-			return nil
-		})
-	}
-	// End the run at the horizon: mark the batch pool done and stop, so
-	// a single Run(horizon) suffices and Shutdown has little to unwind.
-	w.At(vclock.Time(0).Add(p.Horizon), func() {
-		m.stopped = true
-	})
-	return m
-}
-
-// Finish stamps the interactive window after the driving Run returns.
-func (m *Mixed) Finish() *LoadStats {
-	return m.Echo.Finish()
 }

@@ -1,23 +1,44 @@
 package workload
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/vclock"
+	"repro/internal/workload/spec"
 )
+
+// echoSpec is a quick-scale W1 document: 200 sessions serving 2000
+// requests of 5us at 4000 req/s.
+func echoSpec(sessions int) *spec.Spec {
+	return &spec.Spec{Schema: spec.Schema, Name: "echo", Kind: spec.KindEcho,
+		Cohorts: []spec.Cohort{{Name: "echo", Sessions: sessions, Requests: 2000,
+			Arrival: &spec.Arrival{Process: spec.ProcPoisson, Rate: 4000},
+			Service: &spec.Service{Dist: spec.DistConst, MeanUS: 5}}}}
+}
+
+// startTestSpec compiles sp into a fresh world; the caller shuts it down.
+func startTestSpec(t *testing.T, sp *spec.Spec, cfg sim.Config) (*sim.World, *SpecRun) {
+	t.Helper()
+	w := sim.NewWorld(cfg)
+	run, err := StartSpec(w, sp, SpecOptions{})
+	if err != nil {
+		w.Shutdown()
+		t.Fatalf("StartSpec(%s): %v", sp.Name, err)
+	}
+	return w, run
+}
 
 // runEcho drives one quick-scale W1 world to quiescence.
 func runEcho(t *testing.T, seed int64) *LoadStats {
 	t.Helper()
-	w := sim.NewWorld(sim.Config{Seed: seed})
+	w, run := startTestSpec(t, echoSpec(200), sim.Config{Seed: seed})
 	defer w.Shutdown()
-	p := EchoParams{Sessions: 200, Requests: 2000, Rate: 4000, Service: 5 * vclock.Microsecond}
-	e := StartEcho(w, p)
 	if got := w.Run(vclock.Time(0).Add(10 * vclock.Second)); got != sim.OutcomeQuiescent {
 		t.Fatalf("echo run ended %v, want quiescent", got)
 	}
-	return e.Finish()
+	return run.Load()
 }
 
 func TestEchoServesOfferedLoad(t *testing.T) {
@@ -52,41 +73,44 @@ func TestEchoDeterministic(t *testing.T) {
 }
 
 func TestPipelineServesOfferedLoad(t *testing.T) {
-	w := sim.NewWorld(sim.Config{Seed: 1})
+	sp := &spec.Spec{Schema: spec.Schema, Name: "pipe", Kind: spec.KindPipeline,
+		Pipeline: &spec.Pipeline{Pipelines: 8, Stages: 4, Buffer: 4, Requests: 1000, Rate: 1000, StageCostUS: 10}}
+	w, run := startTestSpec(t, sp, sim.Config{Seed: 1})
 	defer w.Shutdown()
-	p := PipelineParams{Pipelines: 8, Stages: 4, Buffer: 4, Requests: 1000, Rate: 1000, StageCost: 10 * vclock.Microsecond}
-	pl := StartPipeline(w, p)
 	if got := w.Run(vclock.Time(0).Add(20 * vclock.Second)); got != sim.OutcomeQuiescent {
 		t.Fatalf("pipeline run ended %v, want quiescent (shutdown must ripple down the stages)", got)
 	}
-	s := pl.Finish()
-	if s.Completed != 1000 {
-		t.Fatalf("completed = %d, want 1000", s.Completed)
+	s := run.Load()
+	if s.Offered != 1000 || s.Completed != 1000 {
+		t.Fatalf("offered=%d completed=%d, want 1000/1000", s.Offered, s.Completed)
 	}
 	if s.Threads != 8*4 {
 		t.Fatalf("threads = %d, want 32", s.Threads)
 	}
 	// Four stages of compute bound the minimum end-to-end latency.
-	if min := s.Latency.Percentile(0); min < 4*p.StageCost {
+	if min := s.Latency.Percentile(0); min < 4*10*vclock.Microsecond {
 		t.Fatalf("min latency %v < 4 stage costs", min)
 	}
 }
 
 func TestMixedKeepsInteractiveFast(t *testing.T) {
-	w := sim.NewWorld(sim.Config{Seed: 1, SystemDaemon: true})
+	sp := &spec.Spec{Schema: spec.Schema, Name: "mixed", Kind: spec.KindMixed, SystemDaemon: true,
+		Cohorts: []spec.Cohort{{Name: "interactive", Sessions: 32, Requests: 1500,
+			Arrival: &spec.Arrival{Process: spec.ProcPoisson, Rate: 1500},
+			Service: &spec.Service{Dist: spec.DistConst, MeanUS: 50}}},
+		Batch:     &spec.Batch{Workers: 8, ChunkUS: 200},
+		HorizonUS: (5 * vclock.Second).Micros()}
+	w, run := startTestSpec(t, sp, sim.Config{Seed: 1, SystemDaemon: true})
 	defer w.Shutdown()
-	p := MixedParams{
-		Interactive: 32, Batch: 8, Requests: 1500, Rate: 1500,
-		Service: 50 * vclock.Microsecond, BatchChunk: 200 * vclock.Microsecond,
-		Horizon: 5 * vclock.Second,
-	}
-	m := StartMixed(w, p)
-	w.Run(vclock.Time(0).Add(p.Horizon))
-	s := m.Finish()
+	w.Run(vclock.Time(0).Add(run.Horizon))
+	s := run.Load()
 	if s.Completed != 1500 {
 		t.Fatalf("interactive completed = %d, want 1500 (batch pool must not starve PriorityHigh)", s.Completed)
 	}
-	if m.BatchChunks == 0 {
+	if s.Threads != 32+8 {
+		t.Fatalf("threads = %d, want both populations (40)", s.Threads)
+	}
+	if run.Batch.Chunks == 0 {
 		t.Fatal("batch pool made no progress")
 	}
 	// Strict priority: interactive p95 stays within a few batch chunks
@@ -99,10 +123,7 @@ func TestMixedKeepsInteractiveFast(t *testing.T) {
 func TestEchoParamValidation(t *testing.T) {
 	w := sim.NewWorld(sim.Config{Seed: 1})
 	defer w.Shutdown()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("StartEcho accepted zero sessions")
-		}
-	}()
-	StartEcho(w, EchoParams{Sessions: 0, Requests: 1, Rate: 1})
+	if _, err := StartSpec(w, echoSpec(0), SpecOptions{}); !errors.Is(err, spec.ErrInvalidSpec) {
+		t.Fatalf("StartSpec on a zero-session echo spec: err = %v, want ErrInvalidSpec", err)
+	}
 }

@@ -7,14 +7,14 @@ import (
 	"repro/internal/vclock"
 )
 
-// This file holds the externally-driven request server the cluster layer
-// routes into. W1's EchoServer owns its whole arrival process — it draws
-// inter-arrival gaps and picks sessions itself, which is the right shape
-// for a single-world experiment but the wrong one for a fleet: there the
-// arrival process, the routing decision, and the admission decision all
-// live *outside* any one world, in the cluster. Server is the passive
-// half of that split: a session-thread pool that serves whatever requests
-// an outside driver injects, each with an explicit service demand.
+// This file holds Server, the one session pool every request-serving
+// workload runs on: the §4 general-pump shape, where an interrupt-style
+// driver posts requests to per-session queues and each session thread
+// drains its own. The pool is passive — it never draws an arrival,
+// picks a session or sizes a demand. In a fleet the cluster layer owns
+// those decisions (routing, admission, service distributions); in a
+// single world the shared arrival generator (cohorts.go) does. Every
+// open-loop spec kind compiles onto Server (see build.go).
 
 // NameTable interns per-session thread names so a fleet of N instances
 // shares one table of S strings instead of allocating N×S copies —
@@ -65,12 +65,16 @@ type Completion struct {
 	OK    bool
 }
 
-// srvSession is one session thread plus its driver-owned request queue,
-// the same interrupt-handler-posts-to-server-thread shape as W1.
+// srvSession is one session thread plus its driver-owned request queue:
+// an interrupt handler posting work to a server thread.
 type srvSession struct {
 	th   *sim.Thread
 	q    []srvReq
 	head int
+	// out, when set, makes the session a pipeline chain's first stage:
+	// it passes each served request's arrival time to out instead of
+	// completing it, and closes out when it exits.
+	out *loadBuffer
 }
 
 // Server is an externally-driven session pool. All methods must be
@@ -97,12 +101,19 @@ type Server struct {
 	dropped    int64
 	cancelled  int64
 	failed     int64
+
+	// slo, when set, is the pool's latency target: completions within it
+	// count as on time. unit, when set, makes every session stamp the
+	// scheduler-visible SLO metadata (see stamp).
+	slo    vclock.Duration
+	unit   vclock.Duration
+	onTime int64
 }
 
-// StartServer spawns sessions session threads at prio, naming them from
-// names (which must hold at least sessions entries). The pool serves
-// injected requests until Close.
-func StartServer(w *sim.World, names *NameTable, sessions int, prio sim.Priority) *Server {
+// startServer spawns sessions session threads at prio (PriorityNormal
+// when invalid), naming them from names, which must hold at least
+// sessions entries. The pool serves injected requests until Close.
+func startServer(w *sim.World, names *NameTable, sessions int, prio sim.Priority) *Server {
 	if sessions < 1 || names.Len() < sessions {
 		panic(fmt.Sprintf("workload: bad Server population %d (names %d)", sessions, names.Len()))
 	}
@@ -110,13 +121,44 @@ func StartServer(w *sim.World, names *NameTable, sessions int, prio sim.Priority
 		prio = sim.PriorityNormal
 	}
 	s := &Server{w: w}
-	s.Stats.Threads = sessions
 	for i := 0; i < sessions; i++ {
-		sess := &srvSession{}
-		sess.th = w.Spawn(names.Name(i), prio, s.sessionBody(sess))
-		s.sessions = append(s.sessions, sess)
+		s.addSession(names.Name(i), prio, nil)
 	}
 	return s
+}
+
+// addSession spawns one more session thread feeding out (nil for a
+// session that completes its requests); callers that interleave other
+// spawns with the pool's (the pipeline kind) grow it one by one.
+func (s *Server) addSession(name string, prio sim.Priority, out *loadBuffer) {
+	sess := &srvSession{out: out}
+	sess.th = s.w.Spawn(name, prio, s.sessionBody(sess))
+	s.sessions = append(s.sessions, sess)
+	s.Stats.Threads++
+}
+
+// stampSLO makes every session declare class as its SLO class and keep
+// its deadline and service estimate current (see stamp), pricing each
+// pending request at unit. Deadlines are the pool's slo past arrival.
+func (s *Server) stampSLO(class string, unit vclock.Duration) {
+	s.unit = unit
+	for _, sess := range s.sessions {
+		sess.th.SetSLOClass(class)
+	}
+}
+
+// stamp refreshes a session's scheduler-visible metadata from its
+// queue: the head request's deadline (EDF) and the pending service
+// demand (SJF). It runs at every arrival, completion and idle point,
+// in driver and thread context alike.
+func (s *Server) stamp(sess *srvSession) {
+	pending := len(sess.q) - sess.head
+	if pending > 0 {
+		sess.th.SetDeadline(sess.q[sess.head].born.Add(s.slo))
+	} else {
+		sess.th.SetDeadline(0)
+	}
+	sess.th.SetServiceEstimate(vclock.Duration(pending) * s.unit)
 }
 
 // Sessions returns the pool size.
@@ -134,14 +176,21 @@ func (s *Server) Inject(i int, service vclock.Duration) {
 	if s.closed {
 		panic("workload: Inject after Close")
 	}
-	now := s.w.Now()
+	s.enqueue(i, srvReq{born: s.w.Now(), service: service})
+}
+
+// enqueue posts r to session i's queue and wakes the session.
+func (s *Server) enqueue(i int, r srvReq) {
 	if s.Stats.Offered == 0 {
-		s.firstAt = now
+		s.firstAt = r.born
 	}
 	sess := s.sessions[i%len(s.sessions)]
-	sess.q = append(sess.q, srvReq{born: now, service: service})
+	sess.q = append(sess.q, r)
 	s.Stats.Offered++
 	s.pending++
+	if s.unit > 0 {
+		s.stamp(sess)
+	}
 	s.w.WakeIfBlocked(sess.th, nil)
 }
 
@@ -162,7 +211,13 @@ func (s *Server) sessionBody(sess *srvSession) sim.Proc {
 		for {
 			if sess.head == len(sess.q) {
 				sess.q, sess.head = sess.q[:0], 0
+				if s.unit > 0 {
+					s.stamp(sess)
+				}
 				if s.closed {
+					if sess.out != nil {
+						sess.out.close(t)
+					}
 					return nil
 				}
 				t.Block(sim.BlockCV)
@@ -198,9 +253,20 @@ func (s *Server) sessionBody(sess *srvSession) sim.Proc {
 					continue
 				}
 			}
+			if sess.out != nil {
+				sess.out.put(t, req.born)
+				continue
+			}
+			lat := t.Now().Sub(req.born)
 			s.Stats.Completed++
-			s.Stats.Latency.Add(t.Now().Sub(req.born))
+			s.Stats.Latency.Add(lat)
+			if s.slo > 0 && lat <= s.slo {
+				s.onTime++
+			}
 			s.lastDone = t.Now()
+			if s.unit > 0 {
+				s.stamp(sess)
+			}
 		}
 	}
 }
@@ -219,14 +285,7 @@ func (s *Server) InjectTracked(i int, service vclock.Duration, token uint64) {
 	if s.closed {
 		panic("workload: InjectTracked after Close")
 	}
-	if s.Stats.Offered == 0 {
-		s.firstAt = now
-	}
-	sess := s.sessions[i%len(s.sessions)]
-	sess.q = append(sess.q, srvReq{born: now, service: service, token: token, epoch: s.epoch, tracked: true})
-	s.Stats.Offered++
-	s.pending++
-	s.w.WakeIfBlocked(sess.th, nil)
+	s.enqueue(i, srvReq{born: now, service: service, token: token, epoch: s.epoch, tracked: true})
 }
 
 // Drain returns the tracked completions recorded since the previous
@@ -292,6 +351,10 @@ func (s *Server) Dropped() int64 { return s.dropped }
 // Cancelled returns the number of tracked requests cancelled while
 // still queued (hedge losers that never consumed service).
 func (s *Server) Cancelled() int64 { return s.cancelled }
+
+// OnTime returns the number of completions within the pool's latency
+// target (0 when the pool has none).
+func (s *Server) OnTime() int64 { return s.onTime }
 
 // Undelivered returns the number of tracked requests refused by a down
 // instance or whose response was lost to a crash mid-service.

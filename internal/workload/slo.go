@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/sim"
@@ -11,59 +10,13 @@ import (
 	"repro/internal/workload/spec"
 )
 
-// This file holds the S-series SLO workload: the open-loop echo machinery
-// of W1 generalized to named cohorts, each carrying a per-request latency
-// target (the SLO) and stamping the scheduler-visible metadata the policy
-// lab consults — Thread.SetDeadline with the oldest pending request's
-// deadline (EDF), SetServiceEstimate with the queued service demand (SJF),
-// and SetSLOClass with the cohort name (the hybrid's interactive/batch
-// split). An optional always-ready batch pool rides underneath, its chunk
-// latencies recorded under the "batch" class, so one run yields per-class
-// percentiles and SLO attainment for every policy under test.
-
-// SLOCohort describes one class of open-loop request traffic.
-type SLOCohort struct {
-	// Name is the SLO class label, stamped on the cohort's session
-	// threads and used as the per-class key in SLOStats.
-	Name string
-	// Sessions is the number of server session threads in the cohort.
-	Sessions int
-	// Requests is the total requests injected into the cohort.
-	Requests int64
-	// Rate is the cohort's Poisson arrival rate per virtual second,
-	// fanned uniformly across its sessions.
-	Rate float64
-	// Service is the CPU charged per request; it is also the unit of the
-	// service estimate stamped on the session (pending x Service).
-	Service vclock.Duration
-	// SLO is the per-request latency target: a request arriving at time a
-	// must complete by a+SLO to count as on time. It is also the deadline
-	// offset stamped on the session for deadline-aware policies.
-	SLO vclock.Duration
-	// Priority is the cohort's thread priority.
-	Priority sim.Priority
-}
-
-// SLOParams configures the S-series mixed-cohort workload.
-type SLOParams struct {
-	// Cohorts are the request classes; at least one is required.
-	Cohorts []SLOCohort
-	// Batch is the number of always-ready background compute workers
-	// (0 for none). Their chunk latencies are recorded under "batch".
-	Batch int
-	// BatchChunk is one batch compute grain.
-	BatchChunk vclock.Duration
-	// BatchSLO is the per-chunk latency target (start to finish of one
-	// grain, preemption included).
-	BatchSLO vclock.Duration
-	// BatchPriority is the batch workers' priority.
-	BatchPriority sim.Priority
-	// Horizon bounds the run; batch workers never exit on their own.
-	Horizon vclock.Duration
-	// Start delays the first arrival; 0 selects a bound derived from the
-	// population size, as in W1.
-	Start vclock.Duration
-}
+// This file holds the S-series SLO view and the always-ready batch
+// pool. The slo kind runs one Server per cohort (cohort name as SLO
+// class, latency target as deadline offset, constant demand as the unit
+// of the service estimate) over an optional batch pool whose chunk
+// latencies count under the "batch" class, so one run yields per-class
+// percentiles and SLO attainment for every policy under test. The mixed
+// kind runs the same batch pool without the per-class books.
 
 // SLOStats summarizes one SLO-workload run, keyed by class name.
 type SLOStats struct {
@@ -101,229 +54,100 @@ func (s *SLOStats) Attainment(class string) float64 {
 	return float64(s.OnTime[class]) / float64(off)
 }
 
-// sloSession is one session thread plus its request queue, interrupt
-// style like W1's echoSession.
-type sloSession struct {
-	th   *sim.Thread
-	q    []vclock.Time
-	head int
-}
-
-// sloCohortState is one cohort's arrival process.
-type sloCohortState struct {
-	p        SLOCohort
-	rng      *rand.Rand
-	sessions []*sloSession
-	injected int64
-	replay   []spec.Entry
-}
-
-// SLOLoad is the S-series workload instance.
+// SLOLoad is the slo kind's instance: its per-cohort pools and its
+// batch pool, summarized per class by Finish.
 type SLOLoad struct {
-	w       *sim.World
-	p       SLOParams
-	Stats   SLOStats
-	cohorts []*sloCohortState
-	closed  bool
-	stopped bool
-	tap     RequestTap
+	classes []string
+	pools   []*Server
+	batch   *BatchPool
 }
 
-// StartSLO spawns the cohort sessions and batch pool and schedules each
-// cohort's arrival process. Drive the world with Run to params.Horizon,
-// then read Stats (Finish is a convenience returning it).
-func StartSLO(w *sim.World, p SLOParams) *SLOLoad {
-	return startSLO(w, p, nil, nil)
-}
-
-// startSLO is the shared constructor behind StartSLO and the spec path.
-// replays maps cohort name to that cohort's recorded entries; cohorts
-// absent from the map generate fresh arrivals (the two never mix in
-// practice — StartSpec replays all cohorts or none).
-func startSLO(w *sim.World, p SLOParams, tap RequestTap, replays map[string][]spec.Entry) *SLOLoad {
-	if replays != nil {
-		for i := range p.Cohorts {
-			if ents := replays[p.Cohorts[i].Name]; ents != nil {
-				p.Cohorts[i].Requests = int64(len(ents))
-			}
-		}
-	}
-	if len(p.Cohorts) == 0 || p.Horizon <= 0 {
-		panic(fmt.Sprintf("workload: bad SLOParams %+v", p))
-	}
-	if p.Batch > 0 && p.BatchChunk <= 0 {
-		p.BatchChunk = 5 * vclock.Millisecond
-	}
-	if !p.BatchPriority.Valid() {
-		p.BatchPriority = sim.PriorityBackground
-	}
-	l := &SLOLoad{w: w, p: p, tap: tap}
-	l.Stats.Offered = map[string]int64{}
-	l.Stats.Completed = map[string]int64{}
-	l.Stats.OnTime = map[string]int64{}
-	total := 0
-	for _, c := range p.Cohorts {
-		if c.Sessions < 1 || c.Requests < 1 || c.Rate <= 0 || c.Service <= 0 || c.SLO <= 0 {
-			panic(fmt.Sprintf("workload: bad SLOCohort %+v", c))
-		}
-		if !c.Priority.Valid() {
-			c.Priority = sim.PriorityNormal
-		}
-		st := &sloCohortState{p: c, rng: w.DeriveRand("workload.slo." + c.Name)}
-		if replays != nil {
-			st.replay = replays[c.Name]
-		}
-		for i := 0; i < c.Sessions; i++ {
-			s := &sloSession{}
-			s.th = w.Spawn(fmt.Sprintf("slo-%s-%d", c.Name, i), c.Priority, l.sessionBody(st, s))
-			s.th.SetSLOClass(c.Name)
-			st.sessions = append(st.sessions, s)
-		}
-		l.cohorts = append(l.cohorts, st)
-		total += c.Sessions
-	}
-	for i := 0; i < p.Batch; i++ {
-		th := w.Spawn(fmt.Sprintf("slo-batch-%d", i), p.BatchPriority, l.batchBody())
-		th.SetSLOClass("batch")
-		// A batch grain is the worker's perpetual remaining demand; the
-		// estimate lets SJF rank the pool against finite sessions.
-		th.SetServiceEstimate(p.BatchChunk)
-	}
-	l.Stats.Threads = total + p.Batch
-	start := p.Start
-	if start <= 0 {
-		perPark := w.Config().SwitchCost + 10*vclock.Microsecond
-		start = vclock.Duration(l.Stats.Threads)*perPark + 100*vclock.Millisecond
-	}
-	for _, st := range l.cohorts {
-		st := st
-		first := start
-		if st.replay != nil {
-			// The recorded first arrival is exactly where the generated
-			// chain began, so replayed runs schedule the same instants.
-			first = vclock.Duration(st.replay[0].AtUS)
-		}
-		w.After(first, func() { l.arrive(st) })
-	}
-	w.At(vclock.Time(0).Add(p.Horizon), func() { l.stopped = true })
-	return l
-}
-
-// stamp refreshes the scheduler-visible metadata from the session's
-// queue: the head request's deadline and the pending service demand.
-// Runs in both driver context (arrivals) and thread context (completion).
-func (st *sloCohortState) stamp(s *sloSession) {
-	pending := len(s.q) - s.head
-	if pending > 0 {
-		s.th.SetDeadline(s.q[s.head].Add(st.p.SLO))
-	} else {
-		s.th.SetDeadline(0)
-	}
-	s.th.SetServiceEstimate(vclock.Duration(pending) * st.p.Service)
-}
-
-// arrive injects one request into the cohort (driver context) and
-// schedules the next; after the last, idle sessions are woken so the
-// whole cohort can observe the close and exit once drained.
-func (l *SLOLoad) arrive(st *sloCohortState) {
-	if st.injected >= st.p.Requests {
-		return
-	}
-	idx := 0
-	if st.replay != nil {
-		idx = st.replay[st.injected].Session
-	} else {
-		idx = st.rng.Intn(len(st.sessions))
-	}
-	s := st.sessions[idx]
-	now := l.w.Now()
-	s.q = append(s.q, now)
-	st.stamp(s)
-	l.Stats.Offered[st.p.Name]++
-	st.injected++
-	if l.tap != nil {
-		l.tap(now, st.p.Name, idx, st.p.Service)
-	}
-	l.w.WakeIfBlocked(s.th, nil)
-	if st.injected < st.p.Requests {
-		var gap vclock.Duration
-		if st.replay != nil {
-			gap = vclock.Time(0).Add(vclock.Duration(st.replay[st.injected].AtUS)).Sub(now)
-		} else {
-			gap = expDelay(st.rng, st.p.Rate)
-		}
-		l.w.After(gap, func() { l.arrive(st) })
-	} else if l.allInjected() {
-		l.close()
-	}
-}
-
-func (l *SLOLoad) allInjected() bool {
-	for _, st := range l.cohorts {
-		if st.injected < st.p.Requests {
-			return false
-		}
-	}
-	return true
-}
-
-func (l *SLOLoad) close() {
-	l.closed = true
-	for _, st := range l.cohorts {
-		for _, s := range st.sessions {
-			l.w.WakeIfBlocked(s.th, nil)
-		}
-	}
-}
-
-func (l *SLOLoad) sessionBody(st *sloCohortState, s *sloSession) sim.Proc {
-	return func(t *sim.Thread) any {
-		for {
-			if s.head == len(s.q) {
-				s.q, s.head = s.q[:0], 0
-				st.stamp(s)
-				if l.closed {
-					return nil
-				}
-				t.Block(sim.BlockCV)
-				continue
-			}
-			arrival := s.q[s.head]
-			s.head++
-			t.Compute(st.p.Service)
-			lat := t.Now().Sub(arrival)
-			l.Stats.Completed[st.p.Name]++
-			l.Stats.Latency.Add(st.p.Name, lat)
-			if lat <= st.p.SLO {
-				l.Stats.OnTime[st.p.Name]++
-			}
-			st.stamp(s)
-		}
-	}
-}
-
-// batchBody is one always-ready compute worker. A chunk's latency spans
-// its start to its finish, so preemption while mid-grain — exactly what a
-// promptness-oriented policy inflicts on the pool — shows up in the
-// percentiles rather than vanishing into lost throughput.
-func (l *SLOLoad) batchBody() sim.Proc {
-	return func(t *sim.Thread) any {
-		for !l.stopped {
-			start := t.Now()
-			l.Stats.Offered["batch"]++
-			t.Compute(l.p.BatchChunk)
-			lat := t.Now().Sub(start)
-			l.Stats.Completed["batch"]++
-			l.Stats.Latency.Add("batch", lat)
-			if lat <= l.p.BatchSLO {
-				l.Stats.OnTime["batch"]++
-			}
-		}
-		return nil
-	}
-}
-
-// Finish returns the stats after the driving Run returns.
+// Finish returns the per-class stats after the driving Run returns.
+// Each class's latency recorder is its pool's own, not a copy.
 func (l *SLOLoad) Finish() *SLOStats {
-	return &l.Stats
+	st := &SLOStats{Offered: map[string]int64{}, Completed: map[string]int64{}, OnTime: map[string]int64{}}
+	add := func(class string, offered, completed, onTime int64, lat *stats.LatencyRecorder) {
+		if offered == 0 {
+			return // a class that offered nothing is not a class of this run
+		}
+		st.Offered[class], st.Completed[class], st.OnTime[class] = offered, completed, onTime
+		st.Latency.Set(class, lat)
+	}
+	for i, p := range l.pools {
+		st.Threads += p.Sessions()
+		add(l.classes[i], p.Stats.Offered, p.Stats.Completed, p.OnTime(), &p.Stats.Latency)
+	}
+	b := l.batch
+	st.Threads += b.workers
+	add("batch", b.offered, b.Chunks, b.onTime, &b.latency)
+	return st
+}
+
+// BatchPool is the always-ready background compute pool under the mixed
+// and slo kinds. A chunk's latency spans its start to its finish, so
+// preemption mid-grain — exactly what a promptness-oriented policy
+// inflicts on the pool — shows up in the percentiles rather than
+// vanishing into lost throughput.
+type BatchPool struct {
+	// Chunks counts completed grains; divide by the horizon for batch
+	// throughput.
+	Chunks  int64
+	workers int
+	chunk   vclock.Duration
+	// record keeps the per-chunk books (the slo kind's "batch" class).
+	record          bool
+	slo             vclock.Duration
+	offered, onTime int64
+	latency         stats.LatencyRecorder
+	stopped         bool
+}
+
+func (b *BatchPool) body(t *sim.Thread) any {
+	for !b.stopped {
+		start := t.Now()
+		b.offered++
+		t.Compute(b.chunk)
+		b.Chunks++
+		if b.record {
+			lat := t.Now().Sub(start)
+			b.latency.Add(lat)
+			if lat <= b.slo {
+				b.onTime++
+			}
+		}
+	}
+	return nil
+}
+
+// startBatch spawns the workers b declares (none when b is nil) at the
+// declared priority, background by default. Under a stamping kind each
+// worker is "slo-batch-i" in SLO class "batch" and declares one grain
+// as its service estimate — its perpetual remaining demand — so SJF can
+// rank the pool against finite sessions; otherwise it is "batch-i".
+func startBatch(w *sim.World, b *spec.Batch, k kindConsts) *BatchPool {
+	p := &BatchPool{chunk: k.chunk, record: k.stamp}
+	if b == nil {
+		return p
+	}
+	p.workers = b.Workers
+	if b.ChunkUS > 0 {
+		p.chunk = vclock.Duration(b.ChunkUS)
+	}
+	p.slo = vclock.Duration(b.SLOUS)
+	prio, _ := spec.ParsePriority(b.Priority) // Check accepted the name
+	if !prio.Valid() {
+		prio = sim.PriorityBackground
+	}
+	name := "batch-%d"
+	if k.stamp {
+		name = "slo-batch-%d"
+	}
+	for i := 0; i < p.workers; i++ {
+		th := w.Spawn(fmt.Sprintf(name, i), prio, p.body)
+		if k.stamp {
+			th.SetSLOClass("batch")
+			th.SetServiceEstimate(p.chunk)
+		}
+	}
+	return p
 }

@@ -9,13 +9,14 @@ import (
 
 // This file compiles Arrival and Service declarations into samplers —
 // closures drawing from a generator-owned rand stream, quantized to the
-// simulator's microsecond clock with a 1us floor exactly like the
-// historical expDelay, so same-instant storms cannot form by rounding.
+// simulator's microsecond clock with a 1us floor, so same-instant
+// storms cannot form by rounding.
 //
-// The Poisson sampler reproduces expDelay's draw byte-for-byte (one
-// ExpFloat64 per gap): that identity is what lets the shipped W-series
-// specs compile to the same arrival sequences the hardcoded generators
-// produced, which the bridge tests and the bench event-count gate pin.
+// The Poisson sampler reproduces the original W-series generators' gap
+// draw byte-for-byte (one ExpFloat64 per gap): that identity is what
+// lets the shipped W-series specs compile to the same arrival sequences
+// the hardcoded generators produced, which TestTraceDigests (internal/sim) and the bench
+// event-count gate pin.
 
 // Sampler draws one duration from a distribution.
 type Sampler func(*rand.Rand) vclock.Duration
@@ -120,4 +121,14 @@ func FactorAt(windows []Window, t vclock.Time) float64 {
 		}
 	}
 	return f
+}
+
+// ServiceSampler compiles the cohort's demand distribution; a cohort
+// without a service block gets the constant ServiceMean.
+func (c *Cohort) ServiceSampler() Sampler {
+	if c.Service == nil {
+		d := c.ServiceMean()
+		return func(*rand.Rand) vclock.Duration { return d }
+	}
+	return c.Service.Sampler()
 }

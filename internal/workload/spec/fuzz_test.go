@@ -12,8 +12,9 @@ import (
 // Parse never panics, every rejection wraps ErrInvalidSpec, and any
 // accepted spec is a fixed point — its canonical re-encoding parses to
 // the same bytes (specs are diffable artifacts, so encode/decode must
-// not drift). Seeds are the shipped W-series specs plus the testdata
-// corpus (valid and invalid alike).
+// not drift), and its horizon lies within the limit. Seeds are the
+// shipped W-series specs, the testdata corpus (valid and invalid alike)
+// and documents at each resource limit and one step past it.
 func FuzzSpecJSON(f *testing.F) {
 	for _, name := range ShippedNames() {
 		data, err := shippedFS.ReadFile("shipped/" + name + ".json")
@@ -33,6 +34,9 @@ func FuzzSpecJSON(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	for _, l := range limitDocs {
+		f.Add([]byte(l.doc))
+	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"schema":1,"name":"x","kind":"server","cohorts":[{"name":"s","sessions":3}]}`))
 	f.Add([]byte(`{"schema":1,"name":"x","kind":"cohorts","cohorts":[{"name":"a","sessions":1,"requests":1,"arrival":{"process":"weibull","rate":0.5,"shape":0.1},"service":{"dist":"pareto","mean_us":1,"alpha":1.0001}}]}`))
@@ -45,8 +49,8 @@ func FuzzSpecJSON(f *testing.F) {
 			}
 			return
 		}
-		if s.Horizon() < 0 {
-			t.Fatalf("accepted spec %q has negative horizon %v", s.Name, s.Horizon())
+		if h := s.Horizon(); h < 0 || h > MaxHorizonUS {
+			t.Fatalf("accepted spec %q has horizon %v outside [0, %d us]", s.Name, h, int64(MaxHorizonUS))
 		}
 		canon, err := json.Marshal(s)
 		if err != nil {

@@ -10,8 +10,8 @@ import (
 // The W-series operating points ship as spec files embedded in the
 // binary: the JSON under shipped/ is the source of truth for what W1–W3
 // offer, and the experiments compile these documents through the same
-// path any user spec takes. The bridge tests pin the compiled output
-// byte-identical to the historical hardcoded parameters.
+// path any user spec takes. TestTraceDigests (internal/sim) pins the
+// compiled runs' traces and stats at quick scale.
 
 //go:embed shipped/*.json
 var shippedFS embed.FS

@@ -40,8 +40,10 @@ func failf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrInvalidSpec, fmt.Sprintf(format, args...))
 }
 
-// Kinds a Spec can declare. Each maps to one generator family in
-// internal/workload:
+// Kinds a Spec can declare. Every open-loop kind compiles onto one
+// session pool per cohort fed by one shared arrival generator in
+// internal/workload; a kind fixes which fields apply and a few
+// constants (RNG stream and thread names, start delay, SLO stamping):
 //
 //	echo     — W1's open-loop echo server: one cohort, Poisson
 //	           arrivals fanned across a session pool.
@@ -255,22 +257,78 @@ func (s *Spec) Check() error {
 	if err := s.checkCohortNames(); err != nil {
 		return err
 	}
+	var err error
 	switch s.Kind {
 	case KindEcho:
-		return s.checkEcho()
+		err = s.checkEcho()
 	case KindPipeline:
-		return s.checkPipeline()
+		err = s.checkPipeline()
 	case KindMixed:
-		return s.checkMixed()
+		err = s.checkMixed()
 	case KindSLO:
-		return s.checkSLO()
+		err = s.checkSLO()
 	case KindCohorts:
-		return s.checkCohorts()
+		err = s.checkCohorts()
 	case KindServer:
-		return s.checkServer()
+		err = s.checkServer()
 	default:
-		return failf("%s: unknown kind %q (want echo, pipeline, mixed, slo, cohorts or server)", s.Name, s.Kind)
+		err = failf("%s: unknown kind %q (want echo, pipeline, mixed, slo, cohorts or server)", s.Name, s.Kind)
 	}
+	if err != nil {
+		return err
+	}
+	return s.checkLimits()
+}
+
+// Resource limits. Check rejects a spec past any of them, so hostile
+// input fails with ErrInvalidSpec instead of spawning billions of
+// threads, queueing billions of requests, or overflowing the horizon's
+// float-to-Duration conversion. Each sits above every shipped spec,
+// experiment, capacity ramp and benchmark workload (the largest is the
+// full-scale W1: 10,000 sessions, 100,000 requests, an 80s horizon).
+const (
+	// MaxSessions bounds one cohort's session pool.
+	MaxSessions = 16_384
+	// MaxThreads bounds the spec's whole population: every cohort's
+	// sessions, the batch workers, and pipelines x stages.
+	MaxThreads = 32_768
+	// MaxRequests bounds the offered load, summed over the spec.
+	MaxRequests = 1_000_000
+	// MaxHorizonUS (one virtual hour) bounds the run horizon, declared
+	// or derived, and the start delay.
+	MaxHorizonUS = 3_600_000_000
+)
+
+// checkLimits enforces the resource limits on a spec whose fields have
+// passed the kind checks. The first term past its limit is the error;
+// every term joins its sum clamped to its limit, so no sum overflows.
+func (s *Spec) checkLimits() error {
+	var err error
+	bound := func(what string, n, limit int64) int64 {
+		if n > limit && err == nil {
+			err = failf("%s: %s %d exceeds the limit %d", s.Name, what, n, limit)
+		}
+		return min(n, limit)
+	}
+	var threads, requests int64
+	for _, c := range s.Cohorts {
+		threads += bound("cohort "+c.Name+" sessions", int64(c.Sessions), MaxSessions)
+		requests += bound("cohort "+c.Name+" requests", c.Requests, MaxRequests)
+	}
+	if b := s.Batch; b != nil {
+		threads += bound("batch workers", int64(b.Workers), MaxThreads)
+	}
+	if p := s.Pipeline; p != nil {
+		threads += bound("pipelines", int64(p.Pipelines), MaxThreads) * bound("stages", int64(p.Stages), MaxThreads)
+		requests += bound("pipeline requests", p.Requests, MaxRequests)
+	}
+	bound("thread population", threads, MaxThreads)
+	bound("total requests", requests, MaxRequests)
+	bound("start_us", s.StartUS, MaxHorizonUS)
+	if h := s.horizonUS(); err == nil && h > MaxHorizonUS {
+		err = failf("%s: horizon %.0fus exceeds the limit %d (is a rate too low for its requests?)", s.Name, h, int64(MaxHorizonUS))
+	}
+	return err
 }
 
 // checkCohortNames rejects unnamed and duplicate cohorts for every kind.
@@ -295,9 +353,13 @@ func (s *Spec) checkCohortNames() error {
 }
 
 // checkCohortLoad validates the open-loop fields shared by every
-// arrival-driven cohort. Which processes and distributions are legal
-// depends on the kind: the legacy kinds compile onto the historical
-// Poisson/constant generators, the cohorts kind onto the general one.
+// arrival-driven cohort. Every such kind compiles onto the same session
+// pool and arrival generator, so the cohorts kind is the general form
+// and the others are special cases of it: echo, mixed and slo admit only
+// Poisson arrivals and constant service because that is the load their
+// documents have always described (and their metadata assumes — the slo
+// kind prices its service estimate at the constant demand), not because
+// another generator runs them.
 func (s *Spec) checkCohortLoad(c *Cohort, procs, dists []string) error {
 	if c.Sessions < 1 {
 		return failf("%s: cohort %q: sessions must be >= 1", s.Name, c.Name)
@@ -498,20 +560,24 @@ func (c *Cohort) SimPriority() sim.Priority {
 // the self-draining kinds — four times the nominal injection span, the
 // derivation the W-series experiments have always used.
 func (s *Spec) Horizon() vclock.Duration {
+	return vclock.Duration(s.horizonUS())
+}
+
+// horizonUS is Horizon in float microseconds, before the conversion
+// that checkLimits guards.
+func (s *Spec) horizonUS() float64 {
 	if s.HorizonUS > 0 {
-		return vclock.Duration(s.HorizonUS)
+		return float64(s.HorizonUS)
 	}
-	var h vclock.Duration
 	if s.Kind == KindPipeline && s.Pipeline != nil {
-		return vclock.Duration(4 * float64(s.Pipeline.Requests) / s.Pipeline.Rate * 1e6)
+		return 4 * float64(s.Pipeline.Requests) / s.Pipeline.Rate * 1e6
 	}
+	var h float64
 	for _, c := range s.Cohorts {
 		if c.Arrival == nil || c.Arrival.Rate <= 0 {
 			continue
 		}
-		if d := vclock.Duration(4 * float64(c.Requests) / c.Arrival.Rate * 1e6); d > h {
-			h = d
-		}
+		h = max(h, 4*float64(c.Requests)/c.Arrival.Rate*1e6)
 	}
 	return h
 }

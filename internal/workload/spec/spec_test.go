@@ -3,6 +3,7 @@ package spec
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -243,7 +244,7 @@ func TestServiceMeanDefault(t *testing.T) {
 	}
 }
 
-// TestPoissonMatchesExpDelay pins the bridge identity: the spec
+// TestPoissonMatchesExpDelay pins the sampler identity: the spec
 // package's Poisson sampler must reproduce the historical expDelay draw
 // (one ExpFloat64 per gap, 1us floor) byte-for-byte, or the shipped
 // W-series specs stop compiling to the historical arrival sequences.
@@ -367,5 +368,66 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 	if string(data) != string(data2) {
 		t.Errorf("round trip not stable:\n%s\n%s", data, data2)
+	}
+}
+
+// limitDocs are documents at each resource limit (ok) and one step past
+// it. TestCheckLimits checks the verdicts; FuzzSpecJSON seeds from them.
+var limitDocs = func() []struct {
+	name string
+	ok   bool
+	doc  string
+} {
+	cohort := func(name string, sessions int, requests int64, rate float64) string {
+		return fmt.Sprintf(`{"name":%q,"sessions":%d,"requests":%d,"arrival":{"process":"poisson","rate":%g},`+
+			`"service":{"dist":"const","mean_us":1},"slo_us":1}`, name, sessions, requests, rate)
+	}
+	doc := func(kind, extra string, cohorts ...string) string {
+		return fmt.Sprintf(`{"schema":1,"name":"limit","kind":%q%s,"cohorts":[%s]}`, kind, extra, strings.Join(cohorts, ","))
+	}
+	pipe := func(pipelines, stages int) string {
+		return fmt.Sprintf(`{"schema":1,"name":"limit","kind":"pipeline","pipeline":{"pipelines":%d,"stages":%d,"requests":1,"rate":1}}`, pipelines, stages)
+	}
+	type row = struct {
+		name string
+		ok   bool
+		doc  string
+	}
+	return []row{
+		{"sessions at limit", true, doc("cohorts", "", cohort("a", MaxSessions, 1, 1))},
+		{"sessions past limit", false, doc("cohorts", "", cohort("a", MaxSessions+1, 1, 1))},
+		{"threads at limit", true, doc("slo", `,"horizon_us":1000000,"batch":{"workers":0}`,
+			cohort("a", MaxSessions, 1, 1), cohort("b", MaxSessions, 1, 1))},
+		{"threads past limit", false, doc("slo", `,"horizon_us":1000000,"batch":{"workers":1}`,
+			cohort("a", MaxSessions, 1, 1), cohort("b", MaxSessions, 1, 1))},
+		{"pipeline threads at limit", true, pipe(MaxThreads/4, 4)},
+		{"pipeline threads past limit", false, pipe(MaxThreads/4, 5)},
+		{"requests at limit", true, doc("cohorts", "", cohort("a", 1, MaxRequests, 2000))},
+		{"requests past limit", false, doc("cohorts", "", cohort("a", 1, MaxRequests+1, 2000))},
+		{"total requests past limit", false, doc("cohorts", "",
+			cohort("a", 1, MaxRequests/2, 2000), cohort("b", 1, MaxRequests/2+1, 2000))},
+		{"declared horizon at limit", true, doc("cohorts", `,"horizon_us":3600000000`, cohort("a", 1, 1, 1))},
+		{"declared horizon past limit", false, doc("cohorts", `,"horizon_us":3600000001`, cohort("a", 1, 1, 1))},
+		{"derived horizon at limit", true, doc("cohorts", "", cohort("a", 1, 900, 1))},
+		{"derived horizon past limit", false, doc("cohorts", "", cohort("a", 1, 901, 1))},
+		{"vanishing rate", false, doc("cohorts", "", cohort("a", 1, 1, 1e-300))},
+		{"start at limit", true, doc("cohorts", `,"start_us":3600000000`, cohort("a", 1, 1, 1))},
+		{"start past limit", false, doc("cohorts", `,"start_us":3600000001`, cohort("a", 1, 1, 1))},
+	}
+}()
+
+func TestCheckLimits(t *testing.T) {
+	for _, tc := range limitDocs {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Parse([]byte(tc.doc))
+			switch {
+			case tc.ok && err != nil:
+				t.Fatalf("rejected at the limit: %v", err)
+			case !tc.ok && !errors.Is(err, ErrInvalidSpec):
+				t.Fatalf("err = %v, want ErrInvalidSpec", err)
+			case tc.ok && s.Horizon() > MaxHorizonUS:
+				t.Fatalf("accepted horizon %v past the limit", s.Horizon())
+			}
+		})
 	}
 }
