@@ -5,7 +5,8 @@
 # harness (experiments.RunAll) shares no hidden state — plus a short
 # fuzz pass over the plan/trace parsers and a bounded schedule-
 # exploration sweep (every healthy scenario clean, every known-bad
-# fixture caught).
+# fixture caught), and the benchmark module's own vet, tests and output
+# checks.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -15,9 +16,12 @@ EXPLORE_BUDGET ?= 200
 COVER_PKGS = ./internal/sim ./internal/monitor ./internal/fault ./internal/cluster ./internal/eventq ./internal/sched ./internal/workload ./internal/workload/spec ./internal/workload/capacity
 COVER_FLOOR = 75
 
-.PHONY: check vet build test race bench fuzz-short explore cover knee
+# The host-cost benchmark's workloads (perfbench/, see BENCHMARK.json).
+PERFBENCH_WORKLOADS = echo-fleet desktop fleet-resilient slo-hybrid
 
-check: vet build race fuzz-short explore
+.PHONY: check vet build test race bench fuzz-short explore perfbench cover knee
+
+check: vet build race fuzz-short explore perfbench
 
 vet:
 	$(GO) vet ./...
@@ -72,6 +76,20 @@ fuzz-short:
 # Bounded systematic schedule exploration over all registered scenarios.
 explore:
 	$(GO) run ./cmd/schedcheck -budget $(EXPLORE_BUDGET)
+
+# The benchmark module (perfbench/, its own go.mod) sits outside the
+# root module's ./..., so vet and test it in place. Then run each
+# workload briefly and fail unless its result line reports
+# "correct":true: that check compares the run's event count and summary
+# digest against perfbench/expected.json, so a change that moves any
+# benchmarked workload's output fails here, not only in the benchmark.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		res=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+		echo "perfbench $$w: $$res"; \
+		case "$$res" in *'"correct":true'*) ;; *) echo "perfbench $$w: output check failed"; exit 1 ;; esac; \
+	done
 
 # The K-series capacity sweep: ramp each configuration's offered load
 # until its overload criterion trips, bisect to the knee, and land the

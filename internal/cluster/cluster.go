@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/vclock"
 	"repro/internal/workload"
 	wspec "repro/internal/workload/spec"
@@ -74,7 +73,8 @@ type Spec struct {
 	TokenRate  float64
 	TokenBurst float64
 	// Start delays the first arrival so freshly spawned populations can
-	// park; zero selects a bound derived from the population size.
+	// park; zero selects a bound derived from the population size. No
+	// arrival, replayed ones included, comes before it.
 	Start vclock.Duration
 	// Drain is how long past the last arrival the fleet runs to let
 	// queues empty. Zero selects 60 virtual seconds.
@@ -89,8 +89,9 @@ type Spec struct {
 	Hooks sim.Hooks
 
 	// --- Fault injection and resilience (all optional). Setting any of
-	// these switches Run onto the tracked-request resilient path; see
-	// resilience.go. ---
+	// these makes every request carry client state, tracked from
+	// arrival to resolution, and adds a Resilience ledger to the
+	// summary; see resilience.go. ---
 
 	// Faults is the cluster-scoped fault plan; only instance-scoped
 	// kinds (crash_instance / stall_instance / degrade_instance) are
@@ -136,19 +137,26 @@ type Spec struct {
 	// (virtual instant, user identity, drawn service demand) into the
 	// trace in arrival order. The driver loop is serial even under
 	// sharded advance, so the artifact is byte-identical across Shards.
-	// Fire-and-forget path only.
 	Record *wspec.Trace
 	// Replay, when non-nil, drives the fleet from a recorded trace
 	// instead of the spec's streams: the gap, user and service draws
 	// are skipped and admission is bypassed (the trace holds only
-	// admitted arrivals). Routing still runs live, so the same offered
-	// load can be replayed under a different router. Fire-and-forget
-	// path only.
+	// admitted arrivals). Routing and every client-side policy still
+	// run live, so the same offered load can be replayed under a
+	// different router. A replay reproduces its recording run exactly
+	// only when that run rejected nothing: it offers only the admitted
+	// arrivals, so Offered and the retry budget (a fraction of arrivals
+	// offered so far) shrink by the rejected ones. Instants must be
+	// nondecreasing and not before Start, demands positive and users
+	// non-negative; New rejects any other trace with an error wrapping
+	// wspec.ErrInvalidTrace.
 	Replay *wspec.Trace
 }
 
-// resilient reports whether the spec asks for the tracked-request run
-// path. A non-nil (even empty) fault plan qualifies: the caller asked
+// resilient reports whether requests carry client state: a token per
+// attempt, tracked completions, and the retry/hedge/breaker machinery
+// over them. It also decides whether the summary has a Resilience
+// ledger. A non-nil (even empty) fault plan qualifies: the caller asked
 // for fault semantics and gets the full accounting with it.
 func (s Spec) resilient() bool {
 	return s.Faults != nil || s.ProbeEvery > 0 || s.Timeout > 0 || s.Retries > 0 ||
@@ -188,6 +196,10 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Shards < 1 {
 		s.Shards = 1
+	}
+	if s.Start <= 0 {
+		perPark := sim.Config{}.Defaults().SwitchCost + 10*vclock.Microsecond
+		s.Start = vclock.Duration(s.Sessions)*perPark + 200*vclock.Millisecond
 	}
 	if s.ProbeEvery > 0 {
 		if s.FailAfter <= 0 {
@@ -254,8 +266,20 @@ func (s Spec) validate() error {
 	if s.BreakerAfter < 0 {
 		return fmt.Errorf("cluster: BreakerAfter must be >= 0 (got %d)", s.BreakerAfter)
 	}
-	if (s.Record != nil || s.Replay != nil) && s.resilient() {
-		return fmt.Errorf("cluster: Record/Replay are supported on the fire-and-forget path only")
+	if s.Replay != nil {
+		prev := vclock.Time(0).Add(s.Start)
+		for k, e := range s.Replay.Entries {
+			at := vclock.Time(0).Add(vclock.Duration(e.AtUS))
+			switch {
+			case at.Before(prev):
+				return fmt.Errorf("cluster: replay entry %d: instant %dus before %dus: %w", k, e.AtUS, prev.Micros(), wspec.ErrInvalidTrace)
+			case e.ServiceUS <= 0:
+				return fmt.Errorf("cluster: replay entry %d: demand %dus not positive: %w", k, e.ServiceUS, wspec.ErrInvalidTrace)
+			case e.Session < 0:
+				return fmt.Errorf("cluster: replay entry %d: negative user %d: %w", k, e.Session, wspec.ErrInvalidTrace)
+			}
+			prev = at
+		}
 	}
 	return nil
 }
@@ -276,7 +300,7 @@ type Cluster struct {
 	insts  []*instance
 	route  router
 	admit  admitter
-	faults *instanceFaults // compiled fault timelines; nil when fault-free
+	faults *instanceFaults // compiled fault timelines; empty when fault-free
 	rng    *rand.Rand      // arrival/identity/demand stream, owned by Run
 	ran    bool
 }
@@ -301,15 +325,13 @@ func New(spec Spec) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{spec: spec, preset: preset, route: route, admit: admit}
-	if spec.Faults != nil {
-		// Compile eagerly: a bad plan (thread-scoped kinds, out-of-range
-		// instance) fails at New, before any world exists to leak.
-		c.faults, err = compileFaults(spec.Faults, spec.Instances, spec.faultSeed())
-		if err != nil {
-			return nil, err
-		}
+	// Compile eagerly: a bad plan (thread-scoped kinds, out-of-range
+	// instance) fails at New, before any world exists to leak.
+	faults, err := compileFaults(spec.Faults, spec.Instances, spec.faultSeed())
+	if err != nil {
+		return nil, err
 	}
+	c := &Cluster{spec: spec, preset: preset, route: route, admit: admit, faults: faults}
 	names := workload.NewNameTable("echo", spec.Sessions)
 	// Each instance world is one "server" workload spec: the preset's
 	// background population plus a passive session pool, compiled
@@ -410,93 +432,15 @@ func (c *Cluster) advanceAll(t vclock.Time) {
 }
 
 // Run drives the fleet through its offered load and returns the
-// aggregated summary. It may be called once per Cluster.
-//
-// Per arrival the order of operations is fixed: clock gap, admission
-// decision, user draw, service draw, route. Rejected requests consume
-// no user or service draws, so the admitted subsequence's identities
-// and demands do not depend on the admission policy. Load-aware routing
-// pays a barrier per arrival (every world advanced to the arrival
-// instant before the load snapshot); blind routing queues injections
-// and lets worlds catch up in bulk at the end — same simulated outcome
-// per world, radically different driver cost.
+// aggregated summary. It may be called once per Cluster. The driver
+// itself lives in resilience.go.
 func (c *Cluster) Run() (*Summary, error) {
 	if c.ran {
 		return nil, fmt.Errorf("cluster: Run called twice")
 	}
 	c.ran = true
 	c.rng = rand.New(rand.NewSource(c.spec.Seed))
-	if c.spec.resilient() {
-		return c.runResilient()
-	}
-	s := c.spec
-	rng := c.rng
-	start := s.Start
-	if start <= 0 {
-		perPark := c.insts[0].w.Config().SwitchCost + 10*vclock.Microsecond
-		start = vclock.Duration(s.Sessions)*perPark + 200*vclock.Millisecond
-	}
-	needLoads := c.route.NeedsLoads()
-	loads := make([]int, len(c.insts))
-	var offered, admitted, rejected int64
-	// dispatch routes and injects one admitted arrival; recording taps
-	// here, so the trace holds exactly the admitted subsequence.
-	dispatch := func(t vclock.Time, user int, service vclock.Duration) {
-		var snapshot []int
-		if needLoads {
-			c.advanceAll(t)
-			for i, in := range c.insts {
-				loads[i] = in.srv.Pending()
-			}
-			snapshot = loads
-		}
-		in := c.insts[c.route.Route(user, snapshot)]
-		in.routed++
-		admitted++
-		if s.Record != nil {
-			s.Record.Add(t, "", user, service)
-		}
-		srv, sess := in.srv, user%s.Sessions
-		in.w.At(t, func() { srv.Inject(sess, service) })
-	}
-	t := vclock.Time(0).Add(start)
-	if rp := s.Replay; rp != nil {
-		// Replay: the recorded instants, identities and demands stand in
-		// for the gap/user/service draws; admission is bypassed (the
-		// trace holds only admitted arrivals), routing runs live.
-		for k := range rp.Entries {
-			e := &rp.Entries[k]
-			at := vclock.Time(0).Add(vclock.Duration(e.AtUS))
-			if at.Before(t) || e.ServiceUS <= 0 {
-				return nil, fmt.Errorf("cluster: replay entry %d: bad instant %dus or demand %dus", k, e.AtUS, e.ServiceUS)
-			}
-			t = at
-			offered++
-			dispatch(t, e.Session, vclock.Duration(e.ServiceUS))
-		}
-	} else {
-		for k := int64(0); k < s.Requests; k++ {
-			t = t.Add(expGap(rng, s.Rate))
-			offered++
-			if !c.admit.Admit(t) {
-				rejected++
-				continue
-			}
-			user := c.drawUser(rng)
-			service := c.drawService(rng)
-			dispatch(t, user, service)
-		}
-	}
-	// Flush every queued injection, close the pools strictly after the
-	// last arrival, and drain.
-	c.advanceAll(t)
-	closeAt := t.Add(vclock.Microsecond)
-	for _, in := range c.insts {
-		srv := in.srv
-		in.w.At(closeAt, srv.Close)
-	}
-	c.advanceAll(closeAt.Add(s.Drain))
-	return c.summarize(offered, admitted, rejected), nil
+	return newDriver(c).run(), nil
 }
 
 // InstanceSummary is one fleet member's slice of the aggregate. All
@@ -531,8 +475,8 @@ type Summary struct {
 	Completed int64  `json:"completed"`
 	// Graceful-degradation buckets. Every offered request lands in
 	// exactly one: offered == rejected + shed + failed + degraded +
-	// goodput. On the legacy (fault-free, fire-and-forget) path goodput
-	// is simply completed and shed/degraded are zero.
+	// goodput. Without client state (no resilience knob set) goodput is
+	// simply completed and shed/degraded are zero.
 	Goodput     int64              `json:"goodput"`
 	Degraded    int64              `json:"degraded"`
 	Shed        int64              `json:"shed"`
@@ -558,7 +502,7 @@ type PhaseSummary struct {
 	MaxUs int64  `json:"max_us"`
 }
 
-// ResilienceSummary is the resilient run path's mechanism ledger: how
+// ResilienceSummary is a resilient run's mechanism ledger: how
 // often each policy fired, what the fleet lost, and how long the health
 // monitor took to notice and recover.
 type ResilienceSummary struct {
@@ -575,62 +519,6 @@ type ResilienceSummary struct {
 	Readmissions     int64          `json:"readmissions"`
 	RecoveryUs       int64          `json:"recovery_us"` // slowest eject-to-readmit
 	Phases           []PhaseSummary `json:"phases,omitempty"`
-}
-
-func (c *Cluster) summarize(offered, admitted, rejected int64) *Summary {
-	s := &Summary{
-		Preset:    c.spec.Preset,
-		Instances: c.spec.Instances,
-		Sessions:  c.spec.Sessions,
-		Router:    c.spec.Router,
-		Admission: c.spec.Admission,
-		Seed:      c.spec.Seed,
-		Offered:   offered,
-		Admitted:  admitted,
-		Rejected:  rejected,
-	}
-	agg := &stats.LatencyRecorder{}
-	n := 0
-	for _, in := range c.insts {
-		n += in.srv.Stats.Latency.Count()
-	}
-	agg.Grow(n)
-	first, last := vclock.Never, vclock.Time(0)
-	for _, in := range c.insts { // instance-ID order: aggregation is reproducible
-		ls := in.srv.Finish()
-		s.Completed += ls.Completed
-		agg.Merge(&ls.Latency)
-		if ls.Offered > 0 && in.srv.First().Before(first) {
-			first = in.srv.First()
-		}
-		if in.srv.LastDone().After(last) {
-			last = in.srv.LastDone()
-		}
-		s.PerInstance = append(s.PerInstance, InstanceSummary{
-			ID:         in.id,
-			Routed:     in.routed,
-			Completed:  ls.Completed,
-			Throughput: ls.Throughput(),
-			P50Us:      ls.Latency.Percentile(0.50).Micros(),
-			P95Us:      ls.Latency.Percentile(0.95).Micros(),
-			P99Us:      ls.Latency.Percentile(0.99).Micros(),
-			MaxUs:      ls.Latency.Max().Micros(),
-		})
-	}
-	// Fire-and-forget has no partial outcomes: everything admitted was
-	// served (or, if the drain was cut short, failed-by-omission).
-	s.Goodput = s.Completed
-	s.Failed = s.Admitted - s.Completed
-	if s.Completed > 0 && last.After(first) {
-		window := last.Sub(first)
-		s.WindowUs = window.Micros()
-		s.Throughput = float64(s.Completed) / window.Seconds()
-	}
-	s.P50Us = agg.Percentile(0.50).Micros()
-	s.P95Us = agg.Percentile(0.95).Micros()
-	s.P99Us = agg.Percentile(0.99).Micros()
-	s.MaxUs = agg.Max().Micros()
-	return s
 }
 
 // Run builds a fleet from spec, runs it, and tears it down.

@@ -86,21 +86,3 @@ func (m *healthMonitor) healthyCount() int {
 func (m *healthMonitor) isHealthy(i int) bool {
 	return m == nil || m.inst[i].healthy
 }
-
-// failover returns the routing target after health ejection: the base
-// router's choice if it is in rotation, else the next healthy instance
-// in ring order — which is also how affinity sessions re-home: user u's
-// pinned instance (u mod N) degrades deterministically to the first
-// healthy instance at or after it in the ring, and snaps back the probe
-// round its home is re-admitted. Returns -1 when no instance is healthy.
-func (m *healthMonitor) failover(choice, n int) int {
-	if m == nil {
-		return choice
-	}
-	for d := 0; d < n; d++ {
-		if j := (choice + d) % n; m.inst[j].healthy {
-			return j
-		}
-	}
-	return -1
-}

@@ -1,38 +1,50 @@
 package cluster
 
 import (
-	"container/heap"
 	"sort"
 
+	"repro/internal/eventq"
 	"repro/internal/stats"
 	"repro/internal/vclock"
 	"repro/internal/workload"
 )
 
-// This file is the resilient run path: the event-driven cluster driver
-// that Run switches to when the spec asks for faults, health-aware
-// routing, or any client-side resilience policy (timeout, retries,
-// hedging, circuit breaking). The legacy path injects fire-and-forget;
-// this path tracks every request end to end — each attempt carries a
-// token, each instance reports tracked Completions, and the driver runs
-// a client state machine over them: retry with capped backoff under a
-// fleet-wide budget, hedge at a p99-derived delay, trip breakers, and
-// classify every admitted request into exactly one of goodput /
-// degraded / shed / failed, so that
+// This file is the cluster driver: one event loop runs every Spec.
+// Client events — arrivals, plus probes, timeouts, retries and hedges
+// when a resilience knob is set — sit in one eventq.Queue and pop in
+// (time, insertion seq) order. Two rules, both read off the spec,
+// replace any choice between run paths.
+//
+// First, requests carry client state only when spec.resilient() holds.
+// A tracked request has a token per attempt, each instance reports
+// tracked Completions, and the driver runs a client state machine over
+// them: retry with capped backoff under a fleet-wide budget, hedge at a
+// p99-derived delay, trip breakers, and classify every admitted request
+// into exactly one of goodput / degraded / shed / failed. An untracked
+// request is injected and forgotten; the servers' own ledgers say what
+// became of it. Either way
 //
 //	offered == rejected + shed + failed + degraded + goodput
 //
 // holds as an accounting identity, not a hope.
 //
-// Determinism is preserved by the same discipline as the legacy path,
-// tightened for feedback loops: ALL client state lives in the driver
-// and changes only at advance barriers. Client events (arrivals,
-// probes, timeouts, retries, hedges) sit in one heap ordered by
-// (time, insertion seq); each pop advances every world to the event
-// time, drains the instances' Completion buffers in (time, instance-ID)
-// order, applies them, then handles the event. Worlds never observe the
-// client and the client reads worlds only at barriers, so Spec.Shards
-// remains invisible in the output.
+// Second, the worlds advance to an event's instant only when something
+// must read them there. With client state, every pop advances every
+// world to the event time (once per instant) and folds in the
+// instances' Completion buffers in (time, instance-ID) order before the
+// event is handled. Without it, only a load-reading router pays a
+// barrier, at every read, so a read sees the injections made earlier at
+// the same instant; a blind router lets injections queue through
+// World.At and the worlds catch up in bulk at the end — same simulated
+// outcome per world, radically different driver cost.
+//
+// Worlds never observe the client and the client reads worlds only at
+// barriers, so Spec.Shards remains invisible in the output. Per arrival
+// the order of operations is fixed: clock gap, admission decision, user
+// draw, service draw, route. Rejected requests consume no user or
+// service draws, so the admitted subsequence's identities and demands
+// do not depend on the admission policy; a replay takes all three from
+// its trace instead and bypasses admission.
 
 // --- circuit breaker -------------------------------------------------
 
@@ -150,66 +162,29 @@ type attempt struct {
 	done  bool
 }
 
-// --- client event heap -----------------------------------------------
-
-type evKind int
-
-const (
-	evArrival evKind = iota
-	evProbe
-	evTimeout
-	evRetry
-	evHedge
-)
-
-type clientEvent struct {
-	at   vclock.Time
-	seq  int64 // insertion order breaks time ties deterministically
-	kind evKind
-	req  *creq    // evRetry, evHedge
-	att  *attempt // evTimeout
-}
-
-type eventHeap []*clientEvent
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at.Before(h[j].at)
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*clientEvent)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
 // --- the driver ------------------------------------------------------
 
 const unhealthyLoad = 1 << 30 // poisons least-loaded away from ejected instances
 
-type resilientRun struct {
+// driver is one Run's state: the client event queue, the advance
+// barrier, and — for tracked requests — the client state machine.
+type driver struct {
 	c      *Cluster
-	faults *instanceFaults
+	track  bool // requests carry client state (spec.resilient())
 	health *healthMonitor
 	brk    []breaker
 
-	heap    eventHeap
-	seq     int64
-	barrier vclock.Time
+	q       eventq.Queue
+	now     vclock.Time // instant of the event being handled
+	barrier vclock.Time // every world has been advanced to here
+	arrive  func()      // onArrival, bound once
 
 	tokens    map[uint64]*attempt
 	nextToken uint64
 	loads     []int
 
-	pendingArrivals int64
-	outstanding     int64 // admitted, unresolved requests
+	arrivals    int64 // total to offer: Requests, or the replay's entries
+	outstanding int64 // admitted, unresolved tracked requests
 
 	offered, admitted, rejected     int64
 	goodput, degraded, shed, failed int64
@@ -225,120 +200,125 @@ type resilientRun struct {
 	phases    [3]stats.LatencyRecorder // indexed by phaseIdx(born)
 }
 
-// runResilient drives the fleet through the tracked-request state
-// machine and returns the extended summary.
-func (c *Cluster) runResilient() (*Summary, error) {
+func newDriver(c *Cluster) *driver {
 	s := c.spec
-	r := &resilientRun{
-		c:               c,
-		faults:          c.faults,
-		brk:             make([]breaker, len(c.insts)),
-		tokens:          make(map[uint64]*attempt),
-		loads:           make([]int, len(c.insts)),
-		pendingArrivals: s.Requests,
-		firstArrival:    vclock.Never,
+	d := &driver{
+		c:            c,
+		track:        s.resilient(),
+		brk:          make([]breaker, len(c.insts)),
+		tokens:       make(map[uint64]*attempt),
+		loads:        make([]int, len(c.insts)),
+		arrivals:     s.Requests,
+		firstArrival: vclock.Never,
 	}
-	if r.faults == nil {
-		r.faults, _ = compileFaults(nil, len(c.insts), 0)
+	d.arrive = d.onArrival
+	if s.Replay != nil {
+		d.arrivals = int64(len(s.Replay.Entries))
 	}
-	for i := range r.brk {
-		r.brk[i] = breaker{after: s.BreakerAfter, openFor: s.BreakerOpenFor}
+	for i := range d.brk {
+		d.brk[i] = breaker{after: s.BreakerAfter, openFor: s.BreakerOpenFor}
 	}
 	if s.ProbeEvery > 0 {
-		r.health = newHealthMonitor(len(c.insts), s.FailAfter, s.RecoverAfter)
+		d.health = newHealthMonitor(len(c.insts), s.FailAfter, s.RecoverAfter)
 	}
-	r.faults.arm(c.insts)
+	return d
+}
 
-	rng := c.rng
-	start := s.Start
-	if start <= 0 {
-		perPark := c.insts[0].w.Config().SwitchCost + 10*vclock.Microsecond
-		start = vclock.Duration(s.Sessions)*perPark + 200*vclock.Millisecond
-	}
-	t0 := vclock.Time(0).Add(start)
-	r.barrier = t0
+// run drives the fleet through its offered load and returns the
+// summary.
+func (d *driver) run() *Summary {
+	c, s := d.c, d.c.spec
+	c.faults.arm(c.insts)
+	t0 := vclock.Time(0).Add(s.Start)
+	d.now, d.barrier = t0, t0
 	if s.ProbeEvery > 0 {
-		r.push(t0, &clientEvent{kind: evProbe})
+		d.q.Schedule(t0, d.onProbe)
 	}
-	if s.Requests > 0 {
-		r.push(t0.Add(expGap(rng, s.Rate)), &clientEvent{kind: evArrival})
-	}
+	d.scheduleArrival(t0)
 
 	for {
-		for len(r.heap) > 0 {
-			e := heap.Pop(&r.heap).(*clientEvent)
-			r.advance(e.at)
-			switch e.kind {
-			case evArrival:
-				r.onArrival(e.at)
-			case evProbe:
-				r.onProbe(e.at)
-			case evTimeout:
-				r.onTimeout(e.at, e.att)
-			case evRetry:
-				r.onRetry(e.at, e.req)
-			case evHedge:
-				r.onHedge(e.at, e.req)
+		for !d.q.Empty() {
+			do, at, _ := d.q.PopDo()
+			d.now = at
+			if d.track {
+				d.advance(at)
 			}
+			do()
 		}
-		if r.outstanding == 0 {
+		if d.outstanding == 0 {
 			break
 		}
 		// In-flight work with no scheduled client events (no timeouts
 		// configured): let the fleet drain and fold in whatever lands.
-		before := r.outstanding
-		r.advance(r.barrier.Add(s.Drain))
-		if len(r.heap) == 0 && r.outstanding == before {
+		before := d.outstanding
+		d.advance(d.barrier.Add(s.Drain))
+		if d.q.Empty() && d.outstanding == before {
 			break // nothing in flight will ever land
 		}
 	}
 
-	// Close the pools strictly after the last client action and let the
+	// Flush every queued injection (a tracked run is already past the
+	// last event), close the pools strictly after it, and let the
 	// worlds quiesce.
-	closeAt := r.barrier.Add(vclock.Microsecond)
+	d.advance(d.now)
+	closeAt := d.barrier.Add(vclock.Microsecond)
 	for _, in := range c.insts {
 		srv := in.srv
 		in.w.At(closeAt, srv.Close)
 	}
 	c.advanceAll(closeAt.Add(s.Drain))
-	r.drainCompletions()
+	d.drainCompletions()
 
 	// Anything still unresolved — queued behind a stall longer than the
 	// drain, say — failed from the client's point of view.
-	r.failed += r.outstanding
-	r.outstanding = 0
-	return r.summary(), nil
+	d.failed += d.outstanding
+	d.outstanding = 0
+	return d.summary()
 }
 
-func (r *resilientRun) push(at vclock.Time, e *clientEvent) {
-	e.at, e.seq = at, r.seq
-	r.seq++
-	heap.Push(&r.heap, e)
-}
-
-// advance brings every world to t (if t is past the current barrier)
-// and applies any tracked completions that landed.
-func (r *resilientRun) advance(t vclock.Time) {
-	if t.After(r.barrier) {
-		r.c.advanceAll(t)
-		r.barrier = t
+// scheduleArrival queues the arrival after the one at t, if any remain:
+// the replay's next instant, or t plus a drawn gap.
+func (d *driver) scheduleArrival(t vclock.Time) {
+	if d.offered == d.arrivals {
+		return
 	}
-	r.drainCompletions()
+	if rp := d.c.spec.Replay; rp != nil {
+		t = vclock.Time(0).Add(vclock.Duration(rp.Entries[d.offered].AtUS))
+	} else {
+		t = t.Add(expGap(d.c.rng, d.c.spec.Rate))
+	}
+	d.q.Schedule(t, d.arrive)
+}
+
+// advance brings every world to t and folds in the tracked completions
+// that landed. With client state it moves the barrier only forward.
+// Without, it is called only where a router reads loads and once at the
+// end, and it re-advances to an equal instant, so the injections made
+// since the last barrier reach their servers before the read.
+func (d *driver) advance(t vclock.Time) {
+	if t.After(d.barrier) || !d.track {
+		d.c.advanceAll(t)
+		d.barrier = t
+	}
+	d.drainCompletions()
 }
 
 // drainCompletions folds the instances' Completion buffers into the
 // client state machine in (time, instance-ID) order — the only order
 // that is independent of how worlds were dealt onto shards.
-func (r *resilientRun) drainCompletions() {
+func (d *driver) drainCompletions() {
 	type tagged struct {
 		inst int
 		cp   workload.Completion
 	}
 	var all []tagged
-	for i, in := range r.c.insts { // instance-ID order
+	for i, in := range d.c.insts { // instance-ID order
 		for _, cp := range in.srv.Drain() {
 			all = append(all, tagged{i, cp})
 		}
+	}
+	if len(all) == 0 {
+		return
 	}
 	sort.SliceStable(all, func(a, b int) bool {
 		if all[a].cp.At != all[b].cp.At {
@@ -347,49 +327,49 @@ func (r *resilientRun) drainCompletions() {
 		return all[a].inst < all[b].inst
 	})
 	for _, tc := range all {
-		r.onCompletion(tc.inst, tc.cp)
+		d.onCompletion(tc.inst, tc.cp)
 	}
 }
 
-func (r *resilientRun) onCompletion(inst int, cp workload.Completion) {
-	att := r.tokens[cp.Token]
-	delete(r.tokens, cp.Token)
+func (d *driver) onCompletion(inst int, cp workload.Completion) {
+	att := d.tokens[cp.Token]
+	delete(d.tokens, cp.Token)
 	if att == nil || att.done {
 		return // timed out, cancelled, or the request already resolved
 	}
 	att.done = true
 	att.req.pending--
 	if cp.OK {
-		r.brk[inst].onSuccess()
+		d.brk[inst].onSuccess()
 		if !att.req.resolved {
-			r.resolve(att.req, att, cp.At)
+			d.resolve(att.req, att, cp.At)
 		}
 		return
 	}
 	// The instance crashed between admission and response.
-	r.lost++
-	r.brk[inst].onFailure(cp.At)
-	r.attemptFailed(att.req, cp.At)
+	d.lost++
+	d.brk[inst].onFailure(cp.At)
+	d.attemptFailed(att.req, cp.At)
 }
 
 // resolve closes a request as a success, classifies it, and cancels
 // any sibling attempts still in flight (the hedge loser).
-func (r *resilientRun) resolve(req *creq, winner *attempt, tc vclock.Time) {
+func (d *driver) resolve(req *creq, winner *attempt, tc vclock.Time) {
 	req.resolved = true
-	r.outstanding--
+	d.outstanding--
 	lat := tc.Sub(req.born)
-	if req.attempts > 1 || (r.c.spec.DegradedOver > 0 && lat > r.c.spec.DegradedOver) {
-		r.degraded++
+	if req.attempts > 1 || (d.c.spec.DegradedOver > 0 && lat > d.c.spec.DegradedOver) {
+		d.degraded++
 	} else {
-		r.goodput++
+		d.goodput++
 	}
 	if winner.hedge {
-		r.hedgeWins++
+		d.hedgeWins++
 	}
-	r.clientLat.Add(lat)
-	r.phases[r.faults.phaseIdx(req.born)].Add(lat)
-	if tc.After(r.lastResolve) {
-		r.lastResolve = tc
+	d.clientLat.Add(lat)
+	d.phases[d.c.faults.phaseIdx(req.born)].Add(lat)
+	if tc.After(d.lastResolve) {
+		d.lastResolve = tc
 	}
 	for _, a := range req.live {
 		if a == winner || a.done {
@@ -401,37 +381,37 @@ func (r *resilientRun) resolve(req *creq, winner *attempt, tc vclock.Time) {
 		// directly. If the loser is still queued it dies unserved; if it
 		// already started computing, its completion arrives token-less
 		// and is dropped above.
-		r.c.insts[a.inst].srv.CancelQueued(a.token)
-		r.brk[a.inst].abandon()
-		delete(r.tokens, a.token)
+		d.c.insts[a.inst].srv.CancelQueued(a.token)
+		d.brk[a.inst].abandon()
+		delete(d.tokens, a.token)
 	}
 }
 
 // attemptFailed is the common tail of every failed attempt: retry if
 // the policy and the fleet-wide budget allow, otherwise fail the
 // request once nothing else is in flight for it.
-func (r *resilientRun) attemptFailed(req *creq, now vclock.Time) {
+func (d *driver) attemptFailed(req *creq, now vclock.Time) {
 	if req.resolved {
 		return
 	}
-	s := r.c.spec
+	s := d.c.spec
 	if req.retries < s.Retries {
-		if r.budgetAllows() {
-			r.retriesIssued++
+		if d.budgetAllows() {
+			d.retriesIssued++
 			req.retries++
-			at := now.Add(r.backoff(req.retries))
-			if at.Before(r.barrier) {
-				at = r.barrier
+			at := now.Add(d.backoff(req.retries))
+			if at.Before(d.barrier) {
+				at = d.barrier
 			}
-			r.push(at, &clientEvent{kind: evRetry, req: req})
+			d.q.Schedule(at, func() { d.onRetry(req) })
 			return
 		}
-		r.retriesDenied++
+		d.retriesDenied++
 	}
 	if req.pending == 0 {
 		req.resolved = true
-		r.outstanding--
-		r.failed++
+		d.outstanding--
+		d.failed++
 	}
 }
 
@@ -439,102 +419,116 @@ func (r *resilientRun) attemptFailed(req *creq, now vclock.Time) {
 // most RetryBudget × offered-so-far. This is the retry-storm valve —
 // per-request retry counts multiply under fleet-wide overload, a
 // fleet-wide fraction cannot.
-func (r *resilientRun) budgetAllows() bool {
-	s := r.c.spec
+func (d *driver) budgetAllows() bool {
+	s := d.c.spec
 	if s.RetryBudget <= 0 {
 		return true
 	}
-	return float64(r.retriesIssued+1) <= s.RetryBudget*float64(r.offered)
+	return float64(d.retriesIssued+1) <= s.RetryBudget*float64(d.offered)
 }
 
 // backoff returns the capped exponential backoff before retry n (1-based).
-func (r *resilientRun) backoff(n int) vclock.Duration {
-	s := r.c.spec
-	d := s.RetryBackoff
+func (d *driver) backoff(n int) vclock.Duration {
+	s := d.c.spec
+	b := s.RetryBackoff
 	for i := 1; i < n; i++ {
-		d *= 2
-		if d >= s.RetryBackoffCap {
+		b *= 2
+		if b >= s.RetryBackoffCap {
 			return s.RetryBackoffCap
 		}
 	}
-	if d > s.RetryBackoffCap {
-		d = s.RetryBackoffCap
+	if b > s.RetryBackoffCap {
+		b = s.RetryBackoffCap
 	}
-	return d
+	return b
 }
 
 // hedgeDelay is how long the client waits before duplicating a request:
 // the observed p99 of successes so far, floored at HedgeAfter until
 // enough samples accumulate.
-func (r *resilientRun) hedgeDelay() vclock.Duration {
-	d := r.c.spec.HedgeAfter
-	if r.clientLat.Count() >= 20 {
-		if p := r.clientLat.Percentile(0.99); p > d {
-			d = p
+func (d *driver) hedgeDelay() vclock.Duration {
+	delay := d.c.spec.HedgeAfter
+	if d.clientLat.Count() >= 20 {
+		if p := d.clientLat.Percentile(0.99); p > delay {
+			delay = p
 		}
 	}
-	return d
+	return delay
 }
 
 // --- event handlers --------------------------------------------------
 
-func (r *resilientRun) onArrival(t vclock.Time) {
-	s := r.c.spec
-	r.pendingArrivals--
-	r.offered++
-	// Same fixed per-arrival draw order as the legacy path: admission
-	// first, then user and service only if admitted.
-	if !r.c.admit.Admit(t) {
-		r.rejected++
+// onArrival offers one request: the replay's next entry, or an
+// admission decision followed, if admitted, by the user and service
+// draws. A tracked request enters the client state machine; an
+// untracked one is routed and injected.
+func (d *driver) onArrival() {
+	s, t := &d.c.spec, d.now
+	k := d.offered
+	d.offered++
+	var user int
+	var service vclock.Duration
+	if s.Replay != nil {
+		e := &s.Replay.Entries[k]
+		user, service = e.Session, vclock.Duration(e.ServiceUS)
+	} else if d.c.admit.Admit(t) {
+		user, service = d.c.drawUser(d.c.rng), d.c.drawService(d.c.rng)
 	} else {
-		user := r.c.drawUser(r.c.rng)
-		service := r.c.drawService(r.c.rng)
-		r.admitted++
-		req := &creq{user: user, service: service, born: t, lastInst: -1}
-		r.outstanding++
-		if r.firstArrival == vclock.Never {
-			r.firstArrival = t
-		}
-		r.dispatch(req, -1, false, t)
+		d.rejected++
+		d.scheduleArrival(t)
+		return
 	}
-	if r.pendingArrivals > 0 {
-		r.push(t.Add(expGap(r.c.rng, s.Rate)), &clientEvent{kind: evArrival})
+	d.admitted++
+	if d.firstArrival == vclock.Never {
+		d.firstArrival = t
+	}
+	if s.Record != nil {
+		s.Record.Add(t, "", user, service)
+	}
+	if d.track {
+		d.outstanding++
+		d.dispatch(&creq{user: user, service: service, born: t, lastInst: -1}, -1, false, t)
+	} else {
+		in := d.c.insts[d.choose(user, -1, t)]
+		in.routed++
+		srv, sess := in.srv, user%s.Sessions
+		in.w.At(t, func() { srv.Inject(sess, service) })
+	}
+	d.scheduleArrival(t)
+}
+
+func (d *driver) onProbe() {
+	t := d.now
+	d.health.probe(t, func(i int) bool {
+		// A shallow probe sees crashes and stalls, not brownouts.
+		return !d.c.faults.downAt(i, t) && !d.c.faults.stalledAt(i, t)
+	})
+	if d.offered < d.arrivals || d.outstanding > 0 {
+		d.q.Schedule(t.Add(d.c.spec.ProbeEvery), d.onProbe)
 	}
 }
 
-func (r *resilientRun) onProbe(t vclock.Time) {
-	if r.health != nil {
-		r.health.probe(t, func(i int) bool {
-			// A shallow probe sees crashes and stalls, not brownouts.
-			return !r.faults.downAt(i, t) && !r.faults.stalledAt(i, t)
-		})
-	}
-	if r.pendingArrivals > 0 || r.outstanding > 0 {
-		r.push(t.Add(r.c.spec.ProbeEvery), &clientEvent{kind: evProbe})
-	}
-}
-
-func (r *resilientRun) onTimeout(t vclock.Time, att *attempt) {
+func (d *driver) onTimeout(att *attempt) {
 	if att.done || att.req.resolved {
 		return
 	}
 	att.done = true
 	att.req.pending--
-	r.timeouts++
-	r.brk[att.inst].onFailure(t)
-	r.c.insts[att.inst].srv.CancelQueued(att.token)
-	delete(r.tokens, att.token)
-	r.attemptFailed(att.req, t)
+	d.timeouts++
+	d.brk[att.inst].onFailure(d.now)
+	d.c.insts[att.inst].srv.CancelQueued(att.token)
+	delete(d.tokens, att.token)
+	d.attemptFailed(att.req, d.now)
 }
 
-func (r *resilientRun) onRetry(t vclock.Time, req *creq) {
+func (d *driver) onRetry(req *creq) {
 	if req.resolved {
 		return
 	}
-	r.dispatch(req, req.lastInst, false, t)
+	d.dispatch(req, req.lastInst, false, d.now)
 }
 
-func (r *resilientRun) onHedge(t vclock.Time, req *creq) {
+func (d *driver) onHedge(req *creq) {
 	if req.resolved || req.hedged || req.pending == 0 {
 		// Already answered, already hedged, or the primary failed
 		// outright — the retry path owns recovery from failure; hedging
@@ -542,7 +536,7 @@ func (r *resilientRun) onHedge(t vclock.Time, req *creq) {
 		return
 	}
 	req.hedged = true
-	r.dispatch(req, req.lastInst, true, t)
+	d.dispatch(req, req.lastInst, true, d.now)
 }
 
 // --- dispatch --------------------------------------------------------
@@ -552,33 +546,36 @@ func (r *resilientRun) onHedge(t vclock.Time, req *creq) {
 // breakers, skipping `exclude` (the instance a retry or hedge is
 // fleeing) unless it is the only healthy choice. Returns -1 when no
 // instance is eligible.
-func (r *resilientRun) choose(user, exclude int, now vclock.Time) int {
-	n := len(r.c.insts)
+func (d *driver) choose(user, exclude int, now vclock.Time) int {
+	n := len(d.c.insts)
 	var snapshot []int
-	if r.c.route.NeedsLoads() {
-		for i, in := range r.c.insts {
-			r.loads[i] = in.srv.Pending()
-			if !r.health.isHealthy(i) {
-				r.loads[i] = unhealthyLoad
+	if d.c.route.NeedsLoads() {
+		if !d.track {
+			d.advance(now) // a tracked run advanced when the event popped
+		}
+		for i, in := range d.c.insts {
+			d.loads[i] = in.srv.Pending()
+			if !d.health.isHealthy(i) {
+				d.loads[i] = unhealthyLoad
 			}
 		}
-		snapshot = r.loads
+		snapshot = d.loads
 	}
-	base := r.c.route.Route(user, snapshot)
+	base := d.c.route.Route(user, snapshot)
 	// A rotation router's failover is to keep rotating: skipping an
 	// ejected instance by ring-scan would dump its whole share onto the
 	// ring successor, while burning a turn per skip spreads it evenly
 	// over the healthy remainder. Stateless routers (affinity) re-home
 	// by ring-scan below — the pinned user's deterministic fallback.
-	if _, rotates := r.c.route.(*roundRobin); rotates {
-		for tries := 0; tries < n && !r.health.isHealthy(base); tries++ {
-			base = r.c.route.Route(user, snapshot)
+	if _, rotates := d.c.route.(*roundRobin); rotates {
+		for tries := 0; tries < n && !d.health.isHealthy(base); tries++ {
+			base = d.c.route.Route(user, snapshot)
 		}
 	}
 	fallback := -1
-	for d := 0; d < n; d++ {
-		j := (base + d) % n
-		if !r.health.isHealthy(j) {
+	for k := 0; k < n; k++ {
+		j := (base + k) % n
+		if !d.health.isHealthy(j) {
 			continue
 		}
 		if j == exclude {
@@ -587,18 +584,18 @@ func (r *resilientRun) choose(user, exclude int, now vclock.Time) int {
 			}
 			continue
 		}
-		if r.brk[j].allow(now) {
+		if d.brk[j].allow(now) {
 			return j
 		}
 	}
-	if fallback >= 0 && r.brk[fallback].allow(now) {
+	if fallback >= 0 && d.brk[fallback].allow(now) {
 		return fallback
 	}
 	return -1
 }
 
-func (r *resilientRun) dispatch(req *creq, exclude int, hedge bool, now vclock.Time) {
-	inst := r.choose(req.user, exclude, now)
+func (d *driver) dispatch(req *creq, exclude int, hedge bool, now vclock.Time) {
+	inst := d.choose(req.user, exclude, now)
 	if inst < 0 {
 		if hedge {
 			return // opportunistic; the primary is still in flight
@@ -607,57 +604,79 @@ func (r *resilientRun) dispatch(req *creq, exclude int, hedge bool, now vclock.T
 			return // something else is still in flight for this request
 		}
 		req.resolved = true
-		r.outstanding--
+		d.outstanding--
 		if req.attempts == 0 {
-			r.shed++ // never dispatched anywhere
+			d.shed++ // never dispatched anywhere
 		} else {
-			r.failed++
+			d.failed++
 		}
 		return
 	}
 	req.attempts++
 	req.lastInst = inst
-	in := r.c.insts[inst]
+	in := d.c.insts[inst]
 	in.routed++
-	if r.faults.downAt(inst, now) {
+	if d.c.faults.downAt(inst, now) {
 		// Connection refused: instant failure, no service consumed. This
 		// is what feeds the breaker fastest — and what the D1 control
 		// (no health monitor) keeps paying for.
-		r.refused++
-		r.brk[inst].onFailure(now)
+		d.refused++
+		d.brk[inst].onFailure(now)
 		if hedge {
 			return
 		}
-		r.attemptFailed(req, now)
+		d.attemptFailed(req, now)
 		return
 	}
 	if hedge {
-		r.hedges++
+		d.hedges++
 	}
 	svc := req.service
-	if f := r.faults.degradeAt(inst, now); f > 1 {
+	if f := d.c.faults.degradeAt(inst, now); f > 1 {
 		svc = vclock.Duration(float64(svc) * f)
 	}
-	tok := r.nextToken
-	r.nextToken++
+	tok := d.nextToken
+	d.nextToken++
 	att := &attempt{req: req, inst: inst, token: tok, hedge: hedge}
-	r.tokens[tok] = att
+	d.tokens[tok] = att
 	req.live = append(req.live, att)
 	req.pending++
-	srv, sess := in.srv, req.user%r.c.spec.Sessions
+	srv, sess := in.srv, req.user%d.c.spec.Sessions
 	in.w.At(now, func() { srv.InjectTracked(sess, svc, tok) })
-	if r.c.spec.Timeout > 0 {
-		r.push(now.Add(r.c.spec.Timeout), &clientEvent{kind: evTimeout, att: att})
+	if d.c.spec.Timeout > 0 {
+		d.q.Schedule(now.Add(d.c.spec.Timeout), func() { d.onTimeout(att) })
 	}
-	if !hedge && !req.hedged && req.attempts == 1 && r.c.spec.HedgeAfter > 0 {
-		r.push(now.Add(r.hedgeDelay()), &clientEvent{kind: evHedge, req: req})
+	if !hedge && !req.hedged && req.attempts == 1 && d.c.spec.HedgeAfter > 0 {
+		d.q.Schedule(now.Add(d.hedgeDelay()), func() { d.onHedge(req) })
 	}
 }
 
 // --- summary ---------------------------------------------------------
 
-func (r *resilientRun) summary() *Summary {
-	c := r.c
+func (d *driver) summary() *Summary {
+	c := d.c
+	// The aggregate percentiles are client-observed (born → answered)
+	// for tracked requests, so retries and hedges cannot launder the
+	// tail; phase slices carry the before/during/after story. An
+	// untracked request's only latency is the one its server recorded.
+	var parts []*stats.LatencyRecorder
+	if d.track {
+		for i := range d.phases {
+			parts = append(parts, &d.phases[i])
+		}
+	} else {
+		// No client-side outcomes: everything the servers completed is
+		// goodput, and the rest of the admitted load (a drain cut short)
+		// failed by omission.
+		for _, in := range c.insts {
+			parts = append(parts, &in.srv.Stats.Latency)
+			d.goodput += in.srv.Stats.Completed
+			if in.srv.LastDone().After(d.lastResolve) {
+				d.lastResolve = in.srv.LastDone()
+			}
+		}
+		d.failed = d.admitted - d.goodput
+	}
 	sum := &Summary{
 		Preset:    c.spec.Preset,
 		Instances: c.spec.Instances,
@@ -665,14 +684,14 @@ func (r *resilientRun) summary() *Summary {
 		Router:    c.spec.Router,
 		Admission: c.spec.Admission,
 		Seed:      c.spec.Seed,
-		Offered:   r.offered,
-		Admitted:  r.admitted,
-		Rejected:  r.rejected,
-		Goodput:   r.goodput,
-		Degraded:  r.degraded,
-		Shed:      r.shed,
-		Failed:    r.failed,
-		Completed: r.goodput + r.degraded,
+		Offered:   d.offered,
+		Admitted:  d.admitted,
+		Rejected:  d.rejected,
+		Goodput:   d.goodput,
+		Degraded:  d.degraded,
+		Shed:      d.shed,
+		Failed:    d.failed,
+		Completed: d.goodput + d.degraded,
 	}
 	for _, in := range c.insts { // instance-ID order: reproducible
 		ls := in.srv.Finish()
@@ -687,39 +706,55 @@ func (r *resilientRun) summary() *Summary {
 			MaxUs:      ls.Latency.Max().Micros(),
 		})
 	}
-	res := &ResilienceSummary{
-		Timeouts:      r.timeouts,
-		Retries:       r.retriesIssued,
-		RetriesDenied: r.retriesDenied,
-		Hedges:        r.hedges,
-		HedgeWins:     r.hedgeWins,
-		Refused:       r.refused,
-		Lost:          r.lost,
-	}
-	for i := range r.brk {
-		res.BreakerOpens += r.brk[i].opens
-		res.BreakerFastFails += r.brk[i].fastFails
-	}
-	if r.health != nil {
-		res.Ejections = r.health.ejections
-		res.Readmissions = r.health.readmissions
-		res.RecoveryUs = r.health.ttrMax.Micros()
-	}
-	// Aggregate percentiles are client-observed (born → answered), not
-	// server-side attempt latencies: retries and hedges must not launder
-	// the tail. Phase slices carry the before/during/after story.
 	agg := &stats.LatencyRecorder{}
 	n := 0
-	for i := range r.phases {
-		n += r.phases[i].Count()
+	for _, p := range parts {
+		n += p.Count()
 	}
 	agg.Grow(n)
-	for i := range r.phases {
-		ph := &r.phases[i]
+	for _, p := range parts {
+		agg.Merge(p)
+	}
+	if d.track {
+		sum.Resilience = d.resilience()
+	}
+	if sum.Completed > 0 && d.firstArrival != vclock.Never && d.lastResolve.After(d.firstArrival) {
+		w := d.lastResolve.Sub(d.firstArrival)
+		sum.WindowUs = w.Micros()
+		sum.Throughput = float64(sum.Completed) / w.Seconds()
+	}
+	sum.P50Us = agg.Percentile(0.50).Micros()
+	sum.P95Us = agg.Percentile(0.95).Micros()
+	sum.P99Us = agg.Percentile(0.99).Micros()
+	sum.MaxUs = agg.Max().Micros()
+	return sum
+}
+
+// resilience is a tracked run's mechanism ledger.
+func (d *driver) resilience() *ResilienceSummary {
+	res := &ResilienceSummary{
+		Timeouts:      d.timeouts,
+		Retries:       d.retriesIssued,
+		RetriesDenied: d.retriesDenied,
+		Hedges:        d.hedges,
+		HedgeWins:     d.hedgeWins,
+		Refused:       d.refused,
+		Lost:          d.lost,
+	}
+	for i := range d.brk {
+		res.BreakerOpens += d.brk[i].opens
+		res.BreakerFastFails += d.brk[i].fastFails
+	}
+	if d.health != nil {
+		res.Ejections = d.health.ejections
+		res.Readmissions = d.health.readmissions
+		res.RecoveryUs = d.health.ttrMax.Micros()
+	}
+	for i := range d.phases {
+		ph := &d.phases[i]
 		if ph.Count() == 0 {
 			continue
 		}
-		agg.Merge(ph)
 		res.Phases = append(res.Phases, PhaseSummary{
 			Phase: phaseNames[i],
 			Count: int64(ph.Count()),
@@ -729,15 +764,5 @@ func (r *resilientRun) summary() *Summary {
 			MaxUs: ph.Max().Micros(),
 		})
 	}
-	sum.Resilience = res
-	if sum.Completed > 0 && r.firstArrival != vclock.Never && r.lastResolve.After(r.firstArrival) {
-		w := r.lastResolve.Sub(r.firstArrival)
-		sum.WindowUs = w.Micros()
-		sum.Throughput = float64(sum.Completed) / w.Seconds()
-	}
-	sum.P50Us = agg.Percentile(0.50).Micros()
-	sum.P95Us = agg.Percentile(0.95).Micros()
-	sum.P99Us = agg.Percentile(0.99).Micros()
-	sum.MaxUs = agg.Max().Micros()
-	return sum
+	return res
 }

@@ -2,10 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
-	"strings"
 	"testing"
 
+	"repro/internal/vclock"
 	wspec "repro/internal/workload/spec"
 )
 
@@ -91,11 +92,78 @@ func TestTraceReplayUnderDifferentRouter(t *testing.T) {
 	}
 }
 
-func TestTraceRejectedOnResilientPath(t *testing.T) {
-	spec := smallSpec()
-	spec.Retries = 1
-	spec.Record = wspec.NewTrace("fleet", spec.Seed)
-	if _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "fire-and-forget") {
-		t.Errorf("Record on the resilient path: err = %v, want the fire-and-forget rejection", err)
+// TestTraceRecordReplayResilient: a resilient fleet (faults, probes,
+// timeouts, retries, hedges, breakers) records the same trace at any
+// shard count, and replaying it reproduces the live run and the trace.
+// Admission stays AdmitAlways: a replay offers only admitted arrivals,
+// so a run that rejected some would see a smaller Offered and a tighter
+// retry budget on replay.
+func TestTraceRecordReplayResilient(t *testing.T) {
+	for _, router := range RouterNames() {
+		t.Run(router, func(t *testing.T) {
+			spec := faultedSpec()
+			spec.Router = router
+			tr, live := recordRun(t, spec)
+			if live.Resilience == nil || live.Resilience.Retries == 0 || live.Resilience.Hedges == 0 {
+				t.Fatalf("resilience machinery idle: %+v", live.Resilience)
+			}
+
+			sharded := spec
+			sharded.Shards = 3
+			str, slive := recordRun(t, sharded)
+			if !bytes.Equal(str.Bytes(), tr.Bytes()) {
+				t.Errorf("trace at 3 shards differs from serial")
+			}
+			if marshal(t, slive) != marshal(t, live) {
+				t.Errorf("summary at 3 shards differs from serial")
+			}
+
+			replay := spec
+			replay.Replay = tr
+			rerec := wspec.NewTrace("fleet", spec.Seed)
+			replay.Record = rerec
+			if got := marshal(t, mustRun(t, replay)); got != marshal(t, live) {
+				t.Errorf("replayed summary differs from the live run:\n%s\n%s", got, marshal(t, live))
+			}
+			if !bytes.Equal(rerec.Bytes(), tr.Bytes()) {
+				t.Errorf("re-recorded trace differs from the original")
+			}
+		})
+	}
+}
+
+// TestReplayValidation: a hostile in-memory trace fails at New, before
+// any world is built, with the trace sentinel.
+func TestReplayValidation(t *testing.T) {
+	start := 200 * vclock.Millisecond
+	at := func(d vclock.Duration) int64 { return (start + d).Micros() }
+	cases := []struct {
+		name    string
+		entries []wspec.Entry
+	}{
+		{"instant before start", []wspec.Entry{{AtUS: at(-vclock.Microsecond), Session: 1, ServiceUS: 20}}},
+		{"instants decrease", []wspec.Entry{{AtUS: at(5), Session: 1, ServiceUS: 20}, {AtUS: at(4), Session: 1, ServiceUS: 20}}},
+		{"zero demand", []wspec.Entry{{AtUS: at(5), Session: 1, ServiceUS: 0}}},
+		{"negative demand", []wspec.Entry{{AtUS: at(5), Session: 1, ServiceUS: -20}}},
+		{"negative user", []wspec.Entry{{AtUS: at(5), Session: -3, ServiceUS: 20}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, router := range RouterNames() {
+				spec := smallSpec()
+				spec.Router = router
+				spec.Start = start
+				spec.Replay = wspec.NewTrace("fleet", spec.Seed)
+				spec.Replay.Entries = tc.entries
+				c, err := New(spec)
+				if err == nil {
+					c.Shutdown()
+					t.Fatalf("%s: bad trace accepted", router)
+				}
+				if !errors.Is(err, wspec.ErrInvalidTrace) {
+					t.Errorf("%s: error does not wrap ErrInvalidTrace: %v", router, err)
+				}
+			}
+		})
 	}
 }
