@@ -3,7 +3,8 @@
 # rewrite), build, the full test suite under the race
 # detector — the race run is what proves the parallel experiment
 # harness (experiments.RunAll) shares no hidden state — plus a short
-# fuzz pass over the plan/trace parsers and a bounded schedule-
+# fuzz pass over the plan/trace parsers and the two differential
+# oracles (timing wheel, running quantile), a bounded schedule-
 # exploration sweep (every healthy scenario clean, every known-bad
 # fixture caught), and the benchmark module's own vet, tests and output
 # checks.
@@ -13,7 +14,7 @@ FUZZTIME ?= 10s
 EXPLORE_BUDGET ?= 200
 
 # Packages with a minimum-coverage bar (see `make cover`).
-COVER_PKGS = ./internal/sim ./internal/monitor ./internal/fault ./internal/cluster ./internal/eventq ./internal/sched ./internal/workload ./internal/workload/spec ./internal/workload/capacity
+COVER_PKGS = ./internal/sim ./internal/monitor ./internal/fault ./internal/cluster ./internal/eventq ./internal/sched ./internal/stats ./internal/workload ./internal/workload/spec ./internal/workload/capacity
 COVER_FLOOR = 75
 
 # The host-cost benchmark's workloads (perfbench/, see BENCHMARK.json).
@@ -65,13 +66,16 @@ bench:
 # fault plans, JSON workload specs, and the binary trace codec (decode
 # robustness + encode/decode round trip) — plus the timing-wheel/
 # reference differential: random op streams must keep the hierarchical
-# wheel byte-for-byte equivalent to the naive sorted-list event queue.
+# wheel byte-for-byte equivalent to the naive sorted-list event queue —
+# and the running-quantile differential: any sample stream must keep
+# stats.Quantile equal to LatencyRecorder.Percentile after every Add.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz FuzzPlanJSON -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run='^$$' -fuzz FuzzSpecJSON -fuzztime $(FUZZTIME) ./internal/workload/spec
 	$(GO) test -run='^$$' -fuzz FuzzRead'$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz FuzzEncodeDecode -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz FuzzWheelDifferential -fuzztime $(FUZZTIME) ./internal/eventq
+	$(GO) test -run='^$$' -fuzz FuzzQuantileDifferential -fuzztime $(FUZZTIME) ./internal/stats
 
 # Bounded systematic schedule exploration over all registered scenarios.
 explore:
@@ -101,9 +105,10 @@ knee:
 
 # Per-package coverage with a floor: every package in COVER_PKGS — the
 # simulator kernel, the monitor implementation, the fault injector, the
-# cluster layer, the event queue, the policies, and the workload
-# compiler with its spec and capacity packages — must each stay above
-# $(COVER_FLOOR)% statement coverage.
+# cluster layer, the event queue, the policies, the measurement
+# package (latency recorders, running quantile, collectors), and the
+# workload compiler with its spec and capacity packages — must each
+# stay above $(COVER_FLOOR)% statement coverage.
 cover:
 	@for pkg in $(COVER_PKGS); do \
 		$(GO) test -covermode=atomic -coverprofile=/tmp/cover.out $$pkg >/dev/null || exit 1; \

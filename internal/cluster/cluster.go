@@ -20,6 +20,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -149,7 +150,7 @@ type Spec struct {
 	// offered so far) shrink by the rejected ones. Instants must be
 	// nondecreasing and not before Start, demands positive and users
 	// non-negative; New rejects any other trace with an error wrapping
-	// wspec.ErrInvalidTrace.
+	// wspec.ErrInvalidTrace and ErrInvalidSpec.
 	Replay *wspec.Trace
 }
 
@@ -223,27 +224,34 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
+// ErrInvalidSpec is the sentinel every Spec validation failure wraps,
+// in the style of wspec.ErrInvalidSpec: callers gate on
+// errors.Is(err, ErrInvalidSpec) and print the wrapped detail. A bad
+// replay entry wraps it and wspec.ErrInvalidTrace both.
+var ErrInvalidSpec = errors.New("cluster: invalid spec")
+
+// validate checks a defaulted spec; every error wraps ErrInvalidSpec.
 func (s Spec) validate() error {
 	if s.Instances < 1 {
-		return fmt.Errorf("cluster: Instances must be >= 1 (got %d)", s.Instances)
+		return fmt.Errorf("cluster: Instances must be >= 1 (got %d): %w", s.Instances, ErrInvalidSpec)
 	}
 	if s.Sessions < 1 {
-		return fmt.Errorf("cluster: Sessions must be >= 1 (got %d)", s.Sessions)
+		return fmt.Errorf("cluster: Sessions must be >= 1 (got %d): %w", s.Sessions, ErrInvalidSpec)
 	}
 	if s.Requests < 1 {
-		return fmt.Errorf("cluster: Requests must be >= 1 (got %d)", s.Requests)
+		return fmt.Errorf("cluster: Requests must be >= 1 (got %d): %w", s.Requests, ErrInvalidSpec)
 	}
 	if s.Rate <= 0 {
-		return fmt.Errorf("cluster: Rate must be > 0 (got %v)", s.Rate)
+		return fmt.Errorf("cluster: Rate must be > 0 (got %v): %w", s.Rate, ErrInvalidSpec)
 	}
 	if s.HotUsers < 0 || s.HotUsers >= s.Users && s.HotUsers > 0 {
-		return fmt.Errorf("cluster: HotUsers must be in [0, Users) (got %d of %d)", s.HotUsers, s.Users)
+		return fmt.Errorf("cluster: HotUsers must be in [0, Users) (got %d of %d): %w", s.HotUsers, s.Users, ErrInvalidSpec)
 	}
 	if s.HotFraction < 0 || s.HotFraction > 1 {
-		return fmt.Errorf("cluster: HotFraction must be in [0,1] (got %v)", s.HotFraction)
+		return fmt.Errorf("cluster: HotFraction must be in [0,1] (got %v): %w", s.HotFraction, ErrInvalidSpec)
 	}
 	if s.HeavyFraction < 0 || s.HeavyFraction > 1 {
-		return fmt.Errorf("cluster: HeavyFraction must be in [0,1] (got %v)", s.HeavyFraction)
+		return fmt.Errorf("cluster: HeavyFraction must be in [0,1] (got %v): %w", s.HeavyFraction, ErrInvalidSpec)
 	}
 	for _, d := range []struct {
 		name string
@@ -254,17 +262,17 @@ func (s Spec) validate() error {
 		{"DegradedOver", s.DegradedOver},
 	} {
 		if d.v < 0 {
-			return fmt.Errorf("cluster: %s must be >= 0 (got %v)", d.name, d.v)
+			return fmt.Errorf("cluster: %s must be >= 0 (got %v): %w", d.name, d.v, ErrInvalidSpec)
 		}
 	}
 	if s.Retries < 0 {
-		return fmt.Errorf("cluster: Retries must be >= 0 (got %d)", s.Retries)
+		return fmt.Errorf("cluster: Retries must be >= 0 (got %d): %w", s.Retries, ErrInvalidSpec)
 	}
 	if s.RetryBudget < 0 {
-		return fmt.Errorf("cluster: RetryBudget must be >= 0 (got %v)", s.RetryBudget)
+		return fmt.Errorf("cluster: RetryBudget must be >= 0 (got %v): %w", s.RetryBudget, ErrInvalidSpec)
 	}
 	if s.BreakerAfter < 0 {
-		return fmt.Errorf("cluster: BreakerAfter must be >= 0 (got %d)", s.BreakerAfter)
+		return fmt.Errorf("cluster: BreakerAfter must be >= 0 (got %d): %w", s.BreakerAfter, ErrInvalidSpec)
 	}
 	if s.Replay != nil {
 		prev := vclock.Time(0).Add(s.Start)
@@ -272,11 +280,11 @@ func (s Spec) validate() error {
 			at := vclock.Time(0).Add(vclock.Duration(e.AtUS))
 			switch {
 			case at.Before(prev):
-				return fmt.Errorf("cluster: replay entry %d: instant %dus before %dus: %w", k, e.AtUS, prev.Micros(), wspec.ErrInvalidTrace)
+				return fmt.Errorf("cluster: replay entry %d: instant %dus before %dus: %w: %w", k, e.AtUS, prev.Micros(), ErrInvalidSpec, wspec.ErrInvalidTrace)
 			case e.ServiceUS <= 0:
-				return fmt.Errorf("cluster: replay entry %d: demand %dus not positive: %w", k, e.ServiceUS, wspec.ErrInvalidTrace)
+				return fmt.Errorf("cluster: replay entry %d: demand %dus not positive: %w: %w", k, e.ServiceUS, ErrInvalidSpec, wspec.ErrInvalidTrace)
 			case e.Session < 0:
-				return fmt.Errorf("cluster: replay entry %d: negative user %d: %w", k, e.Session, wspec.ErrInvalidTrace)
+				return fmt.Errorf("cluster: replay entry %d: negative user %d: %w: %w", k, e.Session, ErrInvalidSpec, wspec.ErrInvalidTrace)
 			}
 			prev = at
 		}

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/vclock"
@@ -243,28 +245,51 @@ func TestBackgroundPresets(t *testing.T) {
 
 // Spec validation rejects unrunnable fleets with diagnostics.
 func TestSpecValidation(t *testing.T) {
+	// want is set on the rows Spec.validate rejects: their error must
+	// wrap ErrInvalidSpec and its text still name the field and the rule
+	// it broke. The other rows fail later in New.
 	cases := []struct {
 		name string
 		mut  func(*Spec)
+		want string
 	}{
-		{"no instances", func(s *Spec) { s.Instances = 0 }},
-		{"no sessions", func(s *Spec) { s.Sessions = 0 }},
-		{"no requests", func(s *Spec) { s.Requests = 0 }},
-		{"no rate", func(s *Spec) { s.Rate = 0 }},
-		{"bad preset", func(s *Spec) { s.Preset = "vax" }},
-		{"bad router", func(s *Spec) { s.Router = "random" }},
-		{"bad admission", func(s *Spec) { s.Admission = "maybe" }},
-		{"hot users exceed users", func(s *Spec) { s.Users = 4; s.HotUsers = 9 }},
-		{"hot fraction out of range", func(s *Spec) { s.HotUsers = 1; s.HotFraction = 1.5 }},
-		{"heavy fraction out of range", func(s *Spec) { s.HeavyFraction = -0.2 }},
-		{"token bucket without rate", func(s *Spec) { s.Admission = AdmitTokenBucket }},
+		{"no instances", func(s *Spec) { s.Instances = 0 }, "cluster: Instances must be >= 1 (got 0)"},
+		{"no sessions", func(s *Spec) { s.Sessions = 0 }, "cluster: Sessions must be >= 1 (got 0)"},
+		{"no requests", func(s *Spec) { s.Requests = 0 }, "cluster: Requests must be >= 1 (got 0)"},
+		{"no rate", func(s *Spec) { s.Rate = 0 }, "cluster: Rate must be > 0 (got 0)"},
+		{"bad preset", func(s *Spec) { s.Preset = "vax" }, ""},
+		{"bad router", func(s *Spec) { s.Router = "random" }, ""},
+		{"bad admission", func(s *Spec) { s.Admission = "maybe" }, ""},
+		{"hot users exceed users", func(s *Spec) { s.Users = 4; s.HotUsers = 9 }, "cluster: HotUsers must be in [0, Users) (got 9 of 4)"},
+		{"negative hot users", func(s *Spec) { s.HotUsers = -1 }, "cluster: HotUsers must be in [0, Users) (got -1 of 16)"},
+		{"hot fraction out of range", func(s *Spec) { s.HotUsers = 1; s.HotFraction = 1.5 }, "cluster: HotFraction must be in [0,1] (got 1.5)"},
+		{"heavy fraction out of range", func(s *Spec) { s.HeavyFraction = -0.2 }, "cluster: HeavyFraction must be in [0,1] (got -0.2)"},
+		{"negative probe interval", func(s *Spec) { s.ProbeEvery = -1 }, "cluster: ProbeEvery must be >= 0"},
+		{"negative timeout", func(s *Spec) { s.Timeout = -1 }, "cluster: Timeout must be >= 0"},
+		{"negative hedge delay", func(s *Spec) { s.HedgeAfter = -1 }, "cluster: HedgeAfter must be >= 0"},
+		{"negative breaker open time", func(s *Spec) { s.BreakerOpenFor = -1 }, "cluster: BreakerOpenFor must be >= 0"},
+		{"negative degraded bound", func(s *Spec) { s.DegradedOver = -1 }, "cluster: DegradedOver must be >= 0"},
+		{"negative retries", func(s *Spec) { s.Retries = -1 }, "cluster: Retries must be >= 0 (got -1)"},
+		{"negative retry budget", func(s *Spec) { s.RetryBudget = -0.5 }, "cluster: RetryBudget must be >= 0 (got -0.5)"},
+		{"negative breaker threshold", func(s *Spec) { s.BreakerAfter = -2 }, "cluster: BreakerAfter must be >= 0 (got -2)"},
+		{"token bucket without rate", func(s *Spec) { s.Admission = AdmitTokenBucket }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := smallSpec()
 			tc.mut(&spec)
-			if _, err := Run(spec); err == nil {
+			_, err := Run(spec)
+			if err == nil {
 				t.Fatal("bad spec accepted")
+			}
+			if tc.want == "" {
+				return
+			}
+			if !errors.Is(err, ErrInvalidSpec) {
+				t.Errorf("error does not wrap ErrInvalidSpec: %v", err)
+			}
+			if !strings.HasPrefix(err.Error(), tc.want) {
+				t.Errorf("error %q, want prefix %q", err, tc.want)
 			}
 		})
 	}

@@ -196,7 +196,7 @@ type driver struct {
 	firstArrival vclock.Time
 	lastResolve  vclock.Time
 
-	clientLat stats.LatencyRecorder    // successes, client-observed: hedge delay source
+	clientP99 *stats.Quantile          // running p99 of client-observed successes: the hedge delay
 	phases    [3]stats.LatencyRecorder // indexed by phaseIdx(born)
 }
 
@@ -210,6 +210,7 @@ func newDriver(c *Cluster) *driver {
 		loads:        make([]int, len(c.insts)),
 		arrivals:     s.Requests,
 		firstArrival: vclock.Never,
+		clientP99:    stats.NewQuantile(0.99),
 	}
 	d.arrive = d.onArrival
 	if s.Replay != nil {
@@ -366,7 +367,7 @@ func (d *driver) resolve(req *creq, winner *attempt, tc vclock.Time) {
 	if winner.hedge {
 		d.hedgeWins++
 	}
-	d.clientLat.Add(lat)
+	d.clientP99.Add(lat)
 	d.phases[d.c.faults.phaseIdx(req.born)].Add(lat)
 	if tc.After(d.lastResolve) {
 		d.lastResolve = tc
@@ -445,11 +446,12 @@ func (d *driver) backoff(n int) vclock.Duration {
 
 // hedgeDelay is how long the client waits before duplicating a request:
 // the observed p99 of successes so far, floored at HedgeAfter until
-// enough samples accumulate.
+// enough samples accumulate. The p99 is the exact nearest-rank sample,
+// tracked as successes resolve, so reading it here costs O(1).
 func (d *driver) hedgeDelay() vclock.Duration {
 	delay := d.c.spec.HedgeAfter
-	if d.clientLat.Count() >= 20 {
-		if p := d.clientLat.Percentile(0.99); p > delay {
+	if d.clientP99.Count() >= 20 {
+		if p := d.clientP99.Value(); p > delay {
 			delay = p
 		}
 	}

@@ -398,25 +398,10 @@ func TestCompileFaultsScope(t *testing.T) {
 	}
 }
 
-// TestResilientSpecValidation covers the new knob validation.
+// TestResilientSpecValidation checks that a thread-scoped fault plan
+// fails at New, not at Run. TestSpecValidation covers the resilience
+// knobs.
 func TestResilientSpecValidation(t *testing.T) {
-	bad := []func(*Spec){
-		func(s *Spec) { s.Timeout = -1 },
-		func(s *Spec) { s.ProbeEvery = -1 },
-		func(s *Spec) { s.Retries = -1 },
-		func(s *Spec) { s.RetryBudget = -0.5 },
-		func(s *Spec) { s.BreakerAfter = -2 },
-		func(s *Spec) { s.HedgeAfter = -1 },
-		func(s *Spec) { s.DegradedOver = -1 },
-	}
-	for i, mut := range bad {
-		spec := smallSpec()
-		mut(&spec)
-		if _, err := New(spec); err == nil {
-			t.Errorf("bad resilient spec %d accepted", i)
-		}
-	}
-	// A thread-scoped plan must fail at New, not at Run.
 	spec := smallSpec()
 	spec.Faults = &fault.Plan{CrashThread: []fault.CrashThread{{Thread: "x", At: dur(vclock.Second)}}}
 	if _, err := New(spec); err == nil || !strings.Contains(err.Error(), "thread-scoped") {

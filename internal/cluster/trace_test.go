@@ -160,8 +160,8 @@ func TestReplayValidation(t *testing.T) {
 					c.Shutdown()
 					t.Fatalf("%s: bad trace accepted", router)
 				}
-				if !errors.Is(err, wspec.ErrInvalidTrace) {
-					t.Errorf("%s: error does not wrap ErrInvalidTrace: %v", router, err)
+				if !errors.Is(err, wspec.ErrInvalidTrace) || !errors.Is(err, ErrInvalidSpec) {
+					t.Errorf("%s: error does not wrap ErrInvalidTrace and ErrInvalidSpec: %v", router, err)
 				}
 			}
 		})

@@ -77,14 +77,20 @@ func (r *LatencyRecorder) Percentile(p float64) vclock.Duration {
 		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
 		r.sorted = true
 	}
+	i := int(clampP(p) * float64(len(r.samples)-1))
+	return r.samples[i]
+}
+
+// clampP maps a requested quantile into [0, 1]: NaN and negative p to
+// 0, p above 1 to 1.
+func clampP(p float64) float64 {
 	if p < 0 || math.IsNaN(p) {
-		p = 0
+		return 0
 	}
 	if p > 1 {
-		p = 1
+		return 1
 	}
-	i := int(p * float64(len(r.samples)-1))
-	return r.samples[i]
+	return p
 }
 
 // String summarizes as "n=120 p50=1.9ms p95=3.1ms max=52ms".
