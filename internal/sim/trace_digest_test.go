@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	_ "repro/internal/explore" // registers the R-series fault scenarios
+	"repro/internal/fault"
 	"repro/internal/paradigm"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -113,8 +114,24 @@ func traceDigests(t *testing.T) map[string]traceDigest {
 	}
 	got["echo/w1"] = digestWorld(w, s, vclock.Time(0).Add(10*vclock.Second), nil)
 
-	for name, sp := range pinnedSpecs(t) {
+	specs := pinnedSpecs(t)
+	for name, sp := range specs {
 		got["spec/"+name] = digestSpec(t, sp, "", 1, workload.SpecOptions{})
+	}
+	// Thread-scoped faults landing on w1's session threads: injected
+	// crashes (a blocked victim is woken to die at its next dispatch)
+	// and a stalled Compute.
+	at := func(ms int64) fault.Dur { return fault.D(vclock.Duration(ms) * vclock.Millisecond) }
+	for name, plan := range map[string]fault.Plan{
+		"crash_thread": {CrashThread: []fault.CrashThread{
+			{Thread: "echo-.*", At: at(200)},
+			{Thread: "echo-.*", At: at(900)},
+		}},
+		"stall_thread": {StallThread: []fault.StallThread{
+			{Thread: "echo-.*", At: at(200), Stall: at(30)},
+		}},
+	} {
+		got["fault/w1/"+name] = digestFaultSpec(t, specs["w1"], plan)
 	}
 	s1 := sloLabSpec()
 	for _, policy := range []string{"pcr-rr", "edf", "sjf", "hybrid"} {
@@ -217,6 +234,29 @@ func digestSpec(t *testing.T, sp *spec.Spec, policy string, seed int64, opts wor
 	return digestWorld(w, s, vclock.Time(0).Add(run.Horizon), func() string { return specReport(run) })
 }
 
+// digestFaultSpec is digestSpec for the default policy and seed 1 with
+// plan's injector configured into the world; the injector's counts are
+// hashed with the run.
+func digestFaultSpec(t *testing.T, sp *spec.Spec, plan fault.Plan) traceDigest {
+	t.Helper()
+	inj, err := fault.New(plan, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newDigestSink()
+	cfg := sim.Config{Seed: 1, Trace: s}
+	inj.Configure(&cfg)
+	w := sim.NewWorld(cfg)
+	inj.Arm(w)
+	run, err := workload.StartSpec(w, sp, workload.SpecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return digestWorld(w, s, vclock.Time(0).Add(run.Horizon), func() string {
+		return fmt.Sprintf("%s\ncounts %+v", specReport(run), inj.Counts())
+	})
+}
+
 // specReport renders a finished run's stats: the per-class SLO lines
 // for the slo kind, LoadStats.String otherwise.
 func specReport(run *workload.SpecRun) string {
@@ -241,7 +281,8 @@ func specReport(run *workload.SpecRun) string {
 // scenario (default and steered schedules), a W1 echo world, the two
 // desktop preset worlds, and worlds compiled through workload.StartSpec:
 // the shipped W-series specs, the S1 SLO lab under four policies, the
-// diurnal cohorts spec, and a record->replay pair. Any change to the thread execution machinery
+// diurnal cohorts spec, a record->replay pair, and W1 under thread-
+// scoped crash and stall faults. Any change to the thread execution machinery
 // must leave every digest byte-identical: the simulated program may not
 // observe how its threads are run.
 func TestTraceDigests(t *testing.T) {
