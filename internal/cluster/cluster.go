@@ -230,16 +230,42 @@ func (s Spec) withDefaults() Spec {
 // replay entry wraps it and wspec.ErrInvalidTrace both.
 var ErrInvalidSpec = errors.New("cluster: invalid spec")
 
+// Size limits. validate rejects a spec past any of them, so a mistyped
+// or hostile spec fails at once instead of exhausting memory. Each sits
+// well above every shipped experiment and benchmark fleet; the largest,
+// perfbench's echo-fleet, is 16 instances of 1,000 sessions offered
+// 120,000 requests.
+const (
+	// MaxInstances bounds the fleet size.
+	MaxInstances = 1024
+	// MaxSessions bounds one instance's session pool; it is the
+	// workload spec limit on the pool each instance compiles.
+	MaxSessions = wspec.MaxSessions
+	// MaxFleetSessions bounds Instances × Sessions, the fleet's total
+	// session-thread population.
+	MaxFleetSessions = 65_536
+	// MaxRequests bounds the offered load.
+	MaxRequests = 1_000_000
+	// MaxUsers bounds the user population.
+	MaxUsers = 1 << 20
+)
+
 // validate checks a defaulted spec; every error wraps ErrInvalidSpec.
 func (s Spec) validate() error {
-	if s.Instances < 1 {
-		return fmt.Errorf("cluster: Instances must be >= 1 (got %d): %w", s.Instances, ErrInvalidSpec)
+	if s.Instances < 1 || s.Instances > MaxInstances {
+		return fmt.Errorf("cluster: Instances must be in [1, %d] (got %d): %w", MaxInstances, s.Instances, ErrInvalidSpec)
 	}
-	if s.Sessions < 1 {
-		return fmt.Errorf("cluster: Sessions must be >= 1 (got %d): %w", s.Sessions, ErrInvalidSpec)
+	if s.Sessions < 1 || s.Sessions > MaxSessions {
+		return fmt.Errorf("cluster: Sessions must be in [1, %d] (got %d): %w", MaxSessions, s.Sessions, ErrInvalidSpec)
 	}
-	if s.Requests < 1 {
-		return fmt.Errorf("cluster: Requests must be >= 1 (got %d): %w", s.Requests, ErrInvalidSpec)
+	if n := s.Instances * s.Sessions; n > MaxFleetSessions {
+		return fmt.Errorf("cluster: Instances x Sessions must be <= %d (got %d): %w", MaxFleetSessions, n, ErrInvalidSpec)
+	}
+	if s.Requests < 1 || s.Requests > MaxRequests {
+		return fmt.Errorf("cluster: Requests must be in [1, %d] (got %d): %w", MaxRequests, s.Requests, ErrInvalidSpec)
+	}
+	if s.Users > MaxUsers {
+		return fmt.Errorf("cluster: Users must be <= %d (got %d): %w", MaxUsers, s.Users, ErrInvalidSpec)
 	}
 	if s.Rate <= 0 {
 		return fmt.Errorf("cluster: Rate must be > 0 (got %v): %w", s.Rate, ErrInvalidSpec)

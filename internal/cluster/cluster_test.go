@@ -253,9 +253,9 @@ func TestSpecValidation(t *testing.T) {
 		mut  func(*Spec)
 		want string
 	}{
-		{"no instances", func(s *Spec) { s.Instances = 0 }, "cluster: Instances must be >= 1 (got 0)"},
-		{"no sessions", func(s *Spec) { s.Sessions = 0 }, "cluster: Sessions must be >= 1 (got 0)"},
-		{"no requests", func(s *Spec) { s.Requests = 0 }, "cluster: Requests must be >= 1 (got 0)"},
+		{"no instances", func(s *Spec) { s.Instances = 0 }, "cluster: Instances must be in [1, 1024] (got 0)"},
+		{"no sessions", func(s *Spec) { s.Sessions = 0 }, "cluster: Sessions must be in [1, 16384] (got 0)"},
+		{"no requests", func(s *Spec) { s.Requests = 0 }, "cluster: Requests must be in [1, 1000000] (got 0)"},
 		{"no rate", func(s *Spec) { s.Rate = 0 }, "cluster: Rate must be > 0 (got 0)"},
 		{"bad preset", func(s *Spec) { s.Preset = "vax" }, ""},
 		{"bad router", func(s *Spec) { s.Router = "random" }, ""},
@@ -289,6 +289,46 @@ func TestSpecValidation(t *testing.T) {
 				t.Errorf("error does not wrap ErrInvalidSpec: %v", err)
 			}
 			if !strings.HasPrefix(err.Error(), tc.want) {
+				t.Errorf("error %q, want prefix %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// The size limits admit a spec at each limit and reject one past it
+// with ErrInvalidSpec. Specs at the limits are only validated: running
+// them is the memory cost the limits exist to cap.
+func TestSpecLimits(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Spec)
+		want string // "" = valid
+	}{
+		{"instances at limit", func(s *Spec) { s.Instances, s.Sessions = MaxInstances, 64 }, ""},
+		{"instances past limit", func(s *Spec) { s.Instances, s.Sessions = MaxInstances+1, 1 }, "cluster: Instances must be in [1, 1024] (got 1025)"},
+		{"sessions at limit", func(s *Spec) { s.Instances, s.Sessions = 4, MaxSessions }, ""},
+		{"sessions past limit", func(s *Spec) { s.Instances, s.Sessions = 1, MaxSessions+1 }, "cluster: Sessions must be in [1, 16384] (got 16385)"},
+		{"fleet at limit", func(s *Spec) { s.Instances, s.Sessions = 256, 256 }, ""},
+		{"fleet past limit", func(s *Spec) { s.Instances, s.Sessions = 257, 256 }, "cluster: Instances x Sessions must be <= 65536 (got 65792)"},
+		{"requests at limit", func(s *Spec) { s.Requests = MaxRequests }, ""},
+		{"requests past limit", func(s *Spec) { s.Requests = MaxRequests + 1 }, "cluster: Requests must be in [1, 1000000] (got 1000001)"},
+		{"users at limit", func(s *Spec) { s.Users = MaxUsers }, ""},
+		{"users past limit", func(s *Spec) { s.Users = MaxUsers + 1 }, "cluster: Users must be <= 1048576 (got 1048577)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := smallSpec()
+			tc.mut(&spec)
+			err := spec.withDefaults().validate()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("spec at the limit rejected: %v", err)
+			case tc.want == "":
+			case err == nil:
+				t.Fatal("spec past the limit accepted")
+			case !errors.Is(err, ErrInvalidSpec):
+				t.Errorf("error does not wrap ErrInvalidSpec: %v", err)
+			case !strings.HasPrefix(err.Error(), tc.want):
 				t.Errorf("error %q, want prefix %q", err, tc.want)
 			}
 		})

@@ -43,6 +43,7 @@ func (w *World) randomRunnable() *Thread {
 // non-positive slice donates the remainder of the timeslice, like
 // DirectedYield.
 func (t *Thread) DirectedYieldFor(target *Thread, slice vclock.Duration) {
+	t.checkNotStep("DirectedYieldFor")
 	t.checkThreadContext("DirectedYieldFor")
 	if slice < 0 {
 		slice = 0

@@ -48,6 +48,14 @@ func (w *World) adjust(c *cpu) bool {
 	}
 	t := c.current
 	if t != nil && t.computeLeft > 0 && !t.completion.Valid() {
+		if t.completionFn == nil {
+			// Bound once, at the thread's first grant: a closure per
+			// grant would allocate on the hot path.
+			t.completionFn = func() {
+				t.completion = eventq.Handle{}
+				t.computeLeft = 0
+			}
+		}
 		t.grantStart = w.clock
 		t.completion = w.evq.Schedule(w.clock.Add(t.computeLeft), t.completionFn)
 	}
@@ -276,9 +284,14 @@ func (w *World) pump(t *Thread) {
 	w.afterPark(t)
 }
 
-// resume switches to t's coroutine and returns when t parks or its body
-// ends; an ended thread's coroutine goes back to the idle list.
+// resume runs t until it parks or its body ends: one step of a
+// stackless thread, else a switch to t's coroutine and back. An ended
+// thread's coroutine goes back to the idle list.
 func (w *World) resume(t *Thread) {
+	if t.step != nil {
+		t.runStep()
+		return
+	}
 	t.co.next()
 	if t.finished {
 		t.releaseCoroutine()

@@ -10,11 +10,17 @@
 // yield, and the high-priority SystemDaemon that donates random timeslices
 // to overcome stable priority inversions (§6.2).
 //
-// Simulated threads are runtime coroutines (iter.Pull): the driver loop
-// switches directly into a thread and the thread switches straight back
-// when it parks, so exactly one of them runs at a time and no switch goes
-// through the Go scheduler. All time is virtual (package vclock), so
-// every run is exactly reproducible and the instrumentation has true
+// A simulated thread takes one of two forms. A Proc body runs on a
+// runtime coroutine (iter.Pull): the driver loop switches directly into
+// the thread and the thread switches straight back when it parks, so
+// exactly one of them runs at a time and no switch goes through the Go
+// scheduler. A Stepper body (World.SpawnStep) is stackless: the driver
+// calls its Step on its own stack at each dispatch, and the step parks
+// by arming a Compute, Block or BlockIO and returning. It suits the
+// large populations of flat wait-serve loops (the §4 general pump's
+// session threads), which then cost no coroutine and no stack. Both
+// forms produce identical traces. All time is virtual (package vclock),
+// so every run is exactly reproducible and the instrumentation has true
 // microsecond resolution, like the instrumented PCR the paper's authors
 // built.
 //
@@ -79,6 +85,22 @@ func (s State) String() string {
 // Proc is a thread body. Its return value is delivered to JOIN. The
 // thread handle gives the body access to all thread operations.
 type Proc func(t *Thread) any
+
+// Stepper is the body of a stackless thread (World.SpawnStep). The
+// driver calls Step on its own stack at every dispatch of the thread,
+// and each step runs from where the previous one parked to the next
+// park. A step parks by calling Compute, Block or BlockIO, which in a
+// step arm the park and return at once, and then returning true;
+// Thread.Parked tells whether a call armed one (a Compute may finish in
+// place). Returning false ends the body, like a Proc returning nil. A
+// step parks at most once, keeps in its receiver whatever it needs
+// across parks, and may not call what must resume its caller mid-call:
+// Yield and its variants, Fork, Join, Sleep, BlockTimed, SetPriority,
+// or anything built on them, monitors included. A panic in a step kills
+// the thread with a PanicError.
+type Stepper interface {
+	Step(t *Thread) (parked bool)
+}
 
 // Config parameterizes a World. The zero value is usable; Defaults fills
 // in the paper's PCR operating point.

@@ -52,6 +52,15 @@ type Thread struct {
 
 	cpu int // index of the CPU running this thread, or -1
 
+	// The flags sit together so that they pack into one word.
+	timedOut    bool // the last timed block ended by its timeout
+	hasInjected bool // injected (below) is pending
+	detached    bool // Detach: never to be joined
+	joined      bool // a JOIN has claimed the thread
+	finished    bool // the body has ended (result, err are final)
+	parked      bool // the current step has armed its park
+	killed      bool // Shutdown is tearing the thread down
+
 	// Intrusive ready-queue linkage: threads are spliced directly into
 	// their level's FIFO (World.readyHead/readyTail), so enqueue and
 	// dequeue are pointer writes with no per-operation allocation. level
@@ -70,7 +79,8 @@ type Thread struct {
 
 	// Virtual CPU demand. When positive, a completion event is scheduled
 	// while the thread occupies a CPU. completionFn is the pre-bound
-	// completion callback, allocated once at thread creation.
+	// completion callback, allocated once, when the first completion is
+	// scheduled.
 	computeLeft  vclock.Duration
 	grantStart   vclock.Time
 	completion   eventq.Handle
@@ -84,28 +94,24 @@ type Thread struct {
 	blockReason int
 	blockSince  vclock.Time // when the current block began (DumpState)
 	wakeTimer   eventq.Handle
-	wakeFn      func() // pre-bound timeout callback, allocated once
-	timedOut    bool
+	wakeFn      func() // pre-bound timeout callback, allocated at the first timed block
 
 	// Pending fault injection (World.KillThread): the thread panics with
 	// injected at its next dispatch.
-	injected    any
-	hasInjected bool
+	injected any
 
 	// fork/join linkage
-	detached bool
-	joined   bool
-	joiner   *Thread
-	finished bool
-	result   any
-	err      error
+	joiner *Thread
+	result any
+	err    error
 
-	body Proc
-	// co runs the body (see coroutine); yield, called on it, parks the
-	// thread and switches back to the driver.
-	co     *coroutine
-	yield  func(struct{}) bool
-	killed bool
+	// A thread runs exactly one of body and step. co runs body (see
+	// coroutine); yield, called on it, parks the thread and switches
+	// back to the driver. step runs on the driver's stack (runStep).
+	body  Proc
+	co    *coroutine
+	yield func(struct{}) bool
+	step  Stepper
 }
 
 // ID returns the thread's world-unique identifier (also used in traces).
@@ -218,6 +224,52 @@ func (t *Thread) main(yield func(struct{}) bool) {
 	t.exit(res, nil)
 }
 
+// runStep runs one step of a stackless thread on the driver's stack,
+// from where it last parked to its next park or the end of its body. It
+// stands in for main and park together: a kill or an injected error
+// pending at dispatch is delivered here instead of calling Step, and a
+// panic escaping Step — a step's misuse of the thread API included —
+// kills the thread with a PanicError, as one escaping a Proc does.
+func (t *Thread) runStep() {
+	if t.killed {
+		t.finished = true
+		return
+	}
+	if t.hasInjected {
+		t.hasInjected = false
+		t.exit(nil, &PanicError{Thread: t.name, Value: t.injected})
+		return
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			// The step may have armed a timed park before it panicked.
+			t.parked = false
+			if t.wakeTimer.Valid() {
+				t.w.evq.Cancel(t.wakeTimer)
+				t.wakeTimer = eventq.Handle{}
+			}
+			t.exit(nil, &PanicError{Thread: t.name, Value: r})
+		}
+	}()
+	parked := t.step.Step(t)
+	switch {
+	case parked && !t.parked:
+		panic(fmt.Sprintf("sim: step of thread %s returned parked without arming a park", t.name))
+	case !parked && t.parked:
+		panic(fmt.Sprintf("sim: step of thread %s returned done with a park armed", t.name))
+	case !parked:
+		t.exit(nil, nil)
+	}
+	t.parked = false
+}
+
+// Parked reports whether the current step of a stackless thread has
+// armed its park: the Compute, Block or BlockIO it called completes
+// only after the step returns. A Compute the simulator can finish in
+// place, or one with nothing to charge, arms no park. Always false for a
+// Proc body, whose parks complete before the call returns.
+func (t *Thread) Parked() bool { return t.parked }
+
 // exit performs end-of-life bookkeeping in thread context (which is
 // driver-exclusive, so direct mutation is safe).
 func (t *Thread) exit(result any, err error) {
@@ -246,7 +298,8 @@ func (t *Thread) exit(result any, err error) {
 
 // park switches from the thread's coroutine back to the driver and
 // returns when the driver resumes this thread. Every operation that
-// consumes time or gives up the CPU funnels through here.
+// consumes time or gives up the CPU funnels through here, or, in a
+// step, through arm.
 func (t *Thread) park() {
 	t.yield(struct{}{})
 	if t.killed {
@@ -258,9 +311,20 @@ func (t *Thread) park() {
 	}
 }
 
+// arm is park for a stackless thread, which cannot be suspended
+// mid-call: it records the park for runStep and returns, and the step
+// then returns to the driver itself.
+func (t *Thread) arm() {
+	if t.parked {
+		panic(fmt.Sprintf("sim: step of thread %s armed a second park", t.name))
+	}
+	t.parked = true
+}
+
 // Compute consumes d of virtual CPU time. The thread may be preempted and
 // rescheduled arbitrarily many times before Compute returns. Non-positive
-// d returns immediately.
+// d returns immediately. In a step (see Stepper), Compute instead arms
+// the park and returns at once, unless it finishes the demand in place.
 func (t *Thread) Compute(d vclock.Duration) {
 	if d <= 0 {
 		return
@@ -290,6 +354,10 @@ func (t *Thread) Compute(d vclock.Duration) {
 		}
 	}
 	t.computeLeft += d
+	if t.step != nil {
+		t.arm() // the demand is met before the next Step
+		return
+	}
 	for t.computeLeft > 0 {
 		t.park()
 	}
@@ -307,6 +375,7 @@ func (t *Thread) Block(reason int) {
 // rounded up to the world's timeout granularity (50 ms in PCR), which is
 // why §3 of the paper sees CV wait times quantized at 50 ms.
 func (t *Thread) BlockTimed(reason int, d vclock.Duration) (timedOut bool) {
+	t.checkNotStep("BlockTimed")
 	if d < 0 {
 		d = 0
 	}
@@ -323,7 +392,20 @@ func (t *Thread) blockAt(reason int, deadline vclock.Time) (timedOut bool) {
 	t.state = StateBlocked
 	w.record(trace.Event{Time: w.clock, Kind: trace.KindBlock, Thread: t.id, Aux: int64(reason)})
 	if deadline != vclock.Never {
+		if t.wakeFn == nil {
+			// Bound once, on first use: most threads never time a block,
+			// and a closure per Block would allocate on the hot path.
+			t.wakeFn = func() {
+				t.wakeTimer = eventq.Handle{}
+				t.timedOut = true
+				w.makeRunnable(t, nil)
+			}
+		}
 		t.wakeTimer = w.evq.Schedule(deadline, t.wakeFn)
+	}
+	if t.step != nil {
+		t.arm()
+		return false
 	}
 	t.park()
 	return t.timedOut
@@ -333,6 +415,7 @@ func (t *Thread) blockAt(reason int, deadline vclock.Time) (timedOut bool) {
 // timeout granularity). It is the primitive under the sleeper and
 // one-shot paradigms.
 func (t *Thread) Sleep(d vclock.Duration) {
+	t.checkNotStep("Sleep")
 	if d <= 0 {
 		return
 	}
@@ -344,6 +427,7 @@ func (t *Thread) Sleep(d vclock.Duration) {
 // rounding: it models OS-level waits (a read or poll with a timeout)
 // whose deadline the kernel honors precisely.
 func (t *Thread) BlockTimedExact(reason int, d vclock.Duration) (timedOut bool) {
+	t.checkNotStep("BlockTimedExact")
 	if d < 0 {
 		d = 0
 	}
@@ -366,6 +450,7 @@ func (t *Thread) BlockIO(d vclock.Duration) {
 // rescheduled immediately — the behavior that defeats the slack process in
 // §5.2 when the buffer thread outranks the imaging thread.
 func (t *Thread) Yield() {
+	t.checkNotStep("Yield")
 	t.checkThreadContext("Yield")
 	t.w.record(trace.Event{Time: t.w.clock, Kind: trace.KindYield, Thread: t.id, Arg: trace.NoThread, Aux: trace.YieldPlain})
 	t.yieldReq = yieldPlain
@@ -378,6 +463,7 @@ func (t *Thread) Yield() {
 // end of the current timeslice (§6.3). This is the primitive the authors
 // invented to make the X-server slack process batch effectively (§5.2).
 func (t *Thread) YieldButNotToMe() {
+	t.checkNotStep("YieldButNotToMe")
 	t.checkThreadContext("YieldButNotToMe")
 	t.w.record(trace.Event{Time: t.w.clock, Kind: trace.KindYield, Thread: t.id, Arg: trace.NoThread, Aux: trace.YieldButNotToMe})
 	t.yieldReq = yieldButNotToMe
@@ -389,6 +475,7 @@ func (t *Thread) YieldButNotToMe() {
 // SystemDaemon uses directed yields to give all ready threads some CPU
 // regardless of priority (§6.2).
 func (t *Thread) DirectedYield(target *Thread) {
+	t.checkNotStep("DirectedYield")
 	t.checkThreadContext("DirectedYield")
 	arg := int64(trace.NoThread)
 	if target != nil {
@@ -403,6 +490,7 @@ func (t *Thread) DirectedYield(target *Thread) {
 // SetPriority changes the thread's own priority and invokes the
 // scheduler, which may preempt the caller if it no longer ranks highest.
 func (t *Thread) SetPriority(p Priority) {
+	t.checkNotStep("SetPriority")
 	t.checkThreadContext("SetPriority")
 	if !p.valid() {
 		panic(fmt.Sprintf("sim: invalid priority %d", p))
@@ -428,12 +516,13 @@ func (t *Thread) Fork(name string, body Proc) *Thread {
 // ForkPri creates a child thread with an explicit initial priority.
 func (t *Thread) ForkPri(name string, pri Priority, body Proc) *Thread {
 	w := t.w
+	t.checkNotStep("Fork")
 	t.checkThreadContext("Fork")
 	for w.cfg.MaxThreads > 0 && w.liveCount >= w.cfg.MaxThreads {
 		w.forkWaiters = append(w.forkWaiters, t)
 		t.Block(BlockFork)
 	}
-	child := w.newThread(name, pri, body, t)
+	child := w.newThread(name, pri, body, nil, t)
 	w.record(trace.Event{Time: w.clock, Kind: trace.KindFork, Thread: t.id, Arg: int64(child.id), Aux: int64(pri)})
 	w.makeRunnable(child, t)
 	// Forking invokes the scheduler: a higher-priority child preempts
@@ -455,11 +544,12 @@ var ErrNoThreads = fmt.Errorf("sim: FORK failed: thread limit reached")
 // is reached.
 func (t *Thread) TryFork(name string, body Proc) (*Thread, error) {
 	w := t.w
+	t.checkNotStep("TryFork")
 	t.checkThreadContext("TryFork")
 	if w.cfg.MaxThreads > 0 && w.liveCount >= w.cfg.MaxThreads {
 		return nil, ErrNoThreads
 	}
-	child := w.newThread(name, t.pri, body, t)
+	child := w.newThread(name, t.pri, body, nil, t)
 	w.record(trace.Event{Time: w.clock, Kind: trace.KindFork, Thread: t.id, Arg: int64(child.id), Aux: int64(t.pri)})
 	w.makeRunnable(child, t)
 	t.yieldReq = yieldPoll
@@ -471,6 +561,7 @@ func (t *Thread) TryFork(name string, body Proc) (*Thread, error) {
 // A thread may be joined at most once, and never after Detach; violations
 // panic, as they indicate a programming error in the simulation.
 func (t *Thread) Join(child *Thread) (any, error) {
+	t.checkNotStep("Join")
 	t.checkThreadContext("Join")
 	if child.detached {
 		panic(fmt.Sprintf("sim: JOIN of detached thread %s", child.name))
@@ -499,5 +590,14 @@ func (t *Thread) Detach() {
 func (t *Thread) checkThreadContext(op string) {
 	if t.state != StateRunning {
 		panic(fmt.Sprintf("sim: %s called on thread %s which is %v (thread-context operations may only be invoked from the thread's own body)", op, t.name, t.state))
+	}
+}
+
+// checkNotStep guards the operations only a Proc body may call: each
+// needs its caller resumed mid-call, with a result or with the
+// scheduler's verdict, and a step parks only by returning.
+func (t *Thread) checkNotStep(op string) {
+	if t.step != nil {
+		panic(fmt.Sprintf("sim: %s called by the step of stackless thread %s (a step parks only in Compute, Block or BlockIO)", op, t.name))
 	}
 }

@@ -317,17 +317,34 @@ func (w *World) Stop() { w.stopped = true }
 // callback) and makes it runnable. Threads created by other threads
 // should use Thread.Fork instead, which also traces the fork edge.
 func (w *World) Spawn(name string, pri Priority, body Proc) *Thread {
-	t := w.newThread(name, pri, body, nil)
-	w.record(trace.Event{Time: w.clock, Kind: trace.KindFork, Thread: trace.NoThread, Arg: int64(t.id), Aux: int64(pri)})
+	return w.spawned(w.newThread(name, pri, body, nil, nil))
+}
+
+// SpawnStep is Spawn for a stackless thread: body's Step runs on the
+// driver's stack at every dispatch, and the thread never holds a
+// coroutine (see Stepper). Apart from what a step may not call, the
+// thread is indistinguishable from one running the equivalent Proc:
+// same trace, same scheduling, same fault delivery.
+func (w *World) SpawnStep(name string, pri Priority, body Stepper) *Thread {
+	if body == nil {
+		panic("sim: nil thread body")
+	}
+	return w.spawned(w.newThread(name, pri, nil, body, nil))
+}
+
+// spawned traces a driver-context creation of t and makes it runnable.
+func (w *World) spawned(t *Thread) *Thread {
+	w.record(trace.Event{Time: w.clock, Kind: trace.KindFork, Thread: trace.NoThread, Arg: int64(t.id), Aux: int64(t.pri)})
 	w.makeRunnable(t, nil)
 	return t
 }
 
-func (w *World) newThread(name string, pri Priority, body Proc, parent *Thread) *Thread {
+// newThread creates a thread running body, or step when body is nil.
+func (w *World) newThread(name string, pri Priority, body Proc, step Stepper, parent *Thread) *Thread {
 	if !pri.valid() {
 		panic(fmt.Sprintf("sim: invalid priority %d for thread %q", pri, name))
 	}
-	if body == nil {
+	if body == nil && step == nil {
 		panic("sim: nil thread body")
 	}
 	w.nextID++
@@ -340,18 +357,7 @@ func (w *World) newThread(name string, pri Priority, body Proc, parent *Thread) 
 		state: StateNew,
 		cpu:   -1,
 		body:  body,
-	}
-	// The wake-timeout and compute-completion callbacks close over the
-	// thread once at creation; re-creating them per Block/Compute would
-	// put a closure allocation on the hottest path in the simulator.
-	t.wakeFn = func() {
-		t.wakeTimer = eventq.Handle{}
-		t.timedOut = true
-		w.makeRunnable(t, nil)
-	}
-	t.completionFn = func() {
-		t.completion = eventq.Handle{}
-		t.computeLeft = 0
+		step:  step,
 	}
 	if parent != nil {
 		t.gen = parent.gen + 1
@@ -365,7 +371,9 @@ func (w *World) newThread(name string, pri Priority, body Proc, parent *Thread) 
 	// lazily, once the run is under way, would give each the larger
 	// adaptive size — measurably more resident memory in worlds holding
 	// thousands of session threads.
-	t.attachCoroutine()
+	if step == nil {
+		t.attachCoroutine()
+	}
 	if f := w.cfg.Hooks.OnFork; f != nil {
 		f(parent, t)
 	}
@@ -522,9 +530,10 @@ func (w *World) DumpState(out io.Writer) {
 // Shutdown terminates every unfinished thread: each is resumed once with
 // its killed flag set, so it panics with killSignal at its park (or at
 // its first dispatch), unwinds through the body's deferred calls, and
-// its coroutine goes back to the idle list for the next world. After
-// Shutdown the world must not be used again. Tests use it so that no
-// goroutine stays parked in a dead world; experiments that simply let
+// its coroutine goes back to the idle list for the next world. A
+// stackless thread has nothing to unwind and is just marked finished.
+// After Shutdown the world must not be used again. Tests use it so that
+// no goroutine stays parked in a dead world; experiments that simply let
 // the process exit may skip it.
 func (w *World) Shutdown() {
 	for _, t := range w.threads {

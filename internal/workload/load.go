@@ -138,7 +138,7 @@ func startPipeline(w *sim.World, p *spec.Pipeline) *Pipeline {
 	if buffer < 1 {
 		buffer = 8
 	}
-	pl := &Pipeline{src: &Server{w: w}, cost: vclock.Duration(p.StageCostUS)}
+	pl := &Pipeline{src: newServer(w, p.Pipelines), cost: vclock.Duration(p.StageCostUS)}
 	if pl.cost <= 0 {
 		pl.cost = 10 * vclock.Microsecond
 	}

@@ -2,7 +2,9 @@ package workload
 
 import (
 	"errors"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/vclock"
@@ -125,5 +127,52 @@ func TestEchoParamValidation(t *testing.T) {
 	defer w.Shutdown()
 	if _, err := StartSpec(w, echoSpec(0), SpecOptions{}); !errors.Is(err, spec.ErrInvalidSpec) {
 		t.Fatalf("StartSpec on a zero-session echo spec: err = %v, want ErrInvalidSpec", err)
+	}
+}
+
+// Building a session pool costs a few allocations in all, not a set per
+// session: the sessions share one slab, each session is its own thread
+// body, and a stackless thread holds no coroutine and binds its timer
+// callbacks only when it first needs them.
+func TestServerBuildAllocs(t *testing.T) {
+	const sessions = 1000
+	names := NewNameTable("echo", sessions)
+	allocs := testing.AllocsPerRun(5, func() {
+		startServer(sim.NewWorld(sim.Config{Seed: 1}), names, sessions, sim.PriorityNormal)
+	})
+	if per := allocs / sessions; per >= 0.25 {
+		t.Errorf("building a %d-session pool: %.0f allocs (%.3f per session), want < 0.25", sessions, allocs, per)
+	}
+	if n := unsafe.Sizeof(srvSession{}); n > 48 {
+		t.Errorf("srvSession is %d bytes, want at most 48", n)
+	}
+}
+
+// A crash while a session is computing keeps the request in service:
+// its completion reports it undelivered, the request queued behind it
+// is dropped at the crash, and the session goes on to serve what
+// arrives after the restore.
+func TestServerCrashMidService(t *testing.T) {
+	w := sim.NewWorld(sim.Config{Seed: 1, SwitchCost: -1})
+	defer w.Shutdown()
+	s := startServer(w, NewNameTable("s", 1), 1, sim.PriorityNormal)
+	at := func(us int64, f func()) { w.At(vclock.Time(us), f) }
+	at(100, func() {
+		s.InjectTracked(0, 100*vclock.Microsecond, 1) // in service over [100us, 200us)
+		s.InjectTracked(0, 100*vclock.Microsecond, 2) // queued behind it
+	})
+	at(150, s.Crash)
+	at(160, s.Restore)
+	at(170, func() { s.InjectTracked(0, 10*vclock.Microsecond, 3) })
+	w.Run(vclock.Time(1000))
+	want := []Completion{{Token: 2, At: 150}, {Token: 1, At: 200}, {Token: 3, At: 210, OK: true}}
+	if got := s.Drain(); !reflect.DeepEqual(got, want) {
+		t.Errorf("completions %+v, want %+v", got, want)
+	}
+	if th := s.sessions[0].th; th.Err() != nil || th.State() != sim.StateBlocked {
+		t.Errorf("session %v err=%v, want blocked and healthy", th, th.Err())
+	}
+	if s.Pending() != 0 || s.Dropped() != 1 || s.Undelivered() != 1 {
+		t.Errorf("pending %d dropped %d undelivered %d, want 0 1 1", s.Pending(), s.Dropped(), s.Undelivered())
 	}
 }

@@ -15,6 +15,13 @@ import (
 // those decisions (routing, admission, service distributions); in a
 // single world the shared arrival generator (cohorts.go) does. Every
 // open-loop spec kind compiles onto Server (see build.go).
+//
+// Every session runs one body, (*srvSession).Step. A plain session is
+// a stackless sim thread: the driver calls the step on its own stack,
+// so a pool of thousands of idle sessions holds no coroutine and no
+// stack. A session feeding a pipeline's next stage hands each request
+// over through a monitor, which parks mid-call, so it runs the same
+// step from a coroutine-backed Proc instead.
 
 // NameTable interns per-session thread names so a fleet of N instances
 // shares one table of S strings instead of allocating N×S copies —
@@ -66,15 +73,16 @@ type Completion struct {
 }
 
 // srvSession is one session thread plus its driver-owned request queue:
-// an interrupt handler posting work to a server thread.
+// an interrupt handler posting work to a server thread. It is also the
+// thread's body (Step). While serving is set the session is computing
+// q[head-1], which Crash keeps in place for the completion to read.
+// The struct stays at 48 bytes: a pool of 10k sessions is one slab.
 type srvSession struct {
-	th   *sim.Thread
-	q    []srvReq
-	head int
-	// out, when set, makes the session a pipeline chain's first stage:
-	// it passes each served request's arrival time to out instead of
-	// completing it, and closes out when it exits.
-	out *loadBuffer
+	srv     *Server
+	th      *sim.Thread
+	q       []srvReq
+	head    int32
+	serving bool
 }
 
 // Server is an externally-driven session pool. All methods must be
@@ -83,11 +91,16 @@ type srvSession struct {
 type Server struct {
 	w        *sim.World
 	Stats    LoadStats
-	sessions []*srvSession
+	sessions []srvSession // one slab, never reallocated: threads hold &sessions[i]
 	pending  int
 	closed   bool
 	firstAt  vclock.Time
 	lastDone vclock.Time
+
+	// outs makes sessions pipeline chains' first stages: each passes
+	// its served requests' arrival times to its buffer instead of
+	// completing them, and closes the buffer when it exits.
+	outs map[*srvSession]*loadBuffer
 
 	// Fault-model state (all driven from driver context; see Crash,
 	// Restore, StallUntil, CancelQueued). epoch counts crashes so a
@@ -120,20 +133,40 @@ func startServer(w *sim.World, names *NameTable, sessions int, prio sim.Priority
 	if !prio.Valid() {
 		prio = sim.PriorityNormal
 	}
-	s := &Server{w: w}
+	s := newServer(w, sessions)
 	for i := 0; i < sessions; i++ {
 		s.addSession(names.Name(i), prio, nil)
 	}
 	return s
 }
 
+// newServer returns an empty pool with room for sessions sessions.
+func newServer(w *sim.World, sessions int) *Server {
+	return &Server{w: w, sessions: make([]srvSession, 0, sessions)}
+}
+
 // addSession spawns one more session thread feeding out (nil for a
 // session that completes its requests); callers that interleave other
 // spawns with the pool's (the pipeline kind) grow it one by one.
 func (s *Server) addSession(name string, prio sim.Priority, out *loadBuffer) {
-	sess := &srvSession{out: out}
-	sess.th = s.w.Spawn(name, prio, s.sessionBody(sess))
-	s.sessions = append(s.sessions, sess)
+	if len(s.sessions) == cap(s.sessions) {
+		panic("workload: Server session slab is full")
+	}
+	s.sessions = append(s.sessions, srvSession{srv: s})
+	sess := &s.sessions[len(s.sessions)-1]
+	if out == nil {
+		sess.th = s.w.SpawnStep(name, prio, sess)
+	} else {
+		if s.outs == nil {
+			s.outs = make(map[*srvSession]*loadBuffer)
+		}
+		s.outs[sess] = out
+		sess.th = s.w.Spawn(name, prio, func(t *sim.Thread) any {
+			for sess.Step(t) {
+			}
+			return nil
+		})
+	}
 	s.Stats.Threads++
 }
 
@@ -142,8 +175,8 @@ func (s *Server) addSession(name string, prio sim.Priority, out *loadBuffer) {
 // pending request at unit. Deadlines are the pool's slo past arrival.
 func (s *Server) stampSLO(class string, unit vclock.Duration) {
 	s.unit = unit
-	for _, sess := range s.sessions {
-		sess.th.SetSLOClass(class)
+	for i := range s.sessions {
+		s.sessions[i].th.SetSLOClass(class)
 	}
 }
 
@@ -152,7 +185,7 @@ func (s *Server) stampSLO(class string, unit vclock.Duration) {
 // demand (SJF). It runs at every arrival, completion and idle point,
 // in driver and thread context alike.
 func (s *Server) stamp(sess *srvSession) {
-	pending := len(sess.q) - sess.head
+	pending := len(sess.q) - int(sess.head)
 	if pending > 0 {
 		sess.th.SetDeadline(sess.q[sess.head].born.Add(s.slo))
 	} else {
@@ -184,7 +217,7 @@ func (s *Server) enqueue(i int, r srvReq) {
 	if s.Stats.Offered == 0 {
 		s.firstAt = r.born
 	}
-	sess := s.sessions[i%len(s.sessions)]
+	sess := &s.sessions[i%len(s.sessions)]
 	sess.q = append(sess.q, r)
 	s.Stats.Offered++
 	s.pending++
@@ -201,73 +234,93 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	for _, sess := range s.sessions {
-		s.w.WakeIfBlocked(sess.th, nil)
+	for i := range s.sessions {
+		s.w.WakeIfBlocked(s.sessions[i].th, nil)
 	}
 }
 
-func (s *Server) sessionBody(sess *srvSession) sim.Proc {
-	return func(t *sim.Thread) any {
-		for {
-			if sess.head == len(sess.q) {
-				sess.q, sess.head = sess.q[:0], 0
-				if s.unit > 0 {
-					s.stamp(sess)
-				}
-				if s.closed {
-					if sess.out != nil {
-						sess.out.close(t)
-					}
-					return nil
-				}
-				t.Block(sim.BlockCV)
-				continue
-			}
-			// A stalled instance admits requests but serves none until the
-			// window passes — §6.2's "the system seemed to stop", scaled
-			// from one thread to one machine.
-			if s.stallUntil.After(t.Now()) {
-				t.BlockIO(s.stallUntil.Sub(t.Now()))
-				continue
-			}
-			req := sess.q[sess.head]
-			sess.head++
-			if req.tracked && s.cancelSet[req.token] {
-				// Cancelled while still queued (a hedge loser): consumes no
-				// service time and reports no completion.
-				delete(s.cancelSet, req.token)
-				s.pending--
-				s.cancelled++
-				continue
-			}
-			t.Compute(req.service)
-			s.pending--
-			if req.tracked {
-				delete(s.cancelSet, req.token)
-				ok := !s.down && req.epoch == s.epoch
-				s.events = append(s.events, Completion{Token: req.token, At: t.Now(), OK: ok})
-				if !ok {
-					// The machine died between admission and response: the
-					// work happened, the answer was never delivered.
-					s.failed++
-					continue
-				}
-			}
-			if sess.out != nil {
-				sess.out.put(t, req.born)
-				continue
-			}
-			lat := t.Now().Sub(req.born)
-			s.Stats.Completed++
-			s.Stats.Latency.Add(lat)
-			if s.slo > 0 && lat <= s.slo {
-				s.onTime++
-			}
-			s.lastDone = t.Now()
+// Step runs the session from its last park to its next: it finishes
+// the request whose Compute it parked in, then serves its queue until
+// the queue is empty (park on the CV), service is stalled (park in
+// I/O), or a Compute parks. It returns false when the pool is closed
+// and the queue drained. Run from a coroutine, the same code parks
+// inside each call instead and the Proc just calls Step again.
+func (sess *srvSession) Step(t *sim.Thread) bool {
+	s := sess.srv
+	if sess.serving {
+		sess.serving = false
+		s.complete(sess, t)
+	}
+	for {
+		if int(sess.head) == len(sess.q) {
+			sess.q, sess.head = sess.q[:0], 0
 			if s.unit > 0 {
 				s.stamp(sess)
 			}
+			if s.closed {
+				if out := s.outs[sess]; out != nil {
+					out.close(t)
+				}
+				return false
+			}
+			t.Block(sim.BlockCV)
+			return true
 		}
+		// A stalled instance admits requests but serves none until the
+		// window passes — §6.2's "the system seemed to stop", scaled
+		// from one thread to one machine.
+		if s.stallUntil.After(t.Now()) {
+			t.BlockIO(s.stallUntil.Sub(t.Now()))
+			return true
+		}
+		req := &sess.q[sess.head]
+		sess.head++
+		if req.tracked && s.cancelSet[req.token] {
+			// Cancelled while still queued (a hedge loser): consumes no
+			// service time and reports no completion.
+			delete(s.cancelSet, req.token)
+			s.pending--
+			s.cancelled++
+			continue
+		}
+		sess.serving = true
+		t.Compute(req.service)
+		if t.Parked() {
+			return true
+		}
+		sess.serving = false
+		s.complete(sess, t)
+	}
+}
+
+// complete finishes the request sess has just served, q[head-1].
+func (s *Server) complete(sess *srvSession, t *sim.Thread) {
+	req := sess.q[sess.head-1]
+	s.pending--
+	if req.tracked {
+		delete(s.cancelSet, req.token)
+		ok := !s.down && req.epoch == s.epoch
+		s.events = append(s.events, Completion{Token: req.token, At: t.Now(), OK: ok})
+		if !ok {
+			// The machine died between admission and response: the
+			// work happened, the answer was never delivered.
+			s.failed++
+			return
+		}
+	}
+	if out := s.outs[sess]; out != nil {
+		out.put(t, req.born)
+		return
+	}
+	lat := t.Now().Sub(req.born)
+	s.Stats.Completed++
+	s.Stats.Latency.Add(lat)
+	if s.slo > 0 && lat <= s.slo {
+		s.onTime++
+	}
+	s.lastDone = t.Now()
+	if s.unit > 0 {
+		s.stamp(sess)
 	}
 }
 
@@ -306,7 +359,8 @@ func (s *Server) Crash() {
 	s.down = true
 	s.epoch++
 	now := s.w.Now()
-	for _, sess := range s.sessions {
+	for i := range s.sessions {
+		sess := &s.sessions[i]
 		for _, r := range sess.q[sess.head:] {
 			s.pending--
 			s.dropped++
@@ -314,8 +368,13 @@ func (s *Server) Crash() {
 				s.events = append(s.events, Completion{Token: r.token, At: now, OK: false})
 			}
 		}
-		sess.q = sess.q[:0]
-		sess.head = 0
+		if sess.serving {
+			// The request in service stays for its completion to read.
+			sess.q[0] = sess.q[sess.head-1]
+			sess.q, sess.head = sess.q[:1], 1
+		} else {
+			sess.q, sess.head = sess.q[:0], 0
+		}
 	}
 }
 
