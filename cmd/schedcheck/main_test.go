@@ -1,6 +1,9 @@
 package main
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -150,8 +153,18 @@ func TestSchedcheckCLI(t *testing.T) {
 	}
 }
 
+// sweepGolden pins the default sweep's stdout: every scenario's run
+// count and decision-point count, and each fixture's shrunk replay
+// token. A scheduler change that alters which decision points exist, or
+// how a failure shrinks, shows up as a diff here. Regenerate with
+// `go test -run TestSchedcheckFullSweep ./cmd/schedcheck -update`.
+const sweepGolden = "testdata/sweep.txt"
+
+var updateSweep = flag.Bool("update", false, "rewrite "+sweepGolden+" from the current sweep")
+
 // The default full sweep must stay fast enough for CI's bounded-explore
-// target and exit 0 (fixtures failing counts as expected behaviour).
+// target, exit 0 (fixtures failing counts as expected behaviour), and
+// print exactly the pinned corpus.
 func TestSchedcheckFullSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep covered by per-scenario cases in short mode")
@@ -160,7 +173,20 @@ func TestSchedcheckFullSweep(t *testing.T) {
 	if code := run(nil, &stdout, &stderr); code != 0 {
 		t.Fatalf("full sweep exited %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "ok!  broken-timeout-wait") {
-		t.Errorf("fixture line missing from sweep output:\n%s", stdout.String())
+	if *updateSweep {
+		if err := os.MkdirAll(filepath.Dir(sweepGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(sweepGolden, []byte(stdout.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(sweepGolden)
+	if err != nil {
+		t.Fatalf("missing sweep golden (generate with -update): %v", err)
+	}
+	if got := stdout.String(); got != string(want) {
+		t.Errorf("sweep output differs from %s (regenerate with -update if intended)\ngot:\n%s\nwant:\n%s", sweepGolden, got, want)
 	}
 }
