@@ -96,12 +96,20 @@ type Plan struct {
 	DegradeInstance []DegradeInstance `json:"degrade_instance,omitempty"`
 }
 
-// Empty reports whether the plan injects nothing.
-func (p Plan) Empty() bool {
-	return len(p.LostNotify) == 0 && len(p.CrashThread) == 0 &&
-		len(p.ForkExhaustion) == 0 && len(p.StallThread) == 0 && len(p.ClockJitter) == 0 &&
-		!p.HasInstanceFaults()
+// MaxRules bounds a plan's total rule count over every kind. The
+// injector scans its rule lists on every Compute and NOTIFY, so without
+// a cap a plan could make a run slow without making it large.
+const MaxRules = 256
+
+// rules returns the plan's total rule count over every kind.
+func (p Plan) rules() int {
+	return len(p.LostNotify) + len(p.CrashThread) + len(p.ForkExhaustion) +
+		len(p.StallThread) + len(p.ClockJitter) +
+		len(p.CrashInstance) + len(p.StallInstance) + len(p.DegradeInstance)
 }
+
+// Empty reports whether the plan injects nothing.
+func (p Plan) Empty() bool { return p.rules() == 0 }
 
 // HasInstanceFaults reports whether the plan carries any cluster-scoped
 // (instance) fault rules.
@@ -245,8 +253,9 @@ func Parse(data []byte) (Plan, error) {
 // distinguish "the plan is wrong" from I/O failures with errors.Is.
 var ErrInvalidPlan = errors.New("fault: invalid plan")
 
-// Check validates the plan: regexps compile, windows are ordered, and
-// magnitudes are sane. All errors wrap ErrInvalidPlan. New performs the
+// Check validates the plan: it has at most MaxRules rules, regexps
+// compile, windows are ordered, and magnitudes are sane. All errors wrap
+// ErrInvalidPlan. New performs the
 // same validation.
 func (p Plan) Check() error {
 	if err := p.check(); err != nil {
@@ -256,6 +265,9 @@ func (p Plan) Check() error {
 }
 
 func (p Plan) check() error {
+	if n := p.rules(); n > MaxRules {
+		return fmt.Errorf("%d rules exceed the limit of %d", n, MaxRules)
+	}
 	window := func(what string, from, until Dur) error {
 		if from.Duration < 0 || until.Duration < 0 {
 			return fmt.Errorf("%s: negative window bound", what)

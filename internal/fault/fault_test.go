@@ -76,6 +76,57 @@ func TestPlanCheckErrors(t *testing.T) {
 	}
 }
 
+// rulesPlan returns a valid plan of n rules spread over every kind, so
+// the limit is seen to count the total, not any one kind.
+func rulesPlan(n int) Plan {
+	var p Plan
+	for i := 0; i < n; i++ {
+		at := D(vclock.Duration(i+1) * vclock.Millisecond)
+		until := D(vclock.Duration(i+2) * vclock.Millisecond)
+		switch i % 8 {
+		case 0:
+			p.LostNotify = append(p.LostNotify, LostNotify{CV: "x"})
+		case 1:
+			p.CrashThread = append(p.CrashThread, CrashThread{Thread: "x", At: at})
+		case 2:
+			p.ForkExhaustion = append(p.ForkExhaustion, ForkExhaustion{Max: 1, From: at, Until: until})
+		case 3:
+			p.StallThread = append(p.StallThread, StallThread{Thread: "x", At: at, Stall: at})
+		case 4:
+			p.ClockJitter = append(p.ClockJitter, ClockJitter{Frac: 0.1})
+		case 5:
+			p.CrashInstance = append(p.CrashInstance, CrashInstance{Instance: AnyInstance, At: at})
+		case 6:
+			p.StallInstance = append(p.StallInstance, StallInstance{Instance: 0, From: at, Until: until})
+		case 7:
+			p.DegradeInstance = append(p.DegradeInstance, DegradeInstance{Instance: 0, Factor: 2, From: at, Until: until})
+		}
+	}
+	return p
+}
+
+func TestPlanRuleLimit(t *testing.T) {
+	cases := []struct {
+		name string
+		plan Plan
+		frag string // "" = accepted
+	}{
+		{"mixed kinds at limit", rulesPlan(MaxRules), ""},
+		{"mixed kinds past limit", rulesPlan(MaxRules + 1), "257 rules exceed the limit of 256"},
+		{"one kind at limit", Plan{LostNotify: make([]LostNotify, MaxRules)}, ""},
+		{"one kind past limit", Plan{CrashInstance: make([]CrashInstance, MaxRules+1)}, "exceed the limit"},
+	}
+	for _, tc := range cases {
+		err := tc.plan.Check()
+		switch {
+		case tc.frag == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.frag != "" && (!errors.Is(err, ErrInvalidPlan) || !strings.Contains(err.Error(), tc.frag)):
+			t.Errorf("%s: err = %v, want ErrInvalidPlan mentioning %q", tc.name, err, tc.frag)
+		}
+	}
+}
+
 // runLostNotify runs a waiter (50 ms CV timeout) plus a notifier that
 // fires at 10 ms, under the given plan, and reports whether the wait
 // timed out and how many notifies the injector swallowed.

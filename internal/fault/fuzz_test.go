@@ -36,6 +36,13 @@ func FuzzPlanJSON(f *testing.F) {
 	f.Add([]byte(`{"stall_instance": [{"instance": 1, "from": "100ms"}]}`))
 	f.Add([]byte(`{"degrade_instance": [{"instance": 0, "factor": 1, "until": "1s"}]}`))
 	f.Add([]byte(`{"degrade_instance": [{"instance": 0, "factor": 8, "from": 0, "until": "1s"}]}`))
+	for _, n := range []int{MaxRules, MaxRules + 1} {
+		seed, err := json.Marshal(rulesPlan(n))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Parse(data)
