@@ -49,10 +49,11 @@ race:
 # events/sec against the committed BENCH_PR9.json artifact — a sweep
 # that does different work (event-count drift) or runs slower than the
 # previous PR's artifact fails. The S-series policy lab and the K-series
-# capacity lab are deliberately outside the sweep: the S population must
-# stay comparable to the baseline (the policy API's zero-cost proof),
-# and a K knee search's event count is a step function of the measured
-# knee, useless as a regression baseline. The hot-path allocs/op pin
+# capacity lab are deliberately outside the sweep: the sweep's event
+# counts must stay comparable to the baseline (they are also pinned per
+# experiment by TestBenchShardDeterminism), and a K knee search's event
+# count is a step function of the measured knee, useless as a
+# regression baseline. The hot-path allocs/op pin
 # runs first: the event loop, ready queues, discard-sink tracing,
 # timing-wheel schedule/cancel and batch admission must stay
 # allocation-free in steady state.

@@ -609,7 +609,7 @@ func TestCLISSeries(t *testing.T) {
 }
 
 // TestCLIPolicyByteIdentical: an explicit -policy pcr-rr parses to the
-// simulator's default-policy singleton, so both the default experiment
+// simulator's default policy, so both the default experiment
 // stdout and the policy-sensitive W-series stdout are byte-identical
 // with and without the flag — while a genuinely different policy moves
 // the W-series numbers.

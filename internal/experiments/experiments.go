@@ -94,10 +94,9 @@ func (c Config) faultPlan(def fault.Plan) fault.Plan {
 
 // hooks returns c.Hooks with the selected scheduling policy attached,
 // freshly parsed so every world gets its own instance. An explicit
-// "pcr-rr" parses to the shared default singleton, which the simulator
-// recognizes and keeps its pre-policy fast paths for — byte-identical
-// output to an empty Policy. A Policy already present in c.Hooks (tests
-// injecting instances directly) wins over the spec.
+// "pcr-rr" parses to the shared default value, byte-identical output to
+// an empty Policy. A Policy already present in c.Hooks (tests injecting
+// instances directly) wins over the spec.
 func (c Config) hooks() sim.Hooks {
 	h := c.Hooks
 	if c.Policy != "" && h.Policy == nil {

@@ -10,8 +10,9 @@ func init() {
 		name: "pcr-rr",
 		doc:  "the paper's PCR discipline: 7 strict priorities, round-robin within one (default)",
 		build: func(kv map[string]string) (Policy, error) {
-			// The singleton, not a copy: the dispatcher keeps its exact
-			// pre-policy fast paths only when it recognizes this value.
+			// The singleton, not a copy: the dispatcher skips the
+			// Pick/Rotate consultation, whose answer is always the FIFO
+			// head, only for this value.
 			return sim.PCRPolicy, nil
 		},
 	})

@@ -8,8 +8,8 @@
 // *sim.Thread); this package re-exports it, hosts the named
 // implementations, and owns their parameter validation:
 //
-//	pcr-rr                    the paper's discipline (the default; byte-
-//	                          identical to a world with no policy at all)
+//	pcr-rr                    the paper's discipline (the default; the
+//	                          same value a world with no policy runs)
 //	rr[:level=,quantum=]      single-level round-robin: every thread on one
 //	                          ready level, FIFO rotation
 //	edf[:level=]              earliest-deadline-first among the declared
@@ -43,8 +43,8 @@ import (
 // dispatcher; see sim.Policy for the full seam contract.
 type Policy = sim.Policy
 
-// Default is the built-in pcr-rr policy — the exact value the dispatcher
-// recognizes as "no policy configured".
+// Default is the built-in pcr-rr policy, the one a world with no policy
+// runs.
 var Default = sim.PCRPolicy
 
 // descriptor is one registry entry.

@@ -26,9 +26,9 @@ func TestNames(t *testing.T) {
 }
 
 // TestParseDefault: "pcr-rr" must yield the exact sim.PCRPolicy value —
-// the dispatcher keeps its pre-policy fast paths only when it recognizes
-// that singleton, which is what makes the explicit spec byte-identical to
-// no spec at all.
+// the dispatcher skips the Pick/Rotate consultation only for that value,
+// which is what keeps an explicit spec's decision count at 0, as with no
+// spec at all.
 func TestParseDefault(t *testing.T) {
 	p, err := Parse("pcr-rr")
 	if err != nil {

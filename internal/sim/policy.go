@@ -33,9 +33,12 @@ import "repro/internal/vclock"
 //     from a dead world could alias a later world's arena. Construct one
 //     instance per world (sched.Parse does).
 //
-// The built-in default, PCRPolicy, reproduces the paper's discipline
-// byte-identically; worlds configured without Hooks.Policy use it and
-// stay on the exact pre-policy fast paths.
+// The built-in default, PCRPolicy, is the paper's discipline; worlds
+// configured without Hooks.Policy use it. The dispatcher has one path
+// for every policy, pcr-rr included: it asks the policy for every level,
+// quantum, expiry and aging answer. The one thing it skips for the
+// PCRPolicy value itself is the Pick/Rotate consultation, whose answer
+// there is always the FIFO head.
 type Policy interface {
 	// Name returns the registry name ("pcr-rr", "edf", ...).
 	Name() string
@@ -74,8 +77,9 @@ type Policy interface {
 
 // pcrPolicy is the built-in discipline of the paper's PCR runtime: seven
 // strict priorities, FIFO round-robin within a priority, one fixed
-// quantum. Every method is the neutral answer, so the dispatcher's
-// behavior with this policy is byte-identical to the pre-policy code.
+// quantum. Every method is the neutral answer: the level is the
+// thread's priority, the pick is the FIFO head, the quantum is
+// Config.Quantum, and there is no expiry bookkeeping or aging.
 type pcrPolicy struct{}
 
 func (pcrPolicy) Name() string                                           { return "pcr-rr" }
@@ -89,8 +93,10 @@ func (pcrPolicy) Tick() vclock.Duration                                  { retur
 
 // PCRPolicy is the default scheduling policy — the paper's strict-priority
 // + round-robin discipline. Worlds with a nil Hooks.Policy use it, and
-// sched.Parse("pcr-rr") returns exactly this value, which is how the
-// dispatcher recognizes the default and keeps its original fast paths.
+// sched.Parse("pcr-rr") returns exactly this value. Any value that
+// answers as it does schedules the same; the dispatcher recognizes this
+// one only to skip consulting Pick and Rotate, so a world running it
+// records no decision points.
 var PCRPolicy Policy = pcrPolicy{}
 
 // hookPolicy adapts a Hooks.OnSchedule callback over a base policy: the

@@ -65,8 +65,8 @@ func (w *World) adjust(c *cpu) bool {
 // pickFor returns the thread c should be running right now: the boost
 // target while a boost is in force, otherwise the current thread unless a
 // thread on a strictly higher ready level is runnable (preemption only
-// for higher levels between quantum expiries; under the default pcr-rr
-// policy levels are exactly the PCR priorities).
+// for higher levels between quantum expiries; under pcr-rr levels are
+// exactly the PCR priorities).
 //
 // When the dispatch is about to install a different thread and several
 // threads of the winning level are queued, the choice among them is a
@@ -75,7 +75,9 @@ func (w *World) adjust(c *cpu) bool {
 // hook layered over it) is consulted exactly once per such switch. The
 // consultation never fires on the settle loop's post-switch re-evaluation
 // (the installed thread is then c.current and no switch is pending),
-// keeping decision sequences dense and replayable.
+// keeping decision sequences dense and replayable. Under plain pcr-rr
+// (no hook) the consultation is skipped: its answer is always the FIFO
+// head.
 func (w *World) pickFor(c *cpu) *Thread {
 	if c.boost != nil {
 		b := c.boost
@@ -90,7 +92,7 @@ func (w *World) pickFor(c *cpu) *Thread {
 	}
 	top := w.topRunnable()
 	cur := c.current
-	if cur != nil && (top == nil || top.level <= w.levelOf(cur)) {
+	if cur != nil && (top == nil || top.level <= cur.level) {
 		return cur
 	}
 	if top == nil {
@@ -102,16 +104,6 @@ func (w *World) pickFor(c *cpu) *Thread {
 		return w.consultSchedule(c, w.scheduleCands(top, nil), false)
 	}
 	return top
-}
-
-// levelOf returns the ready level a thread competes at: its priority
-// under the default policy, else the level of its last enqueue (refreshed
-// at quantum expiry for the running thread).
-func (w *World) levelOf(t *Thread) Priority {
-	if w.defaultLevels {
-		return t.pri
-	}
-	return t.level
 }
 
 // scheduleCands assembles an OnSchedule candidate list by walking a ready
@@ -227,10 +219,10 @@ func (w *World) unscheduleCompute(t *Thread) {
 // higher-level top offers only that queue — continuing would violate the
 // level discipline.
 //
-// Under a non-default policy this is also where the Expired seam fires
-// (MLFQ demotion, hybrid boost expiry) and the running thread's level is
-// refreshed before the rotation comparison, so a policy that demotes the
-// expiring thread sees the demotion take effect at this very expiry.
+// This is also where the Expired seam fires (MLFQ demotion, hybrid boost
+// expiry) and the running thread's level is refreshed before the
+// rotation comparison, so a policy that demotes the expiring thread sees
+// the demotion take effect at this very expiry.
 func (w *World) quantumExpire(c *cpu) {
 	c.quantumEv = eventq.Handle{}
 	c.boost = nil
@@ -238,16 +230,14 @@ func (w *World) quantumExpire(c *cpu) {
 	if t == nil {
 		return
 	}
-	if !w.defaultLevels {
-		w.policy.Expired(t, w.clock)
-		t.level = w.policyLevel(t, false)
-	}
+	w.policy.Expired(t, w.clock)
+	t.level = w.policyLevel(t, false)
 	top := w.topRunnable()
-	if top != nil && top.level >= w.levelOf(t) {
+	if top != nil && top.level >= t.level {
 		pick := top
 		if w.needPick {
 			var keep *Thread
-			if w.levelOf(t) == top.level {
+			if t.level == top.level {
 				keep = t
 			}
 			if cands := w.scheduleCands(w.readyHead[top.level], keep); len(cands) > 1 {
@@ -264,17 +254,13 @@ func (w *World) quantumExpire(c *cpu) {
 	c.quantumEv = w.evq.Schedule(c.quantumEnd, c.quantumFn)
 }
 
-// quantumFor returns the timeslice to grant t: Config.Quantum under the
-// default policy, else the policy's Quantum (non-positive answers fall
-// back to the default).
+// quantumFor returns the timeslice to grant t: the policy's Quantum,
+// with non-positive answers falling back to Config.Quantum.
 func (w *World) quantumFor(t *Thread) vclock.Duration {
-	q := w.cfg.Quantum
-	if !w.defaultLevels {
-		if pq := w.policy.Quantum(t, q); pq > 0 {
-			q = pq
-		}
+	if q := w.policy.Quantum(t, w.cfg.Quantum); q > 0 {
+		return q
 	}
-	return q
+	return w.cfg.Quantum
 }
 
 // pump runs t until it parks again (or its body ends) and applies the

@@ -225,15 +225,13 @@ type Hooks struct {
 	OnSchedule func(d Decision) int
 
 	// Policy, when non-nil, replaces the built-in pcr-rr dispatch
-	// discipline (see the Policy interface and package sched). A nil
-	// Policy — and the PCRPolicy value itself — selects the default and
-	// keeps the dispatcher byte-identical to a world built before the
-	// seam existed. When both Policy and OnSchedule are set, the hook is
-	// layered over the policy as an adapter: the hook sees every decision
-	// first and defers to the policy on 0/out-of-range answers, so
-	// explore can steer any policy's schedule. A Policy instance may hold
-	// per-thread state and must not be shared between worlds. Steering
-	// hook.
+	// discipline (see the Policy interface and package sched); nil
+	// selects PCRPolicy. When both Policy and OnSchedule are set, the
+	// hook is layered over the policy as an adapter: the hook sees every
+	// decision first and defers to the policy on 0/out-of-range answers,
+	// so explore can steer any policy's schedule. A Policy instance may
+	// hold per-thread state and must not be shared between worlds.
+	// Steering hook.
 	Policy Policy
 }
 

@@ -64,9 +64,9 @@ type Thread struct {
 	// Intrusive ready-queue linkage: threads are spliced directly into
 	// their level's FIFO (World.readyHead/readyTail), so enqueue and
 	// dequeue are pointer writes with no per-operation allocation. level
-	// is the queue the thread was last enqueued on — always equal to pri
-	// under the default pcr-rr policy, possibly remapped by a scheduling
-	// Policy (Level) otherwise.
+	// is the ready level the policy (Level) last gave the thread: the
+	// queue it sits on, or, while it runs, the level it competes at. It
+	// equals pri under pcr-rr.
 	qnext, qprev *Thread
 	level        Priority
 
@@ -487,19 +487,16 @@ func (t *Thread) DirectedYield(target *Thread) {
 	t.park()
 }
 
-// SetPriority changes the thread's own priority and invokes the
-// scheduler, which may preempt the caller if it no longer ranks highest.
+// SetPriority changes the thread's own priority (World.SetPriorityOf)
+// and invokes the scheduler, which may preempt the caller if it no
+// longer ranks highest.
 func (t *Thread) SetPriority(p Priority) {
 	t.checkNotStep("SetPriority")
 	t.checkThreadContext("SetPriority")
-	if !p.valid() {
-		panic(fmt.Sprintf("sim: invalid priority %d", p))
-	}
 	if p == t.pri {
 		return
 	}
-	t.w.record(trace.Event{Time: t.w.clock, Kind: trace.KindSetPriority, Thread: t.id, Arg: int64(t.pri), Aux: int64(p)})
-	t.pri = p
+	t.w.SetPriorityOf(t, p)
 	t.yieldReq = yieldPoll
 	t.park()
 }

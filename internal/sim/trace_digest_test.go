@@ -86,14 +86,20 @@ func digestWorld(w *sim.World, s *digestSink, until vclock.Time, report func() s
 // candidates by decision sequence number.
 func steer(d sim.Decision) int { return int(d.Seq % int64(len(d.Candidates))) }
 
-// traceDigests runs every pinned world and returns its fingerprint by name.
-func traceDigests(t *testing.T) map[string]traceDigest {
+// pcrWrapper answers exactly as pcr-rr but is not the PCRPolicy value.
+type pcrWrapper struct{ sim.Policy }
+
+// traceDigests runs every pinned world and returns its fingerprint by
+// name. base is the Hooks.Policy of every world that names no policy of
+// its own; when it is non-nil, the worlds that do name one are skipped.
+func traceDigests(t *testing.T, base sim.Policy) map[string]traceDigest {
 	t.Helper()
 	got := map[string]traceDigest{}
 	for _, sc := range paradigm.Scenarios() {
 		for _, variant := range []string{"default", "steered"} {
 			s := newDigestSink()
 			cfg := sim.Config{Seed: 1, Trace: s}
+			cfg.Hooks.Policy = base
 			if variant == "steered" {
 				cfg.Hooks.OnSchedule = steer
 			}
@@ -108,7 +114,7 @@ func traceDigests(t *testing.T) map[string]traceDigest {
 			Arrival: &spec.Arrival{Process: spec.ProcPoisson, Rate: 4000},
 			Service: &spec.Service{Dist: spec.DistConst, MeanUS: 5}}}}
 	s := newDigestSink()
-	w := sim.NewWorld(sim.Config{Seed: 1, Trace: s})
+	w := sim.NewWorld(sim.Config{Seed: 1, Trace: s, Hooks: sim.Hooks{Policy: base}})
 	if _, err := workload.StartSpec(w, echo, workload.SpecOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +122,7 @@ func traceDigests(t *testing.T) map[string]traceDigest {
 
 	specs := pinnedSpecs(t)
 	for name, sp := range specs {
-		got["spec/"+name] = digestSpec(t, sp, "", 1, workload.SpecOptions{})
+		got["spec/"+name] = digestSpec(t, sp, base, 1, workload.SpecOptions{})
 	}
 	// Thread-scoped faults landing on w1's session threads: injected
 	// crashes (a blocked victim is woken to die at its next dispatch)
@@ -131,23 +137,25 @@ func traceDigests(t *testing.T) map[string]traceDigest {
 			{Thread: "echo-.*", At: at(200), Stall: at(30)},
 		}},
 	} {
-		got["fault/w1/"+name] = digestFaultSpec(t, specs["w1"], plan)
+		got["fault/w1/"+name] = digestFaultSpec(t, specs["w1"], base, plan)
 	}
-	s1 := sloLabSpec()
-	for _, policy := range []string{"pcr-rr", "edf", "sjf", "hybrid"} {
-		got["spec/s1/"+policy] = digestSpec(t, s1, policy, 1, workload.SpecOptions{})
+	if base == nil {
+		s1 := sloLabSpec()
+		for _, policy := range []string{"pcr-rr", "edf", "sjf", "hybrid"} {
+			got["spec/s1/"+policy] = digestSpec(t, s1, sched.MustParse(policy), 1, workload.SpecOptions{})
+		}
 	}
 	diurnal, err := spec.Load(filepath.Join("..", "workload", "spec", "testdata", "cohorts-diurnal.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got["spec/cohorts-diurnal"] = digestSpec(t, diurnal, "", 1, workload.SpecOptions{})
+	got["spec/cohorts-diurnal"] = digestSpec(t, diurnal, base, 1, workload.SpecOptions{})
 	// A record->replay pair: the replay runs under another seed, so only
 	// the trace can reproduce the recorded arrivals. The recorded bytes
 	// are hashed into the replay's digest.
 	rec := spec.NewTrace(diurnal.Name, 1)
-	got["replay/record"] = digestSpec(t, diurnal, "", 1, workload.SpecOptions{Record: rec})
-	got["replay/replay"] = digestSpec(t, diurnal, "", 2, workload.SpecOptions{Replay: rec},
+	got["replay/record"] = digestSpec(t, diurnal, base, 1, workload.SpecOptions{Record: rec})
+	got["replay/replay"] = digestSpec(t, diurnal, base, 2, workload.SpecOptions{Replay: rec},
 		string(rec.Bytes()))
 
 	for _, name := range []string{"cedar", "gvx"} {
@@ -156,7 +164,7 @@ func traceDigests(t *testing.T) map[string]traceDigest {
 			t.Fatal(err)
 		}
 		s := newDigestSink()
-		w := sim.NewWorld(sim.Config{Seed: 1, Trace: s, SystemDaemon: true})
+		w := sim.NewWorld(sim.Config{Seed: 1, Trace: s, SystemDaemon: true, Hooks: sim.Hooks{Policy: base}})
 		p.Background(w)
 		got["desktop/"+name] = digestWorld(w, s, vclock.Time(0).Add(3*vclock.Second), nil)
 	}
@@ -213,16 +221,15 @@ func sloLabSpec() *spec.Spec {
 		}}
 }
 
-// digestSpec compiles sp through StartSpec into a fresh world (under
-// policy, when named) and digests its run to the spec's horizon,
-// folding the run's stats rendering and any extra facts into the hash.
-func digestSpec(t *testing.T, sp *spec.Spec, policy string, seed int64, opts workload.SpecOptions, extra ...string) traceDigest {
+// digestSpec compiles sp through StartSpec into a fresh world under
+// policy (nil for the default) and digests its run to the spec's
+// horizon, folding the run's stats rendering and any extra facts into
+// the hash.
+func digestSpec(t *testing.T, sp *spec.Spec, policy sim.Policy, seed int64, opts workload.SpecOptions, extra ...string) traceDigest {
 	t.Helper()
 	s := newDigestSink()
 	cfg := sim.Config{Seed: seed, Trace: s, SystemDaemon: sp.SystemDaemon}
-	if policy != "" {
-		cfg.Hooks.Policy = sched.MustParse(policy)
-	}
+	cfg.Hooks.Policy = policy
 	w := sim.NewWorld(cfg)
 	run, err := workload.StartSpec(w, sp, opts)
 	if err != nil {
@@ -234,10 +241,10 @@ func digestSpec(t *testing.T, sp *spec.Spec, policy string, seed int64, opts wor
 	return digestWorld(w, s, vclock.Time(0).Add(run.Horizon), func() string { return specReport(run) })
 }
 
-// digestFaultSpec is digestSpec for the default policy and seed 1 with
-// plan's injector configured into the world; the injector's counts are
-// hashed with the run.
-func digestFaultSpec(t *testing.T, sp *spec.Spec, plan fault.Plan) traceDigest {
+// digestFaultSpec is digestSpec for seed 1 with plan's injector
+// configured into the world; the injector's counts are hashed with the
+// run.
+func digestFaultSpec(t *testing.T, sp *spec.Spec, policy sim.Policy, plan fault.Plan) traceDigest {
 	t.Helper()
 	inj, err := fault.New(plan, 1)
 	if err != nil {
@@ -245,6 +252,7 @@ func digestFaultSpec(t *testing.T, sp *spec.Spec, plan fault.Plan) traceDigest {
 	}
 	s := newDigestSink()
 	cfg := sim.Config{Seed: 1, Trace: s}
+	cfg.Hooks.Policy = policy
 	inj.Configure(&cfg)
 	w := sim.NewWorld(cfg)
 	inj.Arm(w)
@@ -286,7 +294,7 @@ func specReport(run *workload.SpecRun) string {
 // must leave every digest byte-identical: the simulated program may not
 // observe how its threads are run.
 func TestTraceDigests(t *testing.T) {
-	got := traceDigests(t)
+	got := traceDigests(t, nil)
 	if *updateDigests {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -300,14 +308,7 @@ func TestTraceDigests(t *testing.T) {
 		}
 		return
 	}
-	data, err := os.ReadFile(digestFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]traceDigest
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := pinnedDigests(t)
 	for name, w := range want {
 		g, ok := got[name]
 		switch {
@@ -322,4 +323,39 @@ func TestTraceDigests(t *testing.T) {
 			t.Errorf("%s: world has no pinned digest (run with -update)", name)
 		}
 	}
+}
+
+// TestTraceDigestsUnderPCRWrapper reruns every world that names no
+// policy with a wrapper of pcr-rr that the dispatcher cannot recognize
+// by identity, and requires the pinned digests: pcr-rr's meaning lives
+// in its answers, not in which value gives them.
+func TestTraceDigestsUnderPCRWrapper(t *testing.T) {
+	want := pinnedDigests(t)
+	got := traceDigests(t, pcrWrapper{sim.PCRPolicy})
+	if len(got) == 0 {
+		t.Fatal("no worlds digested")
+	}
+	for name, g := range got {
+		w, ok := want[name]
+		switch {
+		case !ok:
+			t.Errorf("%s: world has no pinned digest", name)
+		case g != w:
+			t.Errorf("%s: trace %+v under the wrapper, want %+v", name, g, w)
+		}
+	}
+}
+
+// pinnedDigests reads digestFile.
+func pinnedDigests(t *testing.T) map[string]traceDigest {
+	t.Helper()
+	data, err := os.ReadFile(digestFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]traceDigest
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
 }

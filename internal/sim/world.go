@@ -75,17 +75,12 @@ type World struct {
 	schedCands []*Thread
 
 	// policy is the effective scheduling discipline (Hooks.Policy with
-	// any OnSchedule hook layered on top; PCRPolicy when unset).
-	// defaultLevels is true when the base policy is the built-in pcr-rr:
-	// levels equal priorities, quanta are Config.Quantum, and the
-	// Expired/Age/Tick seams are never consulted — the exact pre-policy
-	// dispatch. needPick gates the Pick/Rotate consultation: it is set
-	// when an OnSchedule hook exists (the original seam) or the base
-	// policy is non-default (the policy must order its candidates).
-	policy        Policy
-	defaultLevels bool
-	needPick      bool
-	ageScratch    []ageMove
+	// any OnSchedule hook layered on top; PCRPolicy when unset). Every
+	// level, quantum, expiry and aging answer comes from it. needPick
+	// gates only the Pick/Rotate consultation (see NewWorld).
+	policy     Policy
+	needPick   bool
+	ageScratch []ageMove
 }
 
 // ageMove is ageReady's scratch record: a queued thread and the level the
@@ -120,12 +115,15 @@ func NewWorld(cfg Config) *World {
 	if pol == nil {
 		pol = PCRPolicy
 	}
-	w.defaultLevels = pol == PCRPolicy
+	// The one identity test. PCRPolicy's Pick and Rotate always answer
+	// the FIFO head, so consulting them would walk the ready queue on
+	// every switch for nothing, and a pcr-rr world records no decision
+	// points (TestExplicitDefaultIsByteIdentical pins the count at 0).
+	w.needPick = cfg.Hooks.OnSchedule != nil || pol != PCRPolicy
 	if h := cfg.Hooks.OnSchedule; h != nil {
 		pol = hookPolicy{base: pol, hook: h}
 	}
 	w.policy = pol
-	w.needPick = cfg.Hooks.OnSchedule != nil || !w.defaultLevels
 	for i := 0; i < cfg.CPUs; i++ {
 		c := &cpu{index: i}
 		c.quantumFn = func() { w.quantumExpire(c) }
@@ -146,15 +144,13 @@ func NewWorld(cfg Config) *World {
 	if cfg.SystemDaemon {
 		w.spawnSystemDaemon()
 	}
-	// A non-default policy may request a periodic aging sweep. The tick
-	// re-arms itself while live threads exist, so aging worlds still
-	// quiesce once every thread has exited. (A world that goes entirely
-	// dead and later spawns new threads from At callbacks loses its tick;
-	// none of the shipped workloads do that.)
-	if !w.defaultLevels {
-		if period := w.policy.Tick(); period > 0 {
-			w.schedulePolicyTick(period)
-		}
+	// The policy may request a periodic aging sweep. The tick re-arms
+	// itself while live threads exist, so aging worlds still quiesce once
+	// every thread has exited. (A world that goes entirely dead and later
+	// spawns new threads from At callbacks loses its tick; none of the
+	// shipped workloads do that.)
+	if period := w.policy.Tick(); period > 0 {
+		w.schedulePolicyTick(period)
 	}
 	cfg.Hooks.Probe.observeWorld()
 	return w
@@ -468,7 +464,7 @@ func (w *World) EventsProcessed() int64 { return w.eventsProcessed }
 
 // ScheduleDecisions returns how many decision points have been offered to
 // the scheduling policy (Config.Hooks.OnSchedule / Hooks.Policy) so far.
-// It is always zero without a hook or a non-default policy: decision
+// It is always zero for the PCRPolicy value without a hook: decision
 // points exist only where a consultation could have changed the schedule,
 // so the count doubles as the length of a replayable decision trace.
 func (w *World) ScheduleDecisions() int64 { return w.schedSeq }
@@ -567,7 +563,9 @@ func (w *World) makeRunnable(t *Thread, by *Thread) {
 // priority inheritance from blocked threads to threads holding locks...
 // someone should investigate these techniques for interactive systems").
 // Callable from thread or driver context; any needed preemption happens
-// at the next scheduling point.
+// at the next scheduling point. Thread.SetPriority goes through here too.
+// A queued thread is requeued at its new level; a running thread's level
+// is refreshed in place, so it competes at the new level at once.
 func (w *World) SetPriorityOf(t *Thread, p Priority) {
 	if !p.valid() {
 		panic(fmt.Sprintf("sim: invalid priority %d", p))
@@ -583,6 +581,9 @@ func (w *World) SetPriorityOf(t *Thread, p Priority) {
 		return
 	}
 	t.pri = p
+	if t.state == StateRunning {
+		t.level = w.policyLevel(t, false)
+	}
 }
 
 // NotifyDropped consults the Hooks.OnNotify fault hook for a NOTIFY on
@@ -673,17 +674,12 @@ func (w *World) WakeIfBlocked(t *Thread, by *Thread) bool {
 func (w *World) runnableCount() int { return w.readyCount }
 
 // pushReady enqueues t at the tail of the ready level the scheduling
-// policy assigns it — always the thread's own priority under the default
-// pcr-rr policy. wake distinguishes a fresh wakeup (blocked/new →
-// runnable) from a preemption or yield requeue; policies like mlfq treat
-// the two differently.
+// policy assigns it (its own priority under pcr-rr). wake distinguishes a
+// fresh wakeup (blocked/new → runnable) from a preemption or yield
+// requeue; policies like mlfq treat the two differently.
 func (w *World) pushReady(t *Thread, wake bool) {
-	p := t.pri
-	if !w.defaultLevels {
-		p = w.policyLevel(t, wake)
-	}
-	t.level = p
-	w.pushReadyAt(t, p)
+	t.level = w.policyLevel(t, wake)
+	w.pushReadyAt(t, t.level)
 }
 
 // policyLevel asks the policy for t's ready level, falling back to the
