@@ -38,30 +38,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Benchmarks plus the fixed-seed accounting sweep: every experiment —
-# the T/F/R artifact set, the W-series load workloads, the C-series
-# cluster fleets, and the D-series resilience study — runs quick with
-# the per-thread profiler attached, and the combined metrics +
-# scheduler-accounting summary lands in
-# BENCH_PR10.json. The sweep fails if any run's accounting residue is
-# nonzero, so `make bench` also certifies the exactness invariant on the
-# full experiment population, and -benchbaseline gates the aggregate
-# events/sec against the committed BENCH_PR9.json artifact — a sweep
-# that does different work (event-count drift) or runs slower than the
-# previous PR's artifact fails. The S-series policy lab and the K-series
-# capacity lab are deliberately outside the sweep: the sweep's event
-# counts must stay comparable to the baseline (they are also pinned per
-# experiment by TestBenchShardDeterminism), and a K knee search's event
-# count is a step function of the measured knee, useless as a
-# regression baseline. The hot-path allocs/op pin
-# runs first: the event loop, ready queues, discard-sink tracing,
-# timing-wheel schedule/cancel and batch admission must stay
-# allocation-free in steady state.
+# The hot-path allocs/op pin, then the microbenchmarks. The pin runs
+# first: the event loop, ready queues, discard-sink tracing, timing-wheel
+# schedule/cancel and batch admission must stay allocation-free in
+# steady state. Host speed against the parent commit is perfbench's job
+# (see BENCHMARK.json); the profiled sweep's event counts, profile
+# digests and zero residue are pinned by TestSweepPayload
+# (internal/experiments).
 bench:
 	$(GO) test -run TestHotPathAllocs ./internal/sim
 	$(GO) test -bench=. -benchmem -run='^$$'
 	$(GO) test -bench=. -benchmem -run='^$$' ./internal/sim ./internal/eventq
-	$(GO) run ./cmd/threadstudy -bench BENCH_PR10.json -benchbaseline BENCH_PR9.json
 
 # Short coverage-guided fuzzing of the attacker-facing parsers — JSON
 # fault plans, JSON workload specs, and the binary trace codec (decode

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden files and the bench payload pin from current output")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden files from current output")
 
 // goldenCases pins the CLI's stdout byte-for-byte at the default seed.
 // Any intentional change to report formatting or to the simulation's

@@ -29,10 +29,6 @@
 //	                             # trace-event JSON (load in Perfetto)
 //	threadstudy -profilejson out.json
 //	                             # machine-readable accounting summary
-//	threadstudy -bench BENCH.json
-//	                             # fixed-seed quick sweep of every
-//	                             # experiment with profiling; write the
-//	                             # combined metrics+accounting JSON
 //	threadstudy -faults plan.json -experiment R1
 //	                             # replace the R-series' built-in fault
 //	                             # plans with one loaded from JSON
@@ -77,7 +73,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"time"
@@ -99,15 +94,14 @@ func main() {
 }
 
 // outputSchema versions every machine-readable output this command
-// writes (-json, -profilejson, -bench). Downstream tooling checks it
+// writes (-json, -profilejson). Downstream tooling checks it
 // before parsing; the schedcheck replay-token prefix "v1" is the same
 // version 1. The schemas are documented in EXPERIMENTS.md.
 const outputSchema = 1
 
 // jsonSummary is the machine-readable -json report: enough context to
 // reproduce the run (seed, quick, parallelism) plus one Metrics record
-// per experiment in presentation order. BENCH_*.json trajectory tracking
-// consumes these.
+// per experiment in presentation order.
 type jsonSummary struct {
 	Schema      int                   `json:"schema"`
 	Seed        int64                 `json:"seed"`
@@ -145,8 +139,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		profFlag  = fs.Bool("profile", false, "print per-thread scheduler accounting for the -benchmark world")
 		chromeOut = fs.String("chrometrace", "", "write the profiled -benchmark run as Chrome trace-event JSON to this file")
 		profJSON  = fs.String("profilejson", "", "write the profiled run's accounting summary as JSON (\"-\" for stdout)")
-		benchOut  = fs.String("bench", "", "run the fixed-seed quick sweep with profiling and write combined JSON to this file (\"-\" for stdout)")
-		benchBase = fs.String("benchbaseline", "", "compare the -bench sweep against this baseline JSON and fail if aggregate events/sec regresses")
 		shards    = fs.Int("shards", 0, "cluster advance parallelism for the C/D-series fleets (0: GOMAXPROCS; output is byte-identical at any value)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -181,9 +173,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *shards == 0 {
 		*shards = runtime.GOMAXPROCS(0)
-	}
-	if *benchBase != "" && *benchOut == "" {
-		return fs.Fail(fmt.Errorf("-benchbaseline requires -bench"))
 	}
 	// -series enables opt-in experiment series by one-letter key, in the
 	// order given. A duplicated or unknown key is a usage error.
@@ -275,13 +264,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			jsonPath: *profJSON,
 		})
 		if err != nil {
-			return fs.Error(err)
-		}
-		return cliflag.ExitOK
-	}
-
-	if *benchOut != "" {
-		if err := runBench(stdout, *benchOut, *parallel, *shards, *benchBase); err != nil {
 			return fs.Error(err)
 		}
 		return cliflag.ExitOK
@@ -524,171 +506,6 @@ func profileBenchmark(stdout io.Writer, o profileOpts) error {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote accounting summary to %s\n", o.jsonPath)
-	}
-	return nil
-}
-
-// benchExperiment is one sweep entry of the -bench summary: the run's
-// metrics plus its aggregated scheduler accounting.
-type benchExperiment struct {
-	experiments.Metrics
-	Profile *profile.Summary `json:"profile,omitempty"`
-}
-
-// benchSummary is the -bench output (BENCH_PR7.json): a fixed-seed quick
-// sweep of every experiment — the T/F/R set plus the W-series load
-// workloads, the C-series cluster fleets, and the D-series resilience
-// study — with profiling on, plus the accounting summary of the default
-// benchmark world. Wall-clock fields vary between machines; every
-// virtual-time field is deterministic.
-type benchSummary struct {
-	Schema      int               `json:"schema"`
-	Seed        int64             `json:"seed"`
-	Quick       bool              `json:"quick"`
-	Parallelism int               `json:"parallelism"`
-	Shards      int               `json:"shards,omitempty"`
-	GoMaxProcs  int               `json:"gomaxprocs"`
-	TotalWall   time.Duration     `json:"total_wall_ns"`
-	Experiments []benchExperiment `json:"experiments"`
-	Benchmark   struct {
-		Name    string          `json:"name"`
-		Profile profile.Summary `json:"profile"`
-	} `json:"benchmark"`
-}
-
-// runBench executes the benchmark sweep and writes the combined JSON.
-// A nonzero accounting residue anywhere fails the run: the exactness
-// invariant is part of what the bench artifact certifies. When baseline
-// names a previous bench artifact, the run also fails if aggregate
-// events/sec regresses below it.
-func runBench(stdout io.Writer, path string, parallel, shards int, baseline string) error {
-	// The sweep is a throughput benchmark over fixed deterministic work:
-	// virtual results do not depend on collector cadence, so amortize GC
-	// across the run instead of collecting at the default 100% heap-growth
-	// trigger (world setup — goroutine stacks, registries — dominates
-	// allocation; steady-state scheduling allocates nothing).
-	defer debug.SetGCPercent(debug.SetGCPercent(600))
-	cfg := experiments.Config{Quick: true, Seed: 1, Shards: shards}
-	start := time.Now()
-	outcomes := experiments.RunWith(cfg, experiments.Options{
-		Parallelism: parallel,
-		Profile:     true,
-		// The sweep covers the full population: the T/F/R artifact set,
-		// the W-series load workloads, the C-series cluster fleets, and
-		// the D-series resilience study, so the bench artifact tracks
-		// report fidelity, server-scale throughput, fleet-scale SLOs and
-		// fault-tolerance behavior together.
-		Experiments: append(append(append(experiments.All(),
-			experiments.WSeries()...), experiments.CSeries()...), experiments.DSeries()...),
-	})
-	sum := benchSummary{
-		Schema:      outputSchema,
-		Seed:        1,
-		Quick:       true,
-		Parallelism: parallel,
-		Shards:      shards,
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		TotalWall:   time.Since(start),
-	}
-	for _, o := range outcomes {
-		sum.Experiments = append(sum.Experiments, benchExperiment{Metrics: o.Metrics, Profile: o.Profile})
-		if o.Profile != nil && o.Profile.Residue != 0 {
-			return fmt.Errorf("%s: accounting residue %dus (want 0)", o.Metrics.ID, int64(o.Profile.Residue))
-		}
-	}
-
-	b, err := findBench("Cedar/Idle Cedar")
-	if err != nil {
-		return err
-	}
-	set := profile.NewSet()
-	w := sim.NewWorld(sim.Config{
-		Seed:         1,
-		SystemDaemon: true,
-		Hooks:        sim.Hooks{OnWorld: set.Attach},
-	})
-	defer w.Shutdown()
-	reg := paradigm.NewRegistry()
-	b.Build(w, reg)
-	w.Run(vclock.Time(0).Add(5 * vclock.Second))
-	sum.Benchmark.Name = "Cedar/Idle Cedar"
-	sum.Benchmark.Profile = set.Summary()
-	if r := sum.Benchmark.Profile.Residue; r != 0 {
-		return fmt.Errorf("benchmark profile: accounting residue %dus (want 0)", int64(r))
-	}
-
-	if baseline != "" {
-		// With the summary going to stdout, keep stdout pure JSON: the
-		// gate still fails loudly, only its progress line is suppressed.
-		gateOut := stdout
-		if path == "-" {
-			gateOut = io.Discard
-		}
-		if err := checkBenchBaseline(gateOut, sum, baseline); err != nil {
-			return err
-		}
-	}
-
-	data, err := json.MarshalIndent(sum, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = stdout.Write(data)
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "wrote bench summary (%d experiments) to %s\n", len(sum.Experiments), path)
-	return nil
-}
-
-// aggregateRate returns total events over total per-experiment wall time
-// in events/sec — the headline the BENCH_*.json trajectory tracks.
-func aggregateRate(exps []benchExperiment) (events int64, rate float64) {
-	var wall time.Duration
-	for _, e := range exps {
-		events += e.Events
-		wall += e.WallTime
-	}
-	if wall <= 0 {
-		return events, 0
-	}
-	return events, float64(events) / wall.Seconds()
-}
-
-// checkBenchBaseline fails the bench run if the new sweep's aggregate
-// events/sec fell below the baseline artifact's, or if the deterministic
-// per-experiment event counts drifted — a drifted count means the two
-// sweeps did different work, which would make the rate gate meaningless.
-func checkBenchBaseline(stdout io.Writer, sum benchSummary, path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("benchbaseline: %w", err)
-	}
-	var base benchSummary
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("benchbaseline %s: %w", path, err)
-	}
-	baseEvents := make(map[string]int64, len(base.Experiments))
-	for _, e := range base.Experiments {
-		baseEvents[e.ID] = e.Events
-	}
-	for _, e := range sum.Experiments {
-		if want, ok := baseEvents[e.ID]; ok && want != e.Events {
-			return fmt.Errorf("benchbaseline %s: %s processed %d events, baseline %d — deterministic work drifted",
-				path, e.ID, e.Events, want)
-		}
-	}
-	_, baseRate := aggregateRate(base.Experiments)
-	events, rate := aggregateRate(sum.Experiments)
-	fmt.Fprintf(stdout, "bench aggregate: %d events at %.0f events/sec (baseline %.0f, %.2fx)\n",
-		events, rate, baseRate, rate/baseRate)
-	if rate < baseRate {
-		return fmt.Errorf("benchbaseline %s: aggregate %.0f events/sec regressed below baseline %.0f",
-			path, rate, baseRate)
 	}
 	return nil
 }

@@ -122,6 +122,8 @@ func TestCLIValidation(t *testing.T) {
 			[]string{"-series", "x"}, 2, `unknown series "x"`, ""},
 		{"removed series alias is an unknown flag",
 			[]string{"-list", "-wseries"}, 2, "flag provided but not defined: -wseries", ""},
+		{"removed bench sweep is an unknown flag",
+			[]string{"-bench", "x"}, 2, "flag provided but not defined: -bench", ""},
 		{"series union lists in given order",
 			[]string{"-list", "-series", "s,w"}, 0, "", "S1"},
 		{"bad policy rejected",

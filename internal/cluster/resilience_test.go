@@ -410,7 +410,7 @@ func TestResilientSpecValidation(t *testing.T) {
 }
 
 // TestResilienceSummaryJSONStable pins the new summary fields' JSON
-// names — they are part of the bench artifact schema.
+// names — they are part of the -json output schema.
 func TestResilienceSummaryJSONStable(t *testing.T) {
 	s := mustRun(t, faultedSpec())
 	raw := marshal(t, s)

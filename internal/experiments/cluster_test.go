@@ -42,8 +42,8 @@ func TestCSeriesShapes(t *testing.T) {
 
 // TestCSeriesShardDeterminism renders every C experiment at shard
 // counts {1, 4, GOMAXPROCS} and requires byte-identical output. The
-// default `make bench` path now passes GOMAXPROCS here, so this is the
-// invariant that keeps the bench artifact comparable across machines.
+// CLI passes GOMAXPROCS here by default, so this is the invariant that
+// keeps its output comparable across machines.
 func TestCSeriesShardDeterminism(t *testing.T) {
 	for _, e := range CSeries() {
 		e := e

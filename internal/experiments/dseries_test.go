@@ -40,7 +40,7 @@ func dInvariant(t *testing.T, r *Report) {
 
 // TestDSeriesShapes pins the series roster: IDs, registration through
 // ByID, exclusion from All(), and that every report carries its fleet
-// summaries for the bench artifact.
+// summaries for the -json output.
 func TestDSeriesShapes(t *testing.T) {
 	ds := DSeries()
 	wantIDs := []string{"D1", "D2", "D3", "D4"}

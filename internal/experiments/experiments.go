@@ -56,8 +56,8 @@ type Config struct {
 	// Shards sets cluster.Spec.Shards for the C- and D-series fleets —
 	// advance parallelism only, byte-identical output at any value (the
 	// shard determinism tests run both series at several values). Zero
-	// leaves the cluster default (serial). The default `make bench` path
-	// passes GOMAXPROCS so a single run uses every core inside one
+	// leaves the cluster default (serial). cmd/threadstudy passes
+	// GOMAXPROCS by default so a single run uses every core inside one
 	// experiment.
 	Shards int
 }
@@ -116,7 +116,7 @@ type Report struct {
 
 	// Load carries a W-series run's machine-readable throughput and
 	// latency summary; nil for the T/F/R series. The runner copies it
-	// into the run's Metrics so -json and -bench output include it.
+	// into the run's Metrics so -json output includes it.
 	Load *LoadSummary
 
 	// Cluster carries a C-series run's fleet summaries, one per sweep

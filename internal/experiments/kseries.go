@@ -17,9 +17,9 @@ import (
 // measure fixed operating points, the K series finds the operating
 // envelope — the number a capacity planner actually wants. Like the
 // other opt-in series it runs only behind explicit request (threadstudy
-// -series k or -experiment K1..K3) and is kept out of the bench sweep:
-// a knee search's event count is a step function of the measured knee,
-// useless as a regression baseline.
+// -series k or -experiment K1..K3) and is kept out of the pinned
+// profiled sweep (TestSweepPayload): a knee search's event count is a
+// step function of the measured knee, useless as a regression pin.
 
 // kneeWindow scales the per-point injection window to the run mode.
 func kneeWindow(cfg Config, d vclock.Duration) vclock.Duration {
@@ -200,7 +200,7 @@ func CapacityPolicy(cfg Config) *Report {
 
 // KSeries returns the capacity experiments, in presentation order. Like
 // the other opt-in series they are not part of All() and stay out of
-// the bench sweep.
+// the pinned profiled sweep.
 func KSeries() []Experiment {
 	return []Experiment{
 		{"K1", "Saturation knee of the open-loop echo server", CapacityEcho},

@@ -19,7 +19,7 @@ import (
 // default experiment list and its golden stdout untouched.
 
 // LoadSummary is the machine-readable face of a W-series run, attached
-// to the experiment's Metrics under "load" in -json/-bench output. All
+// to the experiment's Metrics under "load" in -json output. All
 // latencies are virtual microseconds.
 type LoadSummary struct {
 	Offered          int64   `json:"offered"`

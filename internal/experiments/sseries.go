@@ -32,7 +32,7 @@ type ClassSummary struct {
 
 // SchedSummary is the machine-readable face of one policy's run within
 // an S-series experiment, attached to the experiment's Metrics under
-// "sched" in -json/-bench output.
+// "sched" in -json output.
 type SchedSummary struct {
 	// Policy is the full spec the run executed under (sched.Parse
 	// syntax), parameters included.
@@ -236,9 +236,9 @@ func SchedPromptness(cfg Config) *Report {
 // SSeries returns the scheduling-policy experiments, in presentation
 // order. Like the W series, they are not part of All(): the S series
 // runs only on explicit request (threadstudy -sseries or -experiment
-// S1..S4), and it is deliberately kept out of the bench sweep so the
-// BENCH baseline's per-experiment event counts stay comparable across
-// PRs.
+// S1..S4), and it is deliberately kept out of the pinned profiled
+// sweep (TestSweepPayload), whose per-experiment event counts cover the
+// T/F/R, W, C and D series only.
 func SSeries() []Experiment {
 	return []Experiment{
 		{"S1", "Scheduling-policy lab over an interactive/bulk/batch mix", SchedPolicyLab},

@@ -27,7 +27,7 @@ func renderS(t *testing.T, r *Report) string {
 
 // TestSSeriesShapes pins the series roster: IDs, registration through
 // ByID, exclusion from All() (the golden default output) and from the
-// bench sweep's comparable series.
+// pinned profiled sweep's series.
 func TestSSeriesShapes(t *testing.T) {
 	ss := SSeries()
 	wantIDs := []string{"S1", "S2", "S3", "S4"}

@@ -191,8 +191,8 @@ func TestChromeTraceNeedsSpans(t *testing.T) {
 	}
 }
 
-// runBenchmarkProfile profiles a real workload via the Set/OnWorld seam.
-func runBenchmarkProfile(t *testing.T, cpus int) []*Profile {
+// profileBenchmark profiles a real workload via the Set/OnWorld seam.
+func profileBenchmark(t *testing.T, cpus int) []*Profile {
 	t.Helper()
 	set := NewSet()
 	rc := workload.RunConfig{
@@ -209,7 +209,7 @@ func runBenchmarkProfile(t *testing.T, cpus int) []*Profile {
 
 func TestRealWorkloadExactAccounting(t *testing.T) {
 	for _, cpus := range []int{1, 2, 4} {
-		profs := runBenchmarkProfile(t, cpus)
+		profs := profileBenchmark(t, cpus)
 		if len(profs) != 1 {
 			t.Fatalf("cpus=%d: %d profiles, want 1", cpus, len(profs))
 		}
@@ -235,8 +235,8 @@ func TestRealWorkloadExactAccounting(t *testing.T) {
 }
 
 func TestProfileDeterministic(t *testing.T) {
-	a := NewReport(runBenchmarkProfile(t, 2)[0]).String()
-	b := NewReport(runBenchmarkProfile(t, 2)[0]).String()
+	a := NewReport(profileBenchmark(t, 2)[0]).String()
+	b := NewReport(profileBenchmark(t, 2)[0]).String()
 	if a != b {
 		t.Fatalf("profile reports differ across identical runs:\n--- a ---\n%s\n--- b ---\n%s", a, b)
 	}

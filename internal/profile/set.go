@@ -75,7 +75,7 @@ func (s *Set) Summary() Summary {
 }
 
 // Summary is the machine-readable aggregate of one or more profiles;
-// cmd/threadstudy -bench emits it as JSON. Every duration field is in
+// cmd/threadstudy -profilejson emits it as JSON. Every duration field is in
 // virtual microseconds.
 type Summary struct {
 	Worlds  int `json:"worlds"`

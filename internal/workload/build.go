@@ -113,15 +113,12 @@ type kindConsts struct {
 	stamp bool
 	// prio, when set, pins every session's priority.
 	prio sim.Priority
-	// chunk, when set, gives the kind a batch pool with this default
-	// grain.
-	chunk vclock.Duration
 }
 
 var kindTable = map[string]kindConsts{
 	spec.KindEcho:    {stream: "workload.echo", names: "echo", grain: 10 * vclock.Microsecond},
-	spec.KindMixed:   {stream: "workload.echo", names: "echo", grain: 10 * vclock.Microsecond, prio: sim.PriorityHigh, chunk: 200 * vclock.Microsecond},
-	spec.KindSLO:     {stream: "workload.slo.", names: "slo-", perCohort: true, grain: 10 * vclock.Microsecond, parkBatch: true, stamp: true, chunk: 5 * vclock.Millisecond},
+	spec.KindMixed:   {stream: "workload.echo", names: "echo", grain: 10 * vclock.Microsecond, prio: sim.PriorityHigh},
+	spec.KindSLO:     {stream: "workload.slo.", names: "slo-", perCohort: true, grain: 10 * vclock.Microsecond, parkBatch: true, stamp: true},
 	spec.KindCohorts: {stream: "workload.cohort.", perCohort: true, grain: 10 * vclock.Microsecond},
 	// The pipeline kind's one "cohort" is its chains' first stages.
 	spec.KindPipeline: {stream: "workload.pipeline", grain: 20 * vclock.Microsecond},
@@ -200,8 +197,8 @@ func StartSpec(w *sim.World, sp *spec.Spec, opts SpecOptions) (*SpecRun, error) 
 	if len(run.Pools) > 0 {
 		run.Server = run.Pools[0]
 	}
-	if k.chunk > 0 {
-		run.Batch = startBatch(w, sp.Batch, k)
+	if sp.BatchGrain() > 0 {
+		run.Batch = startBatch(w, sp, k)
 		if k.parkBatch {
 			parkers += run.Batch.workers
 		}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 
 	"repro/internal/sim"
@@ -104,9 +105,16 @@ func (a *arrivals) nextGap(now vclock.Time) vclock.Duration {
 	}
 	gap := a.gap(a.rng)
 	if f := spec.FactorAt(a.mod, now); f != 1 {
-		gap = vclock.Duration(float64(gap) / f)
-		if gap < vclock.Microsecond {
+		// Saturate: past the int64 range the conversion would wrap
+		// negative, and a vanishing factor would flood the cohort at the
+		// floor instead of silencing it.
+		switch scaled := float64(gap) / f; {
+		case scaled >= math.MaxInt64:
+			gap = math.MaxInt64
+		case scaled < float64(vclock.Microsecond):
 			gap = vclock.Microsecond
+		default:
+			gap = vclock.Duration(scaled)
 		}
 	}
 	return gap

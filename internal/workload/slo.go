@@ -119,20 +119,19 @@ func (b *BatchPool) body(t *sim.Thread) any {
 	return nil
 }
 
-// startBatch spawns the workers b declares (none when b is nil) at the
-// declared priority, background by default. Under a stamping kind each
+// startBatch spawns the workers sp's batch block declares (none when
+// it has none) at the declared priority, background by default, each
+// computing in sp.BatchGrain() chunks. Under a stamping kind each
 // worker is "slo-batch-i" in SLO class "batch" and declares one grain
 // as its service estimate — its perpetual remaining demand — so SJF can
 // rank the pool against finite sessions; otherwise it is "batch-i".
-func startBatch(w *sim.World, b *spec.Batch, k kindConsts) *BatchPool {
-	p := &BatchPool{chunk: k.chunk, record: k.stamp}
+func startBatch(w *sim.World, sp *spec.Spec, k kindConsts) *BatchPool {
+	p := &BatchPool{chunk: sp.BatchGrain(), record: k.stamp}
+	b := sp.Batch
 	if b == nil {
 		return p
 	}
 	p.workers = b.Workers
-	if b.ChunkUS > 0 {
-		p.chunk = vclock.Duration(b.ChunkUS)
-	}
 	p.slo = vclock.Duration(b.SLOUS)
 	prio, _ := spec.ParsePriority(b.Priority) // Check accepted the name
 	if !prio.Valid() {

@@ -15,8 +15,8 @@ import (
 // The Poisson sampler reproduces the original W-series generators' gap
 // draw byte-for-byte (one ExpFloat64 per gap): that identity is what
 // lets the shipped W-series specs compile to the same arrival sequences
-// the hardcoded generators produced, which TestTraceDigests (internal/sim) and the bench
-// event-count gate pin.
+// the hardcoded generators produced, which TestTraceDigests (internal/sim)
+// and TestSweepPayload (internal/experiments) pin.
 
 // Sampler draws one duration from a distribution.
 type Sampler func(*rand.Rand) vclock.Duration

@@ -176,7 +176,8 @@ type Pipeline struct {
 // Batch configures the always-ready background compute pool.
 type Batch struct {
 	Workers int `json:"workers"`
-	// ChunkUS is one compute grain in microseconds.
+	// ChunkUS is one compute grain in microseconds; 0 selects the
+	// kind's default (see Spec.BatchGrain).
 	ChunkUS int64 `json:"chunk_us,omitempty"`
 	// SLOUS is the per-chunk latency target (slo kind only).
 	SLOUS int64 `json:"slo_us,omitempty"`
@@ -282,10 +283,12 @@ func (s *Spec) Check() error {
 
 // Resource limits. Check rejects a spec past any of them, so hostile
 // input fails with ErrInvalidSpec instead of spawning billions of
-// threads, queueing billions of requests, or overflowing the horizon's
-// float-to-Duration conversion. Each sits above every shipped spec,
-// experiment, capacity ramp and benchmark workload (the largest is the
-// full-scale W1: 10,000 sessions, 100,000 requests, an 80s horizon).
+// threads, queueing billions of requests, computing in billions of
+// tiny batch grains, or overflowing the horizon's float-to-Duration
+// conversion. Each sits above every shipped spec, experiment, capacity
+// ramp and benchmark workload (the largest are the full-scale W1:
+// 10,000 sessions, 100,000 requests, an 80s horizon; and the full-scale
+// W3: 150,000 batch grains).
 const (
 	// MaxSessions bounds one cohort's session pool.
 	MaxSessions = 16_384
@@ -297,7 +300,25 @@ const (
 	// MaxHorizonUS (one virtual hour) bounds the run horizon, declared
 	// or derived, and the start delay.
 	MaxHorizonUS = 3_600_000_000
+	// MaxBatchGrains bounds the horizon divided by the batch grain: a
+	// batch worker is dispatched once per grain, so a run costs that
+	// many dispatches per CPU however few workers it declares.
+	MaxBatchGrains = 1_000_000
 )
+
+// defaultChunkUS is the batch grain of each kind with a batch pool,
+// used when the batch block leaves chunk_us at 0.
+var defaultChunkUS = map[string]int64{KindMixed: 200, KindSLO: 5000}
+
+// BatchGrain returns the batch pool's compute grain: chunk_us when set,
+// otherwise the kind's default. It is 0 exactly for the kinds without
+// a batch pool.
+func (s *Spec) BatchGrain() vclock.Duration {
+	if b := s.Batch; b != nil && b.ChunkUS > 0 {
+		return vclock.Duration(b.ChunkUS)
+	}
+	return vclock.Duration(defaultChunkUS[s.Kind])
+}
 
 // checkLimits enforces the resource limits on a spec whose fields have
 // passed the kind checks. The first term past its limit is the error;
@@ -324,6 +345,11 @@ func (s *Spec) checkLimits() error {
 	}
 	bound("thread population", threads, MaxThreads)
 	bound("total requests", requests, MaxRequests)
+	if b := s.Batch; b != nil && b.Workers > 0 {
+		// Only the mixed and slo kinds accept a batch block, and both
+		// require a declared horizon, so this counts whole grains.
+		bound("batch grains (horizon_us / chunk_us)", s.HorizonUS/s.BatchGrain().Micros(), MaxBatchGrains)
+	}
 	bound("start_us", s.StartUS, MaxHorizonUS)
 	if h := s.horizonUS(); err == nil && h > MaxHorizonUS {
 		err = failf("%s: horizon %.0fus exceeds the limit %d (is a rate too low for its requests?)", s.Name, h, int64(MaxHorizonUS))

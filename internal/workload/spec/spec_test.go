@@ -388,6 +388,12 @@ var limitDocs = func() []struct {
 	pipe := func(pipelines, stages int) string {
 		return fmt.Sprintf(`{"schema":1,"name":"limit","kind":"pipeline","pipeline":{"pipelines":%d,"stages":%d,"requests":1,"rate":1}}`, pipelines, stages)
 	}
+	// mixed is a kind mixed document whose batch block leaves chunk_us
+	// at the kind's 200us default.
+	mixed := func(horizonUS int64) string {
+		return fmt.Sprintf(`{"schema":1,"name":"limit","kind":"mixed","horizon_us":%d,"batch":{"workers":1},`+
+			`"cohorts":[{"name":"a","sessions":1,"requests":1,"arrival":{"process":"poisson","rate":1}}]}`, horizonUS)
+	}
 	type row = struct {
 		name string
 		ok   bool
@@ -413,6 +419,10 @@ var limitDocs = func() []struct {
 		{"vanishing rate", false, doc("cohorts", "", cohort("a", 1, 1, 1e-300))},
 		{"start at limit", true, doc("cohorts", `,"start_us":3600000000`, cohort("a", 1, 1, 1))},
 		{"start past limit", false, doc("cohorts", `,"start_us":3600000001`, cohort("a", 1, 1, 1))},
+		{"batch grains at limit", true, doc("slo", `,"horizon_us":1000000,"batch":{"workers":1,"chunk_us":1}`, cohort("a", 1, 1, 1))},
+		{"batch grains past limit", false, doc("slo", `,"horizon_us":1000001,"batch":{"workers":1,"chunk_us":1}`, cohort("a", 1, 1, 1))},
+		{"default batch grains at limit", true, mixed(MaxBatchGrains * 200)},
+		{"default batch grains past limit", false, mixed((MaxBatchGrains + 1) * 200)},
 	}
 }()
 

@@ -15,7 +15,7 @@ func testRC() RunConfig {
 	return rc
 }
 
-func runBench(t *testing.T, system, name string) *Result {
+func measureBench(t *testing.T, system, name string) *Result {
 	t.Helper()
 	b, err := FindBenchmark(system, name)
 	if err != nil {
@@ -39,7 +39,7 @@ func within(t *testing.T, what string, measured, target, f float64) {
 }
 
 func TestIdleCedarShape(t *testing.T) {
-	r := runBench(t, "Cedar", "Idle Cedar")
+	r := measureBench(t, "Cedar", "Idle Cedar")
 	a := r.Analysis
 	within(t, "forks/s", a.ForksPerSec(), 0.9, 2)
 	within(t, "switches/s", a.SwitchesPerSec(), 132, 1.5)
@@ -65,8 +65,8 @@ func TestIdleCedarShape(t *testing.T) {
 }
 
 func TestKeyboardRaisesEverything(t *testing.T) {
-	idle := runBench(t, "Cedar", "Idle Cedar").Analysis
-	kb := runBench(t, "Cedar", "Keyboard input").Analysis
+	idle := measureBench(t, "Cedar", "Idle Cedar").Analysis
+	kb := measureBench(t, "Cedar", "Keyboard input").Analysis
 	if kb.ForksPerSec() < 3*idle.ForksPerSec() {
 		t.Errorf("keyboard forks %.1f not >> idle %.1f (one fork per keystroke)", kb.ForksPerSec(), idle.ForksPerSec())
 	}
@@ -86,8 +86,8 @@ func TestKeyboardRaisesEverything(t *testing.T) {
 }
 
 func TestMouseForksNothingExtra(t *testing.T) {
-	mouse := runBench(t, "Cedar", "Mouse movement").Analysis
-	idle := runBench(t, "Cedar", "Idle Cedar").Analysis
+	mouse := measureBench(t, "Cedar", "Mouse movement").Analysis
+	idle := measureBench(t, "Cedar", "Idle Cedar").Analysis
 	// "simply moving the mouse around causes no threads to be forked":
 	// fork rate stays at the idle system's level.
 	within(t, "mouse forks/s", mouse.ForksPerSec(), idle.ForksPerSec(), 1.5)
@@ -97,9 +97,9 @@ func TestMouseForksNothingExtra(t *testing.T) {
 }
 
 func TestComputeTasksSuppressForking(t *testing.T) {
-	idle := runBench(t, "Cedar", "Idle Cedar").Analysis
+	idle := measureBench(t, "Cedar", "Idle Cedar").Analysis
 	for _, name := range []string{"Make program", "Compile"} {
-		a := runBench(t, "Cedar", name).Analysis
+		a := measureBench(t, "Cedar", name).Analysis
 		// Paper: a factor-3 decrease (0.9 -> 0.3). The short test window
 		// is noisy, so assert a clear drop rather than the exact factor.
 		if a.ForksPerSec() > 0.7*idle.ForksPerSec() {
@@ -109,7 +109,7 @@ func TestComputeTasksSuppressForking(t *testing.T) {
 }
 
 func TestFormatterForksTwoGenerations(t *testing.T) {
-	a := runBench(t, "Cedar", "Document formatting").Analysis
+	a := measureBench(t, "Cedar", "Document formatting").Analysis
 	if a.ForksPerSec() < 2 {
 		t.Errorf("formatter forks %.1f/s, want ~3.6", a.ForksPerSec())
 	}
@@ -124,10 +124,10 @@ func TestFormatterForksTwoGenerations(t *testing.T) {
 }
 
 func TestCompileVisitsWidestMonitorSet(t *testing.T) {
-	compile := runBench(t, "Cedar", "Compile").Analysis
+	compile := measureBench(t, "Cedar", "Compile").Analysis
 	others := []string{"Idle Cedar", "Keyboard input", "Make program"}
 	for _, name := range others {
-		a := runBench(t, "Cedar", name).Analysis
+		a := measureBench(t, "Cedar", name).Analysis
 		if compile.DistinctMLs <= a.DistinctMLs {
 			t.Errorf("compile distinct MLs %d should exceed %s's %d", compile.DistinctMLs, name, a.DistinctMLs)
 		}
@@ -138,7 +138,7 @@ func TestCompileVisitsWidestMonitorSet(t *testing.T) {
 }
 
 func TestGVXIdleShape(t *testing.T) {
-	a := runBench(t, "GVX", "Idle GVX").Analysis
+	a := measureBench(t, "GVX", "Idle GVX").Analysis
 	within(t, "waits/s", a.WaitsPerSec(), 32, 1.5)
 	within(t, "ml-enters/s", a.MLEntersPerSec(), 366, 1.5)
 	if a.ForksPerSec() != 0 {
@@ -157,7 +157,7 @@ func TestGVXIdleShape(t *testing.T) {
 
 func TestGVXNeverForks(t *testing.T) {
 	for _, name := range []string{"Keyboard input", "Mouse movement", "Window scrolling"} {
-		a := runBench(t, "GVX", name).Analysis
+		a := measureBench(t, "GVX", name).Analysis
 		if a.Forks != 0 {
 			t.Errorf("GVX %s forked %d times; GVX never forks for UI activity", name, a.Forks)
 		}
@@ -165,8 +165,8 @@ func TestGVXNeverForks(t *testing.T) {
 }
 
 func TestGVXKeyboardGoesNotified(t *testing.T) {
-	idle := runBench(t, "GVX", "Idle GVX").Analysis
-	kb := runBench(t, "GVX", "Keyboard input").Analysis
+	idle := measureBench(t, "GVX", "Idle GVX").Analysis
+	kb := measureBench(t, "GVX", "Keyboard input").Analysis
 	if kb.TimeoutFraction() > 0.7 {
 		t.Errorf("GVX keyboard TO%% = %v, want to collapse toward ~0.42", kb.TimeoutFraction())
 	}
@@ -176,8 +176,8 @@ func TestGVXKeyboardGoesNotified(t *testing.T) {
 }
 
 func TestGVXScrollContention(t *testing.T) {
-	scroll := runBench(t, "GVX", "Window scrolling").Analysis
-	idle := runBench(t, "GVX", "Idle GVX").Analysis
+	scroll := measureBench(t, "GVX", "Window scrolling").Analysis
+	idle := measureBench(t, "GVX", "Idle GVX").Analysis
 	// §3: GVX contention is "sometimes significantly higher ... than in
 	// Cedar, occurring 0.4% of the time when scrolling".
 	if scroll.ContentionFraction() <= idle.ContentionFraction() {
@@ -186,15 +186,15 @@ func TestGVXScrollContention(t *testing.T) {
 	if scroll.ContentionFraction() < 0.0005 {
 		t.Errorf("scroll contention %v too low to be visible (want ~0.4%%)", scroll.ContentionFraction())
 	}
-	cedarScroll := runBench(t, "Cedar", "Window scrolling").Analysis
+	cedarScroll := measureBench(t, "Cedar", "Window scrolling").Analysis
 	if scroll.ContentionFraction() <= cedarScroll.ContentionFraction() {
 		t.Errorf("GVX scroll contention %v should exceed Cedar's %v", scroll.ContentionFraction(), cedarScroll.ContentionFraction())
 	}
 }
 
 func TestCedarVsGVXContrast(t *testing.T) {
-	cedar := runBench(t, "Cedar", "Idle Cedar").Analysis
-	gvx := runBench(t, "GVX", "Idle GVX").Analysis
+	cedar := measureBench(t, "Cedar", "Idle Cedar").Analysis
+	gvx := measureBench(t, "GVX", "Idle GVX").Analysis
 	if cedar.SwitchesPerSec() < 2*gvx.SwitchesPerSec() {
 		t.Errorf("Cedar switches %.0f should be several times GVX's %.0f", cedar.SwitchesPerSec(), gvx.SwitchesPerSec())
 	}
@@ -207,7 +207,7 @@ func TestCedarVsGVXContrast(t *testing.T) {
 }
 
 func TestPriorityLevelUsage(t *testing.T) {
-	cedar := runBench(t, "Cedar", "Keyboard input").Analysis
+	cedar := measureBench(t, "Cedar", "Keyboard input").Analysis
 	// Cedar: level 5 unused, level 7 = Notifier (interrupt handling).
 	if cedar.ExecByPriority[5] != 0 {
 		t.Errorf("Cedar priority 5 consumed %v, want 0 (unused level)", cedar.ExecByPriority[5])
@@ -215,7 +215,7 @@ func TestPriorityLevelUsage(t *testing.T) {
 	if cedar.ExecByPriority[7] == 0 {
 		t.Error("Cedar priority 7 (Notifier) consumed nothing")
 	}
-	gvx := runBench(t, "GVX", "Keyboard input").Analysis
+	gvx := measureBench(t, "GVX", "Keyboard input").Analysis
 	// GVX: the opposite — 7 unused, 5 = Notifier; bulk of time at 3.
 	if gvx.ExecByPriority[7] != 0 {
 		t.Errorf("GVX priority 7 consumed %v, want 0", gvx.ExecByPriority[7])
@@ -229,7 +229,7 @@ func TestPriorityLevelUsage(t *testing.T) {
 }
 
 func TestExecutionIntervalDistribution(t *testing.T) {
-	a := runBench(t, "Cedar", "Idle Cedar").Analysis
+	a := measureBench(t, "Cedar", "Idle Cedar").Analysis
 	short := a.Intervals.FractionCount(0, 5*vclock.Millisecond)
 	if short < 0.5 {
 		t.Errorf("fraction of intervals in 0-5ms = %v, want majority (~75%%)", short)
@@ -264,7 +264,7 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 func TestParadigmCensusPopulated(t *testing.T) {
-	r := runBench(t, "Cedar", "Keyboard input")
+	r := measureBench(t, "Cedar", "Keyboard input")
 	reg := r.Registry
 	for _, k := range []paradigm.Kind{
 		paradigm.KindDeferWork, paradigm.KindGeneralPump, paradigm.KindSleeper,
@@ -320,7 +320,7 @@ func TestLibraryBounds(t *testing.T) {
 // dominate the exits, and "the average lifetime for non-eternal threads
 // is well under 1 second".
 func TestThreadClasses(t *testing.T) {
-	a := runBench(t, "Cedar", "Document formatting").Analysis
+	a := measureBench(t, "Cedar", "Document formatting").Analysis
 	// The formatting world adds its service sleepers to the ~35 idle
 	// eternals (the paper: "users employ two to three times this many
 	// [41] in everyday work").
