@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -686,6 +688,64 @@ func TestCLIKSeries(t *testing.T) {
 	for _, c := range caps {
 		if c.Schema != 1 || c.Name == "" || c.KneeRate <= 0 {
 			t.Errorf("malformed capacity record in -json: %+v", c)
+		}
+	}
+}
+
+// TestBenchShardDeterminism runs the C- and D-series fleets through the
+// CLI at -shards {1, 4, GOMAXPROCS} and requires stdout and the -json
+// summary (wall-clock, allocation and machine fields zeroed) to be
+// byte-identical: -shards may only change how fast the fleets advance,
+// never what the CLI reports. The per-experiment payload pin over the
+// full profiled sweep is TestSweepPayload in internal/experiments.
+func TestBenchShardDeterminism(t *testing.T) {
+	normalized := func(path string) string {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum jsonSummary
+		if err := json.Unmarshal(data, &sum); err != nil {
+			t.Fatalf("unmarshal: %v\n%s", err, data)
+		}
+		if len(sum.Experiments) == 0 {
+			t.Fatalf("-json summary has no experiments:\n%s", data)
+		}
+		sum.TotalWall, sum.GoMaxProcs = 0, 0
+		for i := range sum.Experiments {
+			m := &sum.Experiments[i]
+			m.WallTime, m.EventsPerSec, m.VirtualPerWall, m.AllocBytes, m.AllocObjects = 0, 0, 0, 0, 0
+		}
+		out, err := json.Marshal(sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	var baseOut, baseJSON string
+	seen := map[int]bool{}
+	for _, shards := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		if seen[shards] {
+			continue
+		}
+		seen[shards] = true
+		path := filepath.Join(t.TempDir(), "cd.json")
+		var stdout, stderr bytes.Buffer
+		args := []string{"-series", "c,d", "-quick", "-json", path, "-shards", strconv.Itoa(shards)}
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("run(%v) = %d, stderr: %s", args, code, stderr.String())
+		}
+		js := normalized(path)
+		if shards == 1 {
+			baseOut, baseJSON = stdout.String(), js
+			continue
+		}
+		if stdout.String() != baseOut {
+			t.Errorf("shards=%d: stdout diverged from shards=1", shards)
+		}
+		if js != baseJSON {
+			t.Errorf("shards=%d: -json summary diverged from shards=1", shards)
 		}
 	}
 }

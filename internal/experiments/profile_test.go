@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -141,6 +142,49 @@ func TestSweepPayload(t *testing.T) {
 			if records[id] != rec {
 				t.Errorf("shards=%d: %s metrics or profile diverged from shards=1 at parallelism 1", shards, id)
 			}
+		}
+	}
+}
+
+// TestProfileDeterministicAcrossParallelism proves the accounting
+// summaries — like the reports they ride along with — are byte-identical
+// whether experiments run sequentially or on a worker pool, and that the
+// exactness invariant (zero residue) holds on real experiment worlds.
+func TestProfileDeterministicAcrossParallelism(t *testing.T) {
+	var subset []Experiment
+	for _, id := range []string{"T2", "F3", "R2"} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subset = append(subset, e)
+	}
+	run := func(par int) []Outcome {
+		return RunWith(Config{Quick: true, Seed: 1}, Options{
+			Parallelism: par,
+			Profile:     true,
+			Experiments: subset,
+		})
+	}
+	seq := run(1)
+	par := run(4)
+	if len(seq) != len(subset) || len(par) != len(subset) {
+		t.Fatalf("outcome counts %d/%d, want %d", len(seq), len(par), len(subset))
+	}
+	for i := range seq {
+		id := seq[i].Metrics.ID
+		if seq[i].Profile == nil || par[i].Profile == nil {
+			t.Fatalf("%s: missing profile summary (Options.Profile was set)", id)
+		}
+		if !reflect.DeepEqual(*seq[i].Profile, *par[i].Profile) {
+			t.Errorf("%s: profile summary differs between -parallel 1 and 4:\n seq: %+v\n par: %+v",
+				id, *seq[i].Profile, *par[i].Profile)
+		}
+		if r := seq[i].Profile.Residue; r != 0 {
+			t.Errorf("%s: accounting residue %dus, want 0", id, int64(r))
+		}
+		if seq[i].Report.String() != par[i].Report.String() {
+			t.Errorf("%s: report differs across parallelism", id)
 		}
 	}
 }
