@@ -14,7 +14,7 @@ FUZZTIME ?= 10s
 EXPLORE_BUDGET ?= 200
 
 # Packages with a minimum-coverage bar (see `make cover`).
-COVER_PKGS = ./internal/sim ./internal/monitor ./internal/fault ./internal/cluster ./internal/eventq ./internal/sched ./internal/stats ./internal/workload ./internal/workload/spec ./internal/workload/capacity
+COVER_PKGS = ./internal/sim ./internal/monitor ./internal/fault ./internal/cluster ./internal/eventq ./internal/sched ./internal/stats ./internal/trace ./internal/profile ./internal/workload ./internal/workload/spec ./internal/workload/capacity
 COVER_FLOOR = 75
 
 # The host-cost benchmark's workloads (perfbench/, see BENCHMARK.json).
@@ -84,19 +84,24 @@ perfbench:
 	done
 
 # The K-series capacity sweep: ramp each configuration's offered load
-# until its overload criterion trips, bisect to the knee, and land the
-# schema-versioned knee records (with the full run summaries) in
-# CAPACITY_PR10.json. Quick-scale: the full-scale knees come from
-# `go run ./cmd/threadstudy -series k -json CAPACITY_PR10.json`.
+# until its overload criterion trips, bisect to the knee, and write the
+# schema-versioned knee records (with the full run summaries) to
+# $(KNEE_OUT), which is untracked: CI uploads it as an artifact, and
+# TestGolden (cmd/threadstudy) pins the sweep's `-series k -quick`
+# report. Quick-scale: the full-scale knees come from
+# `go run ./cmd/threadstudy -series k -json <file>`.
+KNEE_OUT ?= capacity-knees.json
+
 knee:
-	$(GO) run ./cmd/threadstudy -series k -quick -json CAPACITY_PR10.json
+	$(GO) run ./cmd/threadstudy -series k -quick -json $(KNEE_OUT)
 
 # Per-package coverage with a floor: every package in COVER_PKGS — the
 # simulator kernel, the monitor implementation, the fault injector, the
 # cluster layer, the event queue, the policies, the measurement
-# package (latency recorders, running quantile, collectors), and the
-# workload compiler with its spec and capacity packages — must each
-# stay above $(COVER_FLOOR)% statement coverage.
+# package (latency recorders, running quantile, collectors), the trace
+# codec and sinks, the scheduler-accounting profiler, and the workload
+# compiler with its spec and capacity packages — must each stay above
+# $(COVER_FLOOR)% statement coverage.
 cover:
 	@for pkg in $(COVER_PKGS); do \
 		$(GO) test -covermode=atomic -coverprofile=/tmp/cover.out $$pkg >/dev/null || exit 1; \

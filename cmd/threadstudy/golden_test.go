@@ -28,6 +28,7 @@ var goldenCases = []struct {
 	{file: "cseries-quick.txt", args: []string{"-series", "c", "-quick"}},
 	{file: "dseries-quick.txt", args: []string{"-series", "d", "-quick"}},
 	{file: "sseries-quick.txt", args: []string{"-series", "s", "-quick"}},
+	{file: "kseries-quick.txt", args: []string{"-series", "k", "-quick"}},
 	{file: "default.txt", args: nil, slow: true},
 }
 

@@ -408,11 +408,7 @@ func (c *Cluster) Shutdown() {
 // seconds) quantized to the microsecond clock with a 1us floor, so the
 // fleet arrival clock is strictly increasing.
 func expGap(rng *rand.Rand, rate float64) vclock.Duration {
-	d := vclock.Duration(rng.ExpFloat64() / rate * 1e6)
-	if d < vclock.Microsecond {
-		d = vclock.Microsecond
-	}
-	return d
+	return wspec.Quantize(rng.ExpFloat64() / rate * 1e6)
 }
 
 // drawUser picks the arriving user, honoring the hot-user skew.

@@ -23,10 +23,10 @@
 // injects the identical fault sequence — and a world with no plan runs
 // byte-identically to one built before this package existed.
 //
-// The recovery half of the story is Supervise (rejuvenation with capped
-// exponential backoff), StartWatchdog (a liveness sleeper that detects
-// starvation on a progress counter and dumps world state), and
-// RetryPolicy (FORK retry over TryFork).
+// The recovery half of the story is StartWatchdog (a liveness sleeper
+// that detects starvation on a progress counter and dumps world state)
+// and RetryPolicy (FORK retry over TryFork). Rejuvenation after a
+// CrashThread is the §4.5 paradigm itself, paradigm.StartService.
 package fault
 
 import (

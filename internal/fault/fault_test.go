@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/monitor"
+	"repro/internal/paradigm"
 	"repro/internal/sim"
 	"repro/internal/vclock"
 )
@@ -260,7 +261,10 @@ func TestClockJitterDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestCrashThreadAndSupervise(t *testing.T) {
+// TestCrashThreadAndRejuvenate: injected crashes kill a §4.5
+// rejuvenating service, whose dying incarnation forks its replacement
+// (paradigm.StartService), so the service keeps working across them.
+func TestCrashThreadAndRejuvenate(t *testing.T) {
 	cfg := testConfig()
 	plan := Plan{CrashThread: []CrashThread{
 		{Thread: "^worker$", At: D(20 * vclock.Millisecond), WhenBlocked: true},
@@ -272,9 +276,8 @@ func TestCrashThreadAndSupervise(t *testing.T) {
 	defer w.Shutdown()
 	inj.Arm(w)
 	var ticks int64
-	s := Supervise(w, nil, "worker", sim.PriorityNormal, 5,
-		10*vclock.Millisecond, 40*vclock.Millisecond,
-		func(th *sim.Thread) any {
+	s := paradigm.StartService(w, nil, "worker", sim.PriorityNormal, 5,
+		func(th *sim.Thread) {
 			for {
 				th.Compute(vclock.Millisecond)
 				ticks++
@@ -289,48 +292,19 @@ func TestCrashThreadAndSupervise(t *testing.T) {
 		t.Fatalf("Restarts = %d, want 2", s.Restarts())
 	}
 	if !s.Alive() {
-		t.Fatal("supervised service not alive after rejuvenation")
+		t.Fatal("rejuvenated service not alive")
 	}
 	if ticks < 30 {
 		t.Fatalf("only %d ticks in 300ms: service did not keep working across crashes", ticks)
 	}
-	dt, rt := s.DeathTimes(), s.RestartTimes()
-	if len(dt) != 2 || len(rt) != 2 {
-		t.Fatalf("death/restart times = %v / %v", dt, rt)
-	}
-	// Backoff doubles: first recovery 10 ms, second 20 ms.
-	if got := rt[0].Sub(dt[0]); got != 10*vclock.Millisecond {
-		t.Errorf("first recovery latency = %v, want 10ms", got)
-	}
-	if got := rt[1].Sub(dt[1]); got != 20*vclock.Millisecond {
-		t.Errorf("second recovery latency = %v, want doubled 20ms", got)
+	if len(s.Deaths()) != 2 {
+		t.Fatalf("Deaths = %v, want 2", s.Deaths())
 	}
 	for _, err := range s.Deaths() {
 		var pe *sim.PanicError
 		if !errors.As(err, &pe) {
 			t.Errorf("death cause %v is not a PanicError", err)
 		}
-	}
-}
-
-func TestSuperviseRestartBudgetExhausts(t *testing.T) {
-	w := sim.NewWorld(testConfig())
-	defer w.Shutdown()
-	s := Supervise(w, nil, "doomed", sim.PriorityNormal, 2,
-		vclock.Millisecond, vclock.Millisecond,
-		func(th *sim.Thread) any {
-			th.Compute(vclock.Millisecond)
-			panic("poisoned event")
-		}, nil)
-	w.Run(vclock.Time(vclock.Second))
-	if s.Restarts() != 2 {
-		t.Fatalf("Restarts = %d, want exactly the budget of 2", s.Restarts())
-	}
-	if s.Alive() {
-		t.Fatal("service still alive after exhausting its restart budget")
-	}
-	if len(s.Deaths()) != 3 {
-		t.Fatalf("Deaths = %d, want 3 (original + 2 replacements)", len(s.Deaths()))
 	}
 }
 

@@ -10,32 +10,9 @@ import "repro/internal/sim"
 
 // QueuedEntrants returns the threads blocked waiting for the mutex, in
 // handoff (FIFO) order. Hoare signallers parked on the urgent queue are
-// not included; see UrgentWaiters.
+// not included.
 func (m *Monitor) QueuedEntrants() []*sim.Thread {
 	out := make([]*sim.Thread, len(m.queue))
 	copy(out, m.queue)
-	return out
-}
-
-// UrgentWaiters returns the Hoare signallers waiting to get the monitor
-// back, most-recent first (the order releaseLocked will serve them).
-func (m *Monitor) UrgentWaiters() []*sim.Thread {
-	out := make([]*sim.Thread, 0, len(m.urgent))
-	for i := len(m.urgent) - 1; i >= 0; i-- {
-		out = append(out, m.urgent[i])
-	}
-	return out
-}
-
-// WaitingThreads returns the threads currently waiting on the condition
-// variable, oldest first. Waiters that timed out or were already notified
-// are excluded — these are the threads a NOTIFY could still wake.
-func (c *Cond) WaitingThreads() []*sim.Thread {
-	var out []*sim.Thread
-	for _, w := range c.queue {
-		if !w.gone && !w.notified {
-			out = append(out, w.t)
-		}
-	}
 	return out
 }

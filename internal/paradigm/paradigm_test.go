@@ -144,8 +144,13 @@ func TestPumpPipeline(t *testing.T) {
 	a := NewBuffer(w, "a", 0)
 	bq := NewBuffer(w, "b", 0)
 	c := NewBuffer(w, "c", 0)
-	// a -> double -> b -> stringify -> c
-	StartPump(w, reg, a, bq, PumpConfig{Name: "double", Transform: func(x any) []any { return []any{x.(int) * 2} }})
+	// a -> double (dropping 2) -> b -> tag -> c
+	p1 := StartPump(w, reg, a, bq, PumpConfig{Name: "double", Transform: func(x any) []any {
+		if x.(int) == 2 {
+			return nil // a transform may emit nothing
+		}
+		return []any{x.(int) * 2}
+	}})
 	p2 := StartPump(w, reg, bq, c, PumpConfig{Name: "tag", Work: vclock.Millisecond})
 	var got []int
 	w.Spawn("source", sim.PriorityNormal, func(th *sim.Thread) any {
@@ -167,14 +172,50 @@ func TestPumpPipeline(t *testing.T) {
 	if out := w.Run(vclock.Time(vclock.Second)); out != sim.OutcomeQuiescent {
 		t.Fatalf("outcome = %v", out)
 	}
-	if !reflect.DeepEqual(got, []int{2, 4, 6}) {
+	if !reflect.DeepEqual(got, []int{2, 6}) {
 		t.Fatalf("pipeline output = %v", got)
 	}
-	if p2.Moved() != 3 {
-		t.Fatalf("pump moved = %d", p2.Moved())
+	if p1.Moved() != 2 || p2.Moved() != 2 {
+		t.Fatalf("pumps moved = %d, %d; want 2, 2", p1.Moved(), p2.Moved())
 	}
 	if reg.Count(KindGeneralPump) != 2 {
 		t.Fatalf("registry pumps = %d", reg.Count(KindGeneralPump))
+	}
+}
+
+// TestPipelineBackpressure: a slow pump between bounded buffers throttles
+// its producer — the §4.2 pipeline's flow control comes from the buffers,
+// not from the pump.
+func TestPipelineBackpressure(t *testing.T) {
+	w := testWorld(t, fastCfg())
+	reg := NewRegistry()
+	in := NewBuffer(w, "in", 1)
+	out := NewBuffer(w, "out", 1)
+	slow := StartPump(w, reg, in, out, PumpConfig{Name: "slow", Work: 10 * vclock.Millisecond})
+	var srcDone vclock.Time
+	w.Spawn("source", sim.PriorityNormal, func(th *sim.Thread) any {
+		for i := 0; i < 5; i++ {
+			in.Put(th, i) // bounded buffers throttle the producer
+		}
+		in.Close(th)
+		srcDone = th.Now()
+		return nil
+	})
+	w.Spawn("drain", sim.PriorityNormal, func(th *sim.Thread) any {
+		for {
+			if _, ok := out.Get(th); !ok {
+				return nil
+			}
+		}
+	})
+	if got := w.Run(vclock.Time(vclock.Second)); got != sim.OutcomeQuiescent {
+		t.Fatalf("outcome = %v", got)
+	}
+	if srcDone < vclock.Time(20*vclock.Millisecond) {
+		t.Fatalf("producer finished at %v; backpressure should have throttled it", srcDone)
+	}
+	if slow.Moved() != 5 {
+		t.Fatalf("pump moved = %d, want 5", slow.Moved())
 	}
 }
 

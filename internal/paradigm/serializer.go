@@ -71,6 +71,3 @@ func (q *MBQueue) Served() int { return q.served }
 
 // Thread returns the serializing thread.
 func (q *MBQueue) Thread() *sim.Thread { return q.thread }
-
-// Backlog returns the number of items waiting in the context.
-func (q *MBQueue) Backlog() int { return q.dev.Len() }

@@ -143,7 +143,7 @@ func TestThreadArenaBulkSpawn(t *testing.T) {
 	}
 	seen := make(map[*Thread]bool)
 	ids := make(map[int32]bool)
-	w.EachThread(func(th *Thread) bool {
+	for _, th := range w.Threads() {
 		if seen[th] {
 			t.Fatalf("arena handed out thread %v twice", th)
 		}
@@ -152,8 +152,7 @@ func TestThreadArenaBulkSpawn(t *testing.T) {
 			t.Fatalf("duplicate thread id %d", th.ID())
 		}
 		ids[th.ID()] = true
-		return true
-	})
+	}
 	if len(seen) != n {
 		t.Fatalf("thread table has %d entries, want %d", len(seen), n)
 	}

@@ -71,10 +71,9 @@ func digestWorld(w *sim.World, s *digestSink, until vclock.Time, report func() s
 		s.note("%s", report())
 	}
 	threads := func() {
-		w.EachThread(func(t *sim.Thread) bool {
+		for _, t := range w.Threads() {
 			s.note("%s err=%v", t, t.Err())
-			return true
-		})
+		}
 	}
 	threads()
 	w.Shutdown()

@@ -238,22 +238,11 @@ func (w *World) LiveThreads() int { return w.liveCount }
 
 // Threads returns a copy of the world's thread table — every thread ever
 // created, in creation order. Callers may keep or reorder the returned
-// slice freely; use EachThread to iterate without allocating.
+// slice freely.
 func (w *World) Threads() []*Thread {
 	out := make([]*Thread, len(w.threads))
 	copy(out, w.threads)
 	return out
-}
-
-// EachThread calls f for every thread ever created, in creation order,
-// stopping early if f returns false. It is the allocation-free companion
-// to Threads for hot callers (fault injection, per-run accounting).
-func (w *World) EachThread(f func(*Thread) bool) {
-	for _, t := range w.threads {
-		if !f(t) {
-			return
-		}
-	}
 }
 
 // AllocMonitorID and AllocCVID hand out world-unique identifiers so the

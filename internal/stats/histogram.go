@@ -89,9 +89,6 @@ func (h *Histogram) BucketRange(i int) (lo, hi vclock.Duration, unbounded bool) 
 // BucketCount returns the number of values recorded in bucket i.
 func (h *Histogram) BucketCount(i int) int64 { return h.counts[i] }
 
-// BucketTotal returns the summed durations recorded in bucket i.
-func (h *Histogram) BucketTotal(i int) vclock.Duration { return h.totals[i] }
-
 // Count returns the total number of recorded values.
 func (h *Histogram) Count() int64 {
 	var n int64

@@ -170,17 +170,3 @@ func Format(ev Event) string {
 		return fmt.Sprintf("%s %s kind=%d arg=%d aux=%d", ev.Time, who, ev.Kind, ev.Arg, ev.Aux)
 	}
 }
-
-// WriteText writes one Format line per event to w.
-func WriteText(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	for _, ev := range events {
-		if _, err := bw.WriteString(Format(ev)); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}

@@ -121,15 +121,3 @@ func TestTeeFlushNilWhenHealthy(t *testing.T) {
 		t.Fatalf("Flush = %v, want nil", err)
 	}
 }
-
-func TestFilterFlushDelegates(t *testing.T) {
-	sentinel := errors.New("downstream")
-	f := Filter(flakySink{sentinel}, func(Event) bool { return true })
-	if err := f.Flush(); !errors.Is(err, sentinel) {
-		t.Fatalf("Flush = %v, want %v", err, sentinel)
-	}
-	k := KindFilter(flakySink{sentinel}, KindSwitch)
-	if err := k.Flush(); !errors.Is(err, sentinel) {
-		t.Fatalf("KindFilter Flush = %v, want %v", err, sentinel)
-	}
-}

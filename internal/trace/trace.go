@@ -4,9 +4,9 @@
 // and condition-variable waits, each stamped in virtual microseconds.
 //
 // Traces flow through the Sink interface so that experiments can choose
-// between full in-memory capture (Buffer), bounded capture (Ring), cheap
-// online aggregation (the stats package implements Sink), file encoding,
-// or any combination (Tee).
+// between full in-memory capture (Buffer), cheap online aggregation (the
+// stats package implements Sink), file encoding (Encoder), or any
+// combination (Tee).
 package trace
 
 import (
@@ -113,7 +113,7 @@ type Event struct {
 //
 // Flush pushes any buffered state to the sink's final destination and
 // reports the first error that has prevented events from reaching it.
-// Purely in-memory sinks (Buffer, Ring, the stats collectors) have
+// Purely in-memory sinks (Buffer, the stats collectors) have
 // nothing to push and always return nil; file-encoding sinks (Encoder)
 // surface write errors — short writes included — here rather than
 // silently dropping events, because Record has no error channel of its
@@ -166,49 +166,6 @@ func (b *Buffer) Len() int { return len(b.Events) }
 // Reset discards captured events but keeps capacity.
 func (b *Buffer) Reset() { b.Events = b.Events[:0] }
 
-// Ring is a Sink that retains only the most recent Cap events — the
-// "100 millisecond event histories" style of capture the authors stared
-// at for a year.
-type Ring struct {
-	buf  []Event
-	next int
-	full bool
-}
-
-// NewRing returns a ring sink holding at most capacity events.
-func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{buf: make([]Event, capacity)}
-}
-
-// Record implements Sink.
-func (r *Ring) Record(ev Event) {
-	r.buf[r.next] = ev
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-// Flush implements Sink; it is a no-op.
-func (r *Ring) Flush() error { return nil }
-
-// Snapshot returns the retained events in chronological order.
-func (r *Ring) Snapshot() []Event {
-	if !r.full {
-		out := make([]Event, r.next)
-		copy(out, r.buf[:r.next])
-		return out
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
 // Tee returns a Sink that forwards each event to all of sinks. Its
 // Flush flushes every branch and aggregates the errors (errors.Join),
 // so one failing file sink cannot mask another.
@@ -259,39 +216,4 @@ func (t teeSink) Flush() error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// Filter returns a Sink that forwards only events for which keep returns
-// true. Flush delegates to dst.
-func Filter(dst Sink, keep func(Event) bool) Sink {
-	return filterSink{dst: dst, keep: keep}
-}
-
-type filterSink struct {
-	dst  Sink
-	keep func(Event) bool
-}
-
-// Record implements Sink.
-func (f filterSink) Record(ev Event) {
-	if f.keep(ev) {
-		f.dst.Record(ev)
-	}
-}
-
-// Flush implements Sink by flushing the destination.
-func (f filterSink) Flush() error { return f.dst.Flush() }
-
-// KindFilter returns a Sink forwarding only the listed kinds. Flush
-// delegates to dst.
-func KindFilter(dst Sink, kinds ...Kind) Sink {
-	var mask [numKinds]bool
-	for _, k := range kinds {
-		if int(k) < len(mask) {
-			mask[k] = true
-		}
-	}
-	return Filter(dst, func(ev Event) bool {
-		return int(ev.Kind) < len(mask) && mask[ev.Kind]
-	})
 }

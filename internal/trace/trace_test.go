@@ -39,61 +39,26 @@ func TestBufferSink(t *testing.T) {
 	}
 }
 
-func TestRingSink(t *testing.T) {
-	r := NewRing(3)
-	evs := sampleEvents()
-	for _, ev := range evs {
-		r.Record(ev)
-	}
-	snap := r.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("snapshot len = %d, want 3", len(snap))
-	}
-	if !reflect.DeepEqual(snap, evs[3:]) {
-		t.Fatalf("ring kept %v, want last 3 events", snap)
-	}
-	// Partial fill keeps chronological order too.
-	r2 := NewRing(10)
-	for _, ev := range evs[:2] {
-		r2.Record(ev)
-	}
-	if got := r2.Snapshot(); !reflect.DeepEqual(got, evs[:2]) {
-		t.Fatalf("partial ring = %v", got)
-	}
-	// Degenerate capacity clamps to 1.
-	r3 := NewRing(0)
-	r3.Record(evs[0])
-	r3.Record(evs[1])
-	if got := r3.Snapshot(); len(got) != 1 || got[0] != evs[1] {
-		t.Fatalf("cap-0 ring = %v", got)
-	}
-}
-
-func TestTeeAndFilter(t *testing.T) {
-	var a, b Buffer
-	tee := Tee(&a, Filter(&b, func(ev Event) bool { return ev.Kind == KindWait }))
+func TestTee(t *testing.T) {
+	var a, b, c Buffer
+	tee := Tee(&a, Discard, Tee(&b, &c))
 	for _, ev := range sampleEvents() {
 		tee.Record(ev)
 	}
-	if a.Len() != 6 {
-		t.Fatalf("tee primary got %d events", a.Len())
+	for name, buf := range map[string]*Buffer{"a": &a, "b": &b, "c": &c} {
+		if !reflect.DeepEqual(buf.Events, sampleEvents()) {
+			t.Fatalf("branch %s got %v", name, buf.Events)
+		}
 	}
-	if b.Len() != 1 || b.Events[0].Kind != KindWait {
-		t.Fatalf("filter got %v", b.Events)
+	// Nested tees flatten and Discard branches drop at construction.
+	if n := len(tee.(teeSink)); n != 3 {
+		t.Fatalf("flattened tee has %d branches, want 3", n)
 	}
-}
-
-func TestKindFilter(t *testing.T) {
-	var b Buffer
-	s := KindFilter(&b, KindFork, KindExit)
-	for _, ev := range sampleEvents() {
-		s.Record(ev)
+	if s := Tee(Discard, &a); s != Sink(&a) {
+		t.Fatalf("Tee(Discard, s) = %v, want s itself", s)
 	}
-	if b.Len() != 2 {
-		t.Fatalf("kind filter kept %d, want 2", b.Len())
-	}
-	if b.Events[0].Kind != KindFork || b.Events[1].Kind != KindExit {
-		t.Fatalf("kind filter kept wrong kinds: %v", b.Events)
+	if s := Tee(Discard); s != Discard {
+		t.Fatalf("Tee(Discard) = %v, want Discard", s)
 	}
 }
 
@@ -194,17 +159,20 @@ func TestFormatCoversKinds(t *testing.T) {
 	}
 }
 
+// TestWriteText: an unnamed trace renders one Format line per event.
 func TestWriteText(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteText(&buf, sampleEvents()); err != nil {
+	if err := WriteTextNamed(&buf, Trace{Events: sampleEvents()}); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 6 {
 		t.Fatalf("got %d lines, want 6", len(lines))
 	}
-	if !strings.Contains(lines[0], "fork") {
-		t.Errorf("first line %q should mention fork", lines[0])
+	for i, ev := range sampleEvents() {
+		if lines[i] != Format(ev) {
+			t.Errorf("line %d = %q, want %q", i, lines[i], Format(ev))
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 
 	"repro/internal/sim"
@@ -105,17 +104,9 @@ func (a *arrivals) nextGap(now vclock.Time) vclock.Duration {
 	}
 	gap := a.gap(a.rng)
 	if f := spec.FactorAt(a.mod, now); f != 1 {
-		// Saturate: past the int64 range the conversion would wrap
-		// negative, and a vanishing factor would flood the cohort at the
-		// floor instead of silencing it.
-		switch scaled := float64(gap) / f; {
-		case scaled >= math.MaxInt64:
-			gap = math.MaxInt64
-		case scaled < float64(vclock.Microsecond):
-			gap = vclock.Microsecond
-		default:
-			gap = vclock.Duration(scaled)
-		}
+		// Quantize saturates: a vanishing factor silences the cohort
+		// instead of wrapping the gap onto the floor and flooding it.
+		gap = spec.Quantize(float64(gap) / f)
 	}
 	return gap
 }

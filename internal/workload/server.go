@@ -112,7 +112,6 @@ type Server struct {
 	cancelSet  map[uint64]bool
 	events     []Completion
 	dropped    int64
-	cancelled  int64
 	failed     int64
 
 	// slo, when set, is the pool's latency target: completions within it
@@ -280,7 +279,6 @@ func (sess *srvSession) Step(t *sim.Thread) bool {
 			// service time and reports no completion.
 			delete(s.cancelSet, req.token)
 			s.pending--
-			s.cancelled++
 			continue
 		}
 		sess.serving = true
@@ -382,9 +380,6 @@ func (s *Server) Crash() {
 // queues were emptied by Crash; nothing carries over).
 func (s *Server) Restore() { s.down = false }
 
-// Down reports whether the instance is currently crashed.
-func (s *Server) Down() bool { return s.down }
-
 // StallUntil freezes service until the given virtual time: sessions keep
 // admitting requests but complete none before it. Later deadlines win.
 func (s *Server) StallUntil(until vclock.Time) {
@@ -406,10 +401,6 @@ func (s *Server) CancelQueued(token uint64) {
 
 // Dropped returns the number of requests lost cold to Crash.
 func (s *Server) Dropped() int64 { return s.dropped }
-
-// Cancelled returns the number of tracked requests cancelled while
-// still queued (hedge losers that never consumed service).
-func (s *Server) Cancelled() int64 { return s.cancelled }
 
 // OnTime returns the number of completions within the pool's latency
 // target (0 when the pool has none).

@@ -21,13 +21,18 @@ import (
 // Sampler draws one duration from a distribution.
 type Sampler func(*rand.Rand) vclock.Duration
 
-// quantize floors a duration in float microseconds to the clock grain.
-func quantize(us float64) vclock.Duration {
-	d := vclock.Duration(us)
-	if d < vclock.Microsecond {
-		d = vclock.Microsecond
+// Quantize converts a duration in float microseconds to the clock grain,
+// truncating. Values at or past the int64 range (+Inf included)
+// saturate to math.MaxInt64 instead of wrapping negative; NaN and
+// values under 1us land on the 1us floor.
+func Quantize(us float64) vclock.Duration {
+	switch {
+	case us >= math.MaxInt64:
+		return math.MaxInt64
+	case !(us >= 1): // NaN fails every comparison
+		return vclock.Microsecond
 	}
-	return d
+	return vclock.Duration(us)
 }
 
 // GapSampler compiles the arrival process into an inter-arrival-gap
@@ -38,7 +43,7 @@ func (a *Arrival) GapSampler() Sampler {
 	switch a.Process {
 	case ProcPoisson:
 		return func(rng *rand.Rand) vclock.Duration {
-			return quantize(rng.ExpFloat64() / rate * 1e6)
+			return Quantize(rng.ExpFloat64() / rate * 1e6)
 		}
 	case ProcGamma:
 		// Gamma(k, θ) with k = Shape and θ chosen so the mean gap is
@@ -46,14 +51,14 @@ func (a *Arrival) GapSampler() Sampler {
 		k := a.Shape
 		scaleUS := 1 / (rate * k) * 1e6
 		return func(rng *rand.Rand) vclock.Duration {
-			return quantize(gammaDraw(rng, k) * scaleUS)
+			return Quantize(gammaDraw(rng, k) * scaleUS)
 		}
 	case ProcWeibull:
 		// Weibull(k, λ) with λ = 1/(rate·Γ(1+1/k)) so the mean is 1/rate.
 		k := a.Shape
 		scaleUS := 1 / (rate * math.Gamma(1+1/k)) * 1e6
 		return func(rng *rand.Rand) vclock.Duration {
-			return quantize(scaleUS * math.Pow(-math.Log(1-rng.Float64()), 1/k))
+			return Quantize(scaleUS * math.Pow(-math.Log(1-rng.Float64()), 1/k))
 		}
 	}
 	panic("spec: GapSampler on unvalidated arrival process " + a.Process)
@@ -70,7 +75,7 @@ func (s *Service) Sampler() Sampler {
 		return func(*rand.Rand) vclock.Duration { return d }
 	case DistExp:
 		return func(rng *rand.Rand) vclock.Duration {
-			return quantize(rng.ExpFloat64() * meanUS)
+			return Quantize(rng.ExpFloat64() * meanUS)
 		}
 	case DistPareto:
 		// Pareto with tail index Alpha and minimum x_m chosen so the
@@ -78,7 +83,7 @@ func (s *Service) Sampler() Sampler {
 		alpha := s.Alpha
 		xmUS := meanUS * (alpha - 1) / alpha
 		return func(rng *rand.Rand) vclock.Duration {
-			return quantize(xmUS / math.Pow(1-rng.Float64(), 1/alpha))
+			return Quantize(xmUS / math.Pow(1-rng.Float64(), 1/alpha))
 		}
 	}
 	panic("spec: Sampler on unvalidated service dist " + s.Dist)

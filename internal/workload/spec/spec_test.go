@@ -303,6 +303,52 @@ func TestSamplerMeans(t *testing.T) {
 	}
 }
 
+// TestQuantize: the float-microsecond conversion truncates in range,
+// saturates at and past the int64 range instead of wrapping onto the
+// 1us floor, and sends NaN and sub-microsecond values to the floor.
+func TestQuantize(t *testing.T) {
+	below := math.Nextafter(math.MaxInt64, 0) // largest float64 under 2^63
+	for _, tc := range []struct {
+		us   float64
+		want vclock.Duration
+	}{
+		{-math.MaxFloat64, vclock.Microsecond},
+		{math.Inf(-1), vclock.Microsecond},
+		{-5, vclock.Microsecond},
+		{0, vclock.Microsecond},
+		{0.999, vclock.Microsecond},
+		{math.NaN(), vclock.Microsecond},
+		{1, vclock.Microsecond},
+		{1.9, vclock.Microsecond},
+		{1234.7, 1234},
+		{1 << 62, 1 << 62},
+		{below, vclock.Duration(below)},
+		{math.MaxInt64, math.MaxInt64},
+		{1e300, math.MaxInt64},
+		{math.Inf(1), math.MaxInt64},
+	} {
+		if got := Quantize(tc.us); got != tc.want {
+			t.Errorf("Quantize(%g) = %d, want %d", tc.us, got, tc.want)
+		}
+	}
+	// An exp service whose draws pass the int64 range saturates; none
+	// wraps onto the floor (a draw under 1us has odds near 1e-19).
+	s := (&Service{Dist: DistExp, MeanUS: math.MaxInt64}).Sampler()
+	rng := rand.New(rand.NewSource(1))
+	saturated := 0
+	for i := 0; i < 100; i++ {
+		switch d := s(rng); d {
+		case vclock.Microsecond:
+			t.Fatalf("draw %d landed on the 1us floor", i)
+		case math.MaxInt64:
+			saturated++
+		}
+	}
+	if saturated == 0 {
+		t.Error("no draw of a MaxInt64-mean exp service saturated")
+	}
+}
+
 func TestFactorAt(t *testing.T) {
 	win := []Window{
 		{FromUS: 0, ToUS: 100, Factor: 2},

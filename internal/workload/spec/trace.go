@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/vclock"
 )
@@ -111,11 +110,6 @@ func (t *Trace) Bytes() []byte {
 	return buf.Bytes()
 }
 
-// WriteFile writes the trace artifact to path.
-func (t *Trace) WriteFile(path string) error {
-	return os.WriteFile(path, t.Bytes(), 0o644)
-}
-
 // ReadTrace decodes and validates a trace: schema must match, arrival
 // times must be nondecreasing, sessions and demands must be sane.
 func ReadTrace(r io.Reader) (*Trace, error) {
@@ -157,20 +151,6 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
-	}
-	return t, nil
-}
-
-// ReadTraceFile reads and validates a trace artifact from path.
-func ReadTraceFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("spec: %w", err)
-	}
-	defer f.Close()
-	t, err := ReadTrace(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return t, nil
 }
