@@ -18,13 +18,16 @@ var updateFleetDigests = flag.Bool("update", false, "rewrite testdata/fleet_dige
 
 const fleetDigestFile = "testdata/fleet_digests.json"
 
-// fleetDigest pins one fleet run: the FNV-1a hash of its Summary JSON
-// and the number of world events it took to produce it. The event count
-// moves whenever the driver's advance barriers move, even when the
-// summary does not.
+// fleetDigest pins one fleet run: the FNV-1a hash of its Summary JSON,
+// the number of world events it took to produce it, and the virtual
+// time the Probe summed over the worlds. The event count moves whenever
+// the driver's advance barriers move, even when the summary does not;
+// the virtual time moves when a world's last Run stops at a different
+// clock.
 type fleetDigest struct {
-	Summary string `json:"summary"`
-	Events  int64  `json:"events"`
+	Summary   string `json:"summary"`
+	Events    int64  `json:"events"`
+	VirtualUs int64  `json:"virtual_us"`
 }
 
 // sharedInstantReplay is a least-loaded replay whose entries arrive four
@@ -79,7 +82,11 @@ func fleetDigests(t *testing.T) map[string]fleetDigest {
 		spec.Hooks.Probe = probe
 		h := fnv.New64a()
 		h.Write([]byte(marshal(t, mustRun(t, spec))))
-		got[name] = fleetDigest{Summary: fmt.Sprintf("%016x", h.Sum64()), Events: probe.Events()}
+		got[name] = fleetDigest{
+			Summary:   fmt.Sprintf("%016x", h.Sum64()),
+			Events:    probe.Events(),
+			VirtualUs: probe.VirtualTime().Micros(),
+		}
 	}
 	return got
 }
