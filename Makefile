@@ -40,15 +40,17 @@ race:
 
 # The hot-path allocs/op pin, then the microbenchmarks. The pin runs
 # first: the event loop, ready queues, discard-sink tracing, timing-wheel
-# schedule/cancel and batch admission must stay allocation-free in
-# steady state. Host speed against the parent commit is perfbench's job
-# (see BENCHMARK.json); the profiled sweep's event counts, profile
-# digests and zero residue are pinned by TestSweepPayload
+# schedule/cancel, batch admission and ticketed scheduling must stay
+# allocation-free in steady state. BenchmarkBlindFleet (internal/cluster)
+# reports what a small blind round-robin fleet costs end to end. Host
+# speed against the parent commit is perfbench's job (see
+# BENCHMARK.json); the profiled sweep's event counts, profile digests
+# and zero residue are pinned by TestSweepPayload
 # (internal/experiments).
 bench:
 	$(GO) test -run TestHotPathAllocs ./internal/sim
 	$(GO) test -bench=. -benchmem -run='^$$'
-	$(GO) test -bench=. -benchmem -run='^$$' ./internal/sim ./internal/eventq
+	$(GO) test -bench=. -benchmem -run='^$$' ./internal/sim ./internal/eventq ./internal/cluster
 
 # Short coverage-guided fuzzing of the attacker-facing parsers — JSON
 # fault plans, JSON workload specs, and the binary trace codec (decode

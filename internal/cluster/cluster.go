@@ -318,13 +318,19 @@ func (s Spec) validate() error {
 	return nil
 }
 
-// instance is one fleet member: a world, its routed-request server, and
-// the routing ledger.
+// instance is one fleet member: a world, its routed-request server, the
+// routing ledger, and the inbox that feeds routed requests to the world
+// (inbox.go).
 type instance struct {
 	id     int
 	w      *sim.World
 	srv    *workload.Server
 	routed int64
+
+	box       inbox
+	armed     bool   // box's oldest injection is queued in w
+	ran       bool   // w has been Run at least once
+	deliverFn func() // deliver, bound once
 }
 
 // Cluster is a built fleet, ready to Run once.
@@ -392,7 +398,9 @@ func New(spec Spec) (*Cluster, error) {
 			c.Shutdown()
 			return nil, err
 		}
-		c.insts = append(c.insts, &instance{id: i, w: w, srv: run.Server})
+		in := &instance{id: i, w: w, srv: run.Server}
+		in.deliverFn = in.deliver
+		c.insts = append(c.insts, in)
 	}
 	return c, nil
 }
@@ -432,11 +440,15 @@ func (c *Cluster) drawService(rng *rand.Rand) vclock.Duration {
 	return s.Service
 }
 
-// advanceAll runs every instance world to t, dealing them round-robin
-// across the spec's advance shards. Instances are mutually independent
-// between barriers — no shared mutable state, each world advanced by
-// exactly one goroutine — so the shard count changes wall-clock time
-// only, never simulated state.
+// advanceAll brings every instance world to t, dealing them round-robin
+// across the spec's advance shards. Each world first arms its inbox, so
+// the requests routed to it since the last barrier are due in its event
+// queue; a world with nothing due by t is then left where it is
+// (instance.advance), which with client state is most worlds at most
+// barriers. Instances are mutually independent between barriers — no
+// shared mutable state, each world advanced by exactly one goroutine —
+// so the shard count changes wall-clock time only, never simulated
+// state.
 func (c *Cluster) advanceAll(t vclock.Time) {
 	shards := c.spec.Shards
 	if shards > len(c.insts) {
@@ -444,7 +456,7 @@ func (c *Cluster) advanceAll(t vclock.Time) {
 	}
 	if shards <= 1 {
 		for _, in := range c.insts {
-			in.w.Run(t)
+			in.advance(t)
 		}
 		return
 	}
@@ -454,7 +466,7 @@ func (c *Cluster) advanceAll(t vclock.Time) {
 		go func(s int) {
 			defer wg.Done()
 			for i := s; i < len(c.insts); i += shards {
-				c.insts[i].w.Run(t)
+				c.insts[i].advance(t)
 			}
 		}(s)
 	}

@@ -1,7 +1,8 @@
 package cluster
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/eventq"
 	"repro/internal/stats"
@@ -29,14 +30,26 @@ import (
 // holds as an accounting identity, not a hope.
 //
 // Second, the worlds advance to an event's instant only when something
-// must read them there. With client state, every pop advances every
-// world to the event time (once per instant) and folds in the
-// instances' Completion buffers in (time, instance-ID) order before the
-// event is handled. Without it, only a load-reading router pays a
-// barrier, at every read, so a read sees the injections made earlier at
-// the same instant; a blind router lets injections queue through
-// World.At and the worlds catch up in bulk at the end — same simulated
-// outcome per world, radically different driver cost.
+// must read them there. With client state, every pop brings the fleet
+// to the event time (once per instant) and folds in the instances'
+// Completion buffers in (time, instance-ID) order before the event is
+// handled. Without it, only a load-reading router pays a barrier, at
+// every read, so a read sees the injections made earlier at the same
+// instant; a blind router lets injections pile up and the worlds catch
+// up in bulk at the end — same simulated outcome per world, radically
+// different driver cost. At a barrier a world with nothing due is not
+// run at all (Cluster.advanceAll).
+//
+// Every routed request, tracked or not, waits in its instance's inbox
+// (inbox.go) rather than as a callback in the world. Routing takes the
+// world's event-order ticket (sim.World.Ticket) where a World.At call
+// would have been made, and one pump event per world delivers the
+// inbox's entries one at a time, each at its instant under its ticket.
+// A request so costs the world exactly the one event, in exactly the
+// place, that a per-request World.At callback would, which keeps an
+// injection ahead of world events scheduled later for the same instant;
+// the driver pays no closure and no queued event per request, only an
+// inbox slot.
 //
 // Worlds never observe the client and the client reads worlds only at
 // barriers, so Spec.Shards remains invisible in the output. Per arrival
@@ -164,6 +177,12 @@ type attempt struct {
 
 // --- the driver ------------------------------------------------------
 
+// landed is one tracked completion tagged with its instance.
+type landed struct {
+	inst int
+	cp   workload.Completion
+}
+
 const unhealthyLoad = 1 << 30 // poisons least-loaded away from ejected instances
 
 // driver is one Run's state: the client event queue, the advance
@@ -182,6 +201,7 @@ type driver struct {
 	tokens    map[uint64]*attempt
 	nextToken uint64
 	loads     []int
+	landed    []landed // drainCompletions' scratch, reused at every barrier
 
 	arrivals    int64 // total to offer: Requests, or the replay's entries
 	outstanding int64 // admitted, unresolved tracked requests
@@ -260,12 +280,12 @@ func (d *driver) run() *Summary {
 
 	// Flush every queued injection (a tracked run is already past the
 	// last event), close the pools strictly after it, and let the
-	// worlds quiesce.
+	// worlds quiesce. With a Close due in every world, this last
+	// advance runs them all.
 	d.advance(d.now)
 	closeAt := d.barrier.Add(vclock.Microsecond)
 	for _, in := range c.insts {
-		srv := in.srv
-		in.w.At(closeAt, srv.Close)
+		in.w.At(closeAt, in.srv.Close)
 	}
 	c.advanceAll(closeAt.Add(s.Drain))
 	d.drainCompletions()
@@ -306,30 +326,28 @@ func (d *driver) advance(t vclock.Time) {
 
 // drainCompletions folds the instances' Completion buffers into the
 // client state machine in (time, instance-ID) order — the only order
-// that is independent of how worlds were dealt onto shards.
+// that is independent of how worlds were dealt onto shards. The stable
+// sort keeps each instance's own completion order at equal times.
 func (d *driver) drainCompletions() {
-	type tagged struct {
-		inst int
-		cp   workload.Completion
-	}
-	var all []tagged
+	all := d.landed[:0]
 	for i, in := range d.c.insts { // instance-ID order
 		for _, cp := range in.srv.Drain() {
-			all = append(all, tagged{i, cp})
+			all = append(all, landed{i, cp})
 		}
 	}
 	if len(all) == 0 {
 		return
 	}
-	sort.SliceStable(all, func(a, b int) bool {
-		if all[a].cp.At != all[b].cp.At {
-			return all[a].cp.At.Before(all[b].cp.At)
+	slices.SortStableFunc(all, func(a, b landed) int {
+		if c := cmp.Compare(a.cp.At, b.cp.At); c != 0 {
+			return c
 		}
-		return all[a].inst < all[b].inst
+		return cmp.Compare(a.inst, b.inst)
 	})
 	for _, tc := range all {
 		d.onCompletion(tc.inst, tc.cp)
 	}
+	d.landed = all[:0]
 }
 
 func (d *driver) onCompletion(inst int, cp workload.Completion) {
@@ -493,8 +511,7 @@ func (d *driver) onArrival() {
 	} else {
 		in := d.c.insts[d.choose(user, -1, t)]
 		in.routed++
-		srv, sess := in.srv, user%s.Sessions
-		in.w.At(t, func() { srv.Inject(sess, service) })
+		in.send(t, user%s.Sessions, service, 0, false)
 	}
 	d.scheduleArrival(t)
 }
@@ -643,8 +660,7 @@ func (d *driver) dispatch(req *creq, exclude int, hedge bool, now vclock.Time) {
 	d.tokens[tok] = att
 	req.live = append(req.live, att)
 	req.pending++
-	srv, sess := in.srv, req.user%d.c.spec.Sessions
-	in.w.At(now, func() { srv.InjectTracked(sess, svc, tok) })
+	in.send(now, req.user%d.c.spec.Sessions, svc, tok, true)
 	if d.c.spec.Timeout > 0 {
 		d.q.Schedule(now.Add(d.c.spec.Timeout), func() { d.onTimeout(att) })
 	}

@@ -9,10 +9,12 @@ import (
 
 // The differential battery: every operation sequence is applied to both
 // the wheel/heap hybrid and a naive reference model (a flat slice scanned
-// for the (when, insertion) minimum), asserting identical pop order,
-// NextTime, Len, and Handle-generation semantics after every step. The
-// deterministic tests below and FuzzWheelDifferential share one byte-
-// stream interpreter, so a fuzz crasher replays directly as a test case.
+// for the (when, seq) minimum, with seqs numbered explicitly so a ticket
+// reserved early orders ahead of later schedules), asserting identical
+// pop order, NextTime, Len, and Handle-generation semantics after every
+// step. The deterministic tests below and FuzzWheelDifferential share one
+// byte-stream interpreter, so a fuzz crasher replays directly as a test
+// case.
 
 // failer is the subset of testing.TB the interpreter needs, letting the
 // fuzz target and the plain tests share it.
@@ -24,12 +26,17 @@ type failer interface {
 // refEvent is one scheduled event in the reference model.
 type refEvent struct {
 	when vclock.Time
+	seq  uint64
 	live bool
 }
 
 // maxDiffEvents bounds a single differential run so fuzz inputs cannot
-// turn the O(n) reference scans into a timeout.
-const maxDiffEvents = 2048
+// turn the O(n) reference scans into a timeout; maxDiffTickets bounds the
+// unused tickets held at once.
+const (
+	maxDiffEvents  = 2048
+	maxDiffTickets = 256
+)
 
 // runDifferential interprets data as an operation stream over a fresh
 // Queue and the reference model.
@@ -38,18 +45,23 @@ const maxDiffEvents = 2048
 //
 //	op%6 == 0,1: schedule; a scale byte picks the temporal band (level-0
 //	             ties through far-future heap spillover and past times),
-//	             three raw bytes pick the offset within the band
+//	             three raw bytes pick the offset within the band. While
+//	             tickets are held, op%6 == 1 schedules under the held
+//	             ticket (op/6) mod held, so the event takes a seq smaller
+//	             than everything scheduled since the ticket was taken
 //	op%6 == 2:   cancel the handle named by the next byte (possibly
 //	             already popped or cancelled: must be a no-op)
 //	op%6 == 3:   pop one event
 //	op%6 == 4:   drain the entire run of events at NextTime (the batch
 //	             path: same-timestamp events through one level-0 bucket)
-//	op%6 == 5:   probe only (invariants still checked)
+//	op%6 == 5:   reserve a ticket and hold it (invariants still checked)
 func runDifferential(t failer, data []byte) {
 	t.Helper()
 	var q Queue
 	var ref []refEvent
 	var handles []Handle
+	var tickets []uint64 // reserved, not yet scheduled
+	var seq uint64       // the reference's own insertion counter
 	lastPopped := -1
 	now := vclock.Time(0)
 
@@ -69,9 +81,8 @@ func runDifferential(t failer, data []byte) {
 			if !ref[i].live {
 				continue
 			}
-			// Lower index == earlier insertion == lower seq: strictly
-			// less-than keeps FIFO ties on the earliest id.
-			if best == -1 || ref[i].when < ref[best].when {
+			if best == -1 || ref[i].when < ref[best].when ||
+				ref[i].when == ref[best].when && ref[i].seq < ref[best].seq {
 				best = i
 			}
 		}
@@ -162,12 +173,24 @@ func runDifferential(t failer, data []byte) {
 			}
 			when := now.Add(vclock.Duration(dt))
 			id := len(ref)
-			h := q.Schedule(when, func() { lastPopped = id })
+			fn := func() { lastPopped = id }
+			var h Handle
+			var s uint64
+			if op%6 == 1 && len(tickets) > 0 {
+				k := int(op/6) % len(tickets)
+				s = tickets[k]
+				tickets = append(tickets[:k], tickets[k+1:]...)
+				h = q.ScheduleSeq(when, s, fn)
+			} else {
+				s = seq
+				seq++
+				h = q.Schedule(when, fn)
+			}
 			if !h.Valid() {
 				t.Fatalf("fresh handle for event #%d invalid", id)
 			}
 			handles = append(handles, h)
-			ref = append(ref, refEvent{when: when, live: true})
+			ref = append(ref, refEvent{when: when, seq: s, live: true})
 		case 2:
 			if len(handles) == 0 {
 				continue
@@ -190,7 +213,14 @@ func runDifferential(t failer, data []byte) {
 				popOne()
 			}
 		case 5:
-			// Probe only.
+			if len(tickets) >= maxDiffTickets {
+				continue
+			}
+			if got := q.Reserve(); got != seq {
+				t.Fatalf("Reserve = %d, reference counter at %d", got, seq)
+			}
+			tickets = append(tickets, seq)
+			seq++
 		}
 		check("after op")
 	}

@@ -27,6 +27,17 @@
 // path. Callers hold generation-checked Handles rather than raw pointers,
 // which makes a stale Cancel (after the event fired or its struct was
 // recycled) a safe no-op instead of a use-after-free.
+//
+// An insertion sequence number can also be taken ahead of the event it
+// orders: Reserve hands out the next number as a ticket, and ScheduleSeq
+// later queues an event under it. The event then pops exactly where an
+// event scheduled at the moment of Reserve would have, ahead of anything
+// scheduled since at the same timestamp. This lets a caller hold a long
+// ordered backlog outside the queue and feed it in one event at a time
+// without moving any event's position. Level-0 buckets therefore keep
+// their events sorted by seq (a fresh seq is always the largest, so the
+// ordinary append costs one compare), and every timestamp tie elsewhere
+// already falls back to seq.
 package eventq
 
 import (
@@ -83,11 +94,11 @@ func (h Handle) Valid() bool {
 	return h.e != nil && h.e.gen == h.gen && h.e.lvl != locFree
 }
 
-// bucket is one wheel slot: an intrusive FIFO of events. Within a level-0
-// bucket every event shares one timestamp, so FIFO order is exactly the
-// (when, seq) order; higher-level buckets are unsorted holding pens whose
-// FIFO order preserves relative seq among equal timestamps across
-// cascades.
+// bucket is one wheel slot: an intrusive list of events. Within a level-0
+// bucket every event shares one timestamp and the list is kept in seq
+// order, so its head is the bucket's (when, seq) minimum; higher-level
+// buckets are unsorted holding pens, sorted only when a cascade re-places
+// their events at level 0.
 type bucket struct {
 	head, tail *event
 }
@@ -127,6 +138,23 @@ func (q *Queue) Empty() bool { return q.Len() == 0 }
 
 // Schedule enqueues fn to run at t and returns a handle that can cancel it.
 func (q *Queue) Schedule(t vclock.Time, fn func()) Handle {
+	return q.ScheduleSeq(t, q.Reserve(), fn)
+}
+
+// Reserve takes the next insertion sequence number without queueing
+// anything. The ticket orders a later ScheduleSeq call as if its event
+// had been scheduled now.
+func (q *Queue) Reserve() uint64 {
+	seq := q.seq
+	q.seq++
+	return seq
+}
+
+// ScheduleSeq enqueues fn to run at t under the insertion sequence number
+// seq, which must come from Reserve and be used at most once. At equal
+// timestamps the event pops before every event scheduled after seq was
+// reserved.
+func (q *Queue) ScheduleSeq(t vclock.Time, seq uint64, fn func()) Handle {
 	var e *event
 	if n := len(q.free); n > 0 {
 		e = q.free[n-1]
@@ -135,8 +163,7 @@ func (q *Queue) Schedule(t vclock.Time, fn func()) Handle {
 	} else {
 		e = &event{idx: -1, lvl: locFree}
 	}
-	e.when, e.do, e.seq = t, fn, q.seq
-	q.seq++
+	e.when, e.do, e.seq = t, fn, seq
 	q.place(e)
 	return Handle{e: e, gen: e.gen}
 }
@@ -144,7 +171,9 @@ func (q *Queue) Schedule(t vclock.Time, fn func()) Handle {
 // place routes e to the wheel or the heap by temporal distance from the
 // watermark. Past timestamps (t < cur, impossible from the simulator but
 // legal API inputs) and far-future timestamps take the heap; everything
-// within the wheel's reach takes an O(1) bucket append.
+// within the wheel's reach takes a bucket insert. A level-0 insert walks
+// back from the tail past larger seqs, which only a ScheduleSeq ticket
+// can leave there; every other insert is an O(1) append.
 func (q *Queue) place(e *event) {
 	t := e.when
 	if t < q.cur || uint64(t^q.cur) >= 1<<wheelBits {
@@ -154,19 +183,40 @@ func (q *Queue) place(e *event) {
 	lvl := levelOf(uint64(t ^ q.cur))
 	b := &q.wheel[lvl][int(t>>(slotBits*lvl))&slotMask]
 	e.lvl = int8(lvl)
-	e.prev = b.tail
-	e.next = nil
-	if b.tail != nil {
-		b.tail.next = e
-	} else {
-		b.head = e
+	switch {
+	case b.tail == nil:
+		e.prev, e.next = nil, nil
+		b.head, b.tail = e, e
 		q.occupied[lvl] |= 1 << (uint(t>>(slotBits*lvl)) & slotMask)
+	case lvl > 0 || b.tail.seq < e.seq:
+		e.prev, e.next = b.tail, nil
+		b.tail.next = e
+		b.tail = e
+	default:
+		b.insertSorted(e)
 	}
-	b.tail = e
 	q.wheelLen++
-	if q.minValid && t < q.minEv.when {
+	if q.minValid && (t < q.minEv.when || t == q.minEv.when && e.seq < q.minEv.seq) {
 		q.minEv = e
 	}
+}
+
+// insertSorted links e into a non-empty level-0 bucket behind the last
+// event with a smaller seq.
+func (b *bucket) insertSorted(e *event) {
+	after := b.tail
+	for after != nil && after.seq > e.seq {
+		after = after.prev
+	}
+	e.prev = after
+	if after != nil {
+		e.next = after.next
+		after.next = e
+	} else {
+		e.next = b.head
+		b.head = e
+	}
+	e.next.prev = e // e never lands last: the tail's seq is larger
 }
 
 // levelOf maps a nonzero-extended XOR distance (< 2^wheelBits) to its
@@ -230,8 +280,8 @@ func (q *Queue) wheelMin() *event {
 	}
 	if m := q.occupied[0]; m != 0 {
 		// Level-0 buckets hold one timestamp each within the watermark's
-		// window, appended in seq order: the head of the first occupied
-		// slot is the exact minimum.
+		// window, kept in seq order: the head of the first occupied slot
+		// is the exact minimum.
 		e := q.wheel[0][bits.TrailingZeros64(m)].head
 		q.minEv, q.minValid = e, true
 		return e
@@ -350,9 +400,9 @@ func (q *Queue) heapPopMin() *event {
 // popWheelMin removes the wheel's minimum event w. If w sits above level
 // 0 its whole bucket cascades down first: the watermark advances to
 // w.when (the pop instant — by then no earlier event can exist), and
-// every event in the bucket re-places into a strictly lower level, in
-// FIFO order so equal-timestamp runs keep their seq order. After the
-// cascade w is guaranteed to head a level-0 bucket.
+// every event in the bucket re-places into a strictly lower level, where
+// level 0 keeps equal-timestamp runs in seq order. After the cascade w is
+// guaranteed to head a level-0 bucket.
 func (q *Queue) popWheelMin(w *event) *event {
 	if w.lvl > 0 {
 		q.cur = w.when
@@ -363,8 +413,9 @@ func (q *Queue) popWheelMin(w *event) *event {
 }
 
 // cascade redistributes one bucket's events toward level 0 after the
-// watermark entered the bucket's window. Relative order is preserved per
-// destination bucket, which keeps equal-timestamp FIFO delivery intact.
+// watermark entered the bucket's window. Events landing at level 0 are
+// inserted in seq order, which keeps equal-timestamp delivery in (when,
+// seq) order however the holding pen had them.
 func (q *Queue) cascade(lvl, slot int) {
 	b := &q.wheel[lvl][slot]
 	e := b.head

@@ -278,6 +278,35 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Errorf("batch admission drained %d events, want %d", drained-before, 11*batchN)
 	}
 
+	// Ticketed scheduling: a batch of tickets taken ahead, then redeemed
+	// one at a time through AtTicket by one bound callback, the way a
+	// driver feeds an ordered backlog into a world.
+	tickets := make([]uint64, 0, batchN)
+	redeemAt, redeemed := vclock.Time(0), 0
+	var redeem func()
+	redeem = func() {
+		if redeemed++; redeemed < len(tickets) {
+			w.AtTicket(redeemAt, tickets[redeemed], redeem)
+		}
+	}
+	ticketed := func() {
+		tickets, redeemed = tickets[:0], 0
+		for j := 0; j < batchN; j++ {
+			tickets = append(tickets, w.Ticket())
+		}
+		redeemAt = horizon.Add(vclock.Microsecond)
+		w.AtTicket(redeemAt, tickets[0], redeem)
+		horizon = horizon.Add(2 * vclock.Microsecond)
+		w.Run(horizon)
+	}
+	ticketed() // warm
+	if got := testing.AllocsPerRun(10, ticketed); got > 0 {
+		t.Errorf("ticketed scheduling: %.1f allocs per %d-ticket backlog, want 0", got, batchN)
+	}
+	if redeemed != batchN {
+		t.Errorf("ticketed scheduling redeemed %d of %d tickets", redeemed, batchN)
+	}
+
 	// Thread handoff: park/resume round trips between the driver and two
 	// threads computing against each other, quantum rotations included.
 	hw := newHandoffWorld()

@@ -265,11 +265,34 @@ func (w *World) record(ev trace.Event) {
 // callbacks but must not call thread-context operations (Compute, monitor
 // entry, ...). Workload generators are built from At callbacks.
 func (w *World) At(t vclock.Time, fn func()) {
+	w.AtTicket(t, w.Ticket(), fn)
+}
+
+// Ticket takes the place in the event order that an At call made now
+// would take, without scheduling anything. Redeem it later with
+// AtTicket: the callback then runs exactly where that At call would
+// have run it, ahead of every event scheduled since for the same
+// instant. A driver with an ordered backlog of callbacks can so keep
+// one of them queued at a time instead of all of them, and the world
+// processes the same events in the same order. Call from driver
+// context.
+func (w *World) Ticket() uint64 { return w.evq.Reserve() }
+
+// AtTicket is At under a ticket taken earlier with Ticket: fn runs in
+// driver context at t (or now, if t is in the past), ordered as if At
+// had been called when the ticket was taken. Each ticket may be
+// redeemed once.
+func (w *World) AtTicket(t vclock.Time, ticket uint64, fn func()) {
 	if t < w.clock {
 		t = w.clock
 	}
-	w.evq.Schedule(t, fn)
+	w.evq.ScheduleSeq(t, ticket, fn)
 }
+
+// NextEvent returns the instant of the earliest scheduled event, or
+// vclock.Never when nothing is scheduled. A world that Run has left at
+// a horizon before that instant has nothing to do until it.
+func (w *World) NextEvent() vclock.Time { return w.evq.NextTime() }
 
 // After schedules fn to run in driver context d from now.
 func (w *World) After(d vclock.Duration, fn func()) {
