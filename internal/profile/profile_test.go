@@ -1,10 +1,11 @@
-package profile
+package profile_test
 
 import (
 	"bytes"
 	"encoding/json"
 	"testing"
 
+	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vclock"
@@ -22,16 +23,19 @@ func ms(n int64) vclock.Duration { return vclock.Duration(n) * vclock.Millisecon
 //	t=14ms  c wakes and preempts b; c runs 2ms
 //	t=16ms  c exits; b resumes
 //	t=21ms  b exits; world quiescent
-func fixtureWorld(t *testing.T) (*Profile, map[string]*ThreadProfile) {
+//
+// It also returns the world's event stream.
+func fixtureWorld(t *testing.T) (*profile.Profile, map[string]*profile.ThreadProfile, []trace.Event) {
 	t.Helper()
-	p := New(1)
+	p := profile.New(1)
 	p.KeepSpans = true
+	var buf trace.Buffer
 	w := sim.NewWorld(sim.Config{
 		CPUs:               1,
 		SwitchCost:         -1, // exact timings
 		TimeoutGranularity: vclock.Microsecond,
 		Hooks: sim.Hooks{
-			OnWorld: func(w *sim.World) trace.Sink { return p },
+			OnWorld: func(w *sim.World) trace.Sink { return trace.Tee(p, &buf) },
 		},
 	})
 	defer w.Shutdown()
@@ -59,15 +63,15 @@ func fixtureWorld(t *testing.T) (*Profile, map[string]*ThreadProfile) {
 	}
 	prof.ApplyNames(names)
 
-	byName := make(map[string]*ThreadProfile)
+	byName := make(map[string]*profile.ThreadProfile)
 	for _, th := range prof.Threads {
 		byName[th.Name] = th
 	}
-	return prof, byName
+	return prof, byName, buf.Events
 }
 
 func TestHandComputedFixture(t *testing.T) {
-	prof, th := fixtureWorld(t)
+	prof, th, _ := fixtureWorld(t)
 
 	if got, want := prof.End, vclock.Time(0).Add(ms(21)); got != want {
 		t.Fatalf("End = %v, want %v", got, want)
@@ -100,8 +104,8 @@ func TestHandComputedFixture(t *testing.T) {
 		if p.Ready() != c.ready {
 			t.Errorf("%s: ready = %v, want %v", c.name, p.Ready(), c.ready)
 		}
-		if p.Durations[StateSleep] != c.sleep {
-			t.Errorf("%s: sleep = %v, want %v", c.name, p.Durations[StateSleep], c.sleep)
+		if p.Durations[profile.StateSleep] != c.sleep {
+			t.Errorf("%s: sleep = %v, want %v", c.name, p.Durations[profile.StateSleep], c.sleep)
 		}
 		if p.Switches != c.switches {
 			t.Errorf("%s: switches = %d, want %d", c.name, p.Switches, c.switches)
@@ -114,7 +118,7 @@ func TestHandComputedFixture(t *testing.T) {
 		}
 		// Per-thread identity: non-dead states sum to the lifetime.
 		var sum vclock.Duration
-		for s := StateNew; s < StateDead; s++ {
+		for s := profile.StateNew; s < profile.StateDead; s++ {
 			sum += p.Durations[s]
 		}
 		if sum != p.Lifetime() {
@@ -128,7 +132,7 @@ func TestHandComputedFixture(t *testing.T) {
 	}
 
 	// Summary totals must reproduce the accounting identity.
-	sum := Summarize(prof)
+	sum := profile.Summarize(prof)
 	if sum.Running != ms(21) || sum.Idle != 0 || sum.Residue != 0 {
 		t.Errorf("summary running/idle/residue = %v/%v/%v, want 21ms/0/0",
 			sum.Running, sum.Idle, sum.Residue)
@@ -139,9 +143,9 @@ func TestHandComputedFixture(t *testing.T) {
 }
 
 func TestChromeTraceFixture(t *testing.T) {
-	prof, _ := fixtureWorld(t)
+	prof, _, _ := fixtureWorld(t)
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, prof); err != nil {
+	if err := profile.WriteChromeTrace(&buf, prof); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 	if !json.Valid(buf.Bytes()) {
@@ -171,8 +175,8 @@ func TestChromeTraceFixture(t *testing.T) {
 }
 
 func TestChromeTraceNeedsSpans(t *testing.T) {
-	prof, _ := func() (*Profile, map[string]*ThreadProfile) {
-		p := New(1)
+	prof, _ := func() (*profile.Profile, map[string]*profile.ThreadProfile) {
+		p := profile.New(1)
 		w := sim.NewWorld(sim.Config{
 			CPUs:       1,
 			SwitchCost: -1,
@@ -186,15 +190,15 @@ func TestChromeTraceNeedsSpans(t *testing.T) {
 		w.Run(vclock.Time(0).Add(ms(5)))
 		return p.Finish(w.Now()), nil
 	}()
-	if err := WriteChromeTrace(&bytes.Buffer{}, prof); err != ErrNoSpans {
+	if err := profile.WriteChromeTrace(&bytes.Buffer{}, prof); err != profile.ErrNoSpans {
 		t.Fatalf("err = %v, want ErrNoSpans", err)
 	}
 }
 
 // profileBenchmark profiles a real workload via the Set/OnWorld seam.
-func profileBenchmark(t *testing.T, cpus int) []*Profile {
+func profileBenchmark(t *testing.T, cpus int) []*profile.Profile {
 	t.Helper()
-	set := NewSet()
+	set := profile.NewSet()
 	rc := workload.RunConfig{
 		Warmup: 0,
 		Window: 2 * vclock.Second,
@@ -220,7 +224,7 @@ func TestRealWorkloadExactAccounting(t *testing.T) {
 		}
 		for _, th := range p.Threads {
 			var sum vclock.Duration
-			for s := StateNew; s < StateDead; s++ {
+			for s := profile.StateNew; s < profile.StateDead; s++ {
 				sum += th.Durations[s]
 			}
 			if sum != th.Lifetime() {
@@ -235,8 +239,8 @@ func TestRealWorkloadExactAccounting(t *testing.T) {
 }
 
 func TestProfileDeterministic(t *testing.T) {
-	a := NewReport(profileBenchmark(t, 2)[0]).String()
-	b := NewReport(profileBenchmark(t, 2)[0]).String()
+	a := profile.NewReport(profileBenchmark(t, 2)[0]).String()
+	b := profile.NewReport(profileBenchmark(t, 2)[0]).String()
 	if a != b {
 		t.Fatalf("profile reports differ across identical runs:\n--- a ---\n%s\n--- b ---\n%s", a, b)
 	}
