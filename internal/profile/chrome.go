@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"strconv"
 )
 
 // Chrome trace-event export: the "JSON array format" understood by
@@ -85,7 +86,7 @@ func WriteChromeTrace(w io.Writer, p *Profile) error {
 		}
 	}
 	for i := range p.CPUIdle {
-		if err := meta(chromePidCPUs, int64(i), "thread", "cpu"+itoa32(int32(i)), i); err != nil {
+		if err := meta(chromePidCPUs, int64(i), "thread", "cpu"+strconv.Itoa(i), i); err != nil {
 			return err
 		}
 	}

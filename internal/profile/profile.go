@@ -20,6 +20,10 @@
 package profile
 
 import (
+	"cmp"
+	"slices"
+	"strconv"
+
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vclock"
@@ -141,9 +145,9 @@ func (t *ThreadProfile) Lifetime() vclock.Duration { return t.Died.Sub(t.Born) }
 // Label renders "t<id>" or "t<id> <name>" for reports.
 func (t *ThreadProfile) Label() string {
 	if t.Name == "" {
-		return "t" + itoa32(t.ID)
+		return "t" + strconv.Itoa(int(t.ID))
 	}
-	return "t" + itoa32(t.ID) + " " + t.Name
+	return "t" + strconv.Itoa(int(t.ID)) + " " + t.Name
 }
 
 // MonitorProfile is one monitor lock's contention profile (Table 3's
@@ -301,14 +305,50 @@ type cpuRec struct {
 // map iteration in the KindExit cleanup — deterministic to walk.
 type holdEntry struct {
 	mon    *MonitorProfile
-	monID  int64
 	thread int32
 	since  vclock.Time
 }
 
-type waitRec struct {
-	cv    int64
-	since vclock.Time
+// denseLimit bounds how large an ID the dense part of an idTable will
+// grow to accommodate; anything beyond spills to its map so a hostile
+// replay with huge IDs cannot balloon memory.
+const denseLimit = 1 << 20
+
+// idTable resolves thread, monitor and CV IDs to their records. The
+// simulator allocates all three as small sequential integers, so IDs in
+// [0, denseLimit) index a dense slice and the per-event resolve is one
+// bounds-checked load instead of a map probe (the single hottest
+// operation in a profiled run). Any other ID goes to the map. The table
+// also keeps creation order.
+type idTable[T any] struct {
+	dense  []*T
+	sparse map[int64]*T
+	order  []*T
+}
+
+// get returns id's record, or nil.
+func (t *idTable[T]) get(id int64) *T {
+	if uint64(id) < uint64(len(t.dense)) {
+		return t.dense[id]
+	}
+	return t.sparse[id]
+}
+
+// add registers r as id's record and returns it.
+func (t *idTable[T]) add(id int64, r *T) *T {
+	if uint64(id) < denseLimit {
+		for int64(len(t.dense)) <= id {
+			t.dense = append(t.dense, nil)
+		}
+		t.dense[id] = r
+	} else {
+		if t.sparse == nil {
+			t.sparse = make(map[int64]*T)
+		}
+		t.sparse[id] = r
+	}
+	t.order = append(t.order, r)
+	return r
 }
 
 // Profiler is the online accounting sink. Create with New, attach as a
@@ -326,20 +366,9 @@ type Profiler struct {
 	start vclock.Time
 	cpu   []cpuRec
 
-	// Thread/monitor/CV lookup is a dense slice indexed by ID: the
-	// simulator allocates all three as small sequential integers, so the
-	// per-event resolve is one bounds-checked load instead of a map
-	// probe (the single hottest operation in a profiled run). Hostile or
-	// synthetic replay inputs with huge IDs spill into fallback maps.
-	denseThreads []*threadRec // index ID+1 (slot 0 is trace.NoThread)
-	threads      map[int32]*threadRec
-	order        []*threadRec // creation order
-	denseMons    []*MonitorProfile
-	monitors     map[int64]*MonitorProfile
-	monOrder     []*MonitorProfile
-	denseCVs     []*CVProfile
-	cvs          map[int64]*CVProfile
-	cvOrder      []*CVProfile
+	threads  idTable[threadRec]
+	monitors idTable[MonitorProfile]
+	cvs      idTable[CVProfile]
 
 	// ready holds exactly the StateReady threads, so the advance loop —
 	// run on every time-advancing event — charges inversion time without
@@ -347,11 +376,6 @@ type Profiler struct {
 	ready []*threadRec
 
 	holds []holdEntry // live monitor holds
-
-	// orphanWaits tracks CV waits recorded for threads the trace never
-	// otherwise introduced (possible only in synthetic replays; the
-	// simulator forks threads before they can wait).
-	orphanWaits map[int32]waitRec
 
 	invOpen  bool
 	invSince vclock.Time
@@ -433,24 +457,14 @@ func (p *Profiler) Record(ev trace.Event) {
 		// Kill-unwind releases held monitors without MLExit records
 		// (cf. the explore exclusion oracle); close those holds here.
 		for i := 0; i < len(p.holds); {
-			h := p.holds[i]
-			if h.thread != ev.Thread {
+			if p.holds[i].thread == ev.Thread {
+				p.closeHold(i, ev.Time)
+			} else {
 				i++
-				continue
 			}
-			d := ev.Time.Sub(h.since)
-			h.mon.Hold.Add(d)
-			if d > h.mon.MaxHold {
-				h.mon.MaxHold = d
-			}
-			p.holds[i] = p.holds[len(p.holds)-1]
-			p.holds = p.holds[:len(p.holds)-1]
 		}
 		r.queueActive = false
 		r.waitActive = false
-		if p.orphanWaits != nil {
-			delete(p.orphanWaits, ev.Thread)
-		}
 		p.setState(r, ev.Time, StateDead)
 		r.Died = ev.Time
 
@@ -466,49 +480,30 @@ func (p *Profiler) Record(ev trace.Event) {
 		if ev.Aux == 1 {
 			m.Contended++
 		}
-		if r := p.lookupThread(ev.Thread); r != nil && r.queueActive {
+		if r := p.thread(ev.Thread, ev.Time); r.queueActive {
 			d := ev.Time.Sub(r.queueSince)
 			m.QueueWait.Add(d)
-			if d > m.MaxQueueWait {
-				m.MaxQueueWait = d
-			}
+			m.MaxQueueWait = max(m.MaxQueueWait, d)
 			r.queueActive = false
 		}
-		p.openHold(m, ev.Arg, ev.Thread, ev.Time)
+		p.openHold(m, ev.Thread, ev.Time)
 
 	case trace.KindMLExit:
-		for i := range p.holds {
-			h := p.holds[i]
-			if h.monID != ev.Arg {
-				continue
-			}
-			if h.thread == ev.Thread {
-				d := ev.Time.Sub(h.since)
-				h.mon.Hold.Add(d)
-				if d > h.mon.MaxHold {
-					h.mon.MaxHold = d
+		for i, h := range p.holds {
+			if h.mon.ID == ev.Arg {
+				if h.thread == ev.Thread {
+					p.closeHold(i, ev.Time)
 				}
-				p.holds[i] = p.holds[len(p.holds)-1]
-				p.holds = p.holds[:len(p.holds)-1]
+				break
 			}
-			break
 		}
 
 	case trace.KindWait:
 		p.cv(ev.Arg) // register in first-use order even if the wait never completes
-		if r := p.lookupThread(ev.Thread); r != nil {
-			r.waitActive = true
-			r.waitCV = ev.Arg
-			r.waitSince = ev.Time
-			if p.orphanWaits != nil {
-				delete(p.orphanWaits, ev.Thread)
-			}
-		} else {
-			if p.orphanWaits == nil {
-				p.orphanWaits = make(map[int32]waitRec)
-			}
-			p.orphanWaits[ev.Thread] = waitRec{cv: ev.Arg, since: ev.Time}
-		}
+		r := p.thread(ev.Thread, ev.Time)
+		r.waitActive = true
+		r.waitCV = ev.Arg
+		r.waitSince = ev.Time
 
 	case trace.KindWaitDone:
 		cv := p.cv(ev.Arg)
@@ -516,23 +511,11 @@ func (p *Profiler) Record(ev trace.Event) {
 		if ev.Aux == 1 {
 			cv.Timeouts++
 		}
-		var since vclock.Time
-		matched := false
-		if r := p.lookupThread(ev.Thread); r != nil && r.waitActive && r.waitCV == ev.Arg {
-			since = r.waitSince
-			r.waitActive = false
-			matched = true
-		} else if ws, ok := p.orphanWaits[ev.Thread]; ok && ws.cv == ev.Arg {
-			since = ws.since
-			delete(p.orphanWaits, ev.Thread)
-			matched = true
-		}
-		if matched {
-			d := ev.Time.Sub(since)
+		if r := p.thread(ev.Thread, ev.Time); r.waitActive && r.waitCV == ev.Arg {
+			d := ev.Time.Sub(r.waitSince)
 			cv.Wait.Add(d)
-			if d > cv.MaxWait {
-				cv.MaxWait = d
-			}
+			cv.MaxWait = max(cv.MaxWait, d)
+			r.waitActive = false
 		}
 
 	case trace.KindNotify, trace.KindBroadcast:
@@ -542,18 +525,29 @@ func (p *Profiler) Record(ev trace.Event) {
 	}
 }
 
-// openHold records that thread holds the monitor as of t, replacing any
+// openHold records that thread holds monitor m as of t, replacing any
 // hold already open on the same monitor (an MLEnter without a matching
 // MLExit, as a handoff records).
-func (p *Profiler) openHold(m *MonitorProfile, id int64, thread int32, t vclock.Time) {
+func (p *Profiler) openHold(m *MonitorProfile, thread int32, t vclock.Time) {
 	for i := range p.holds {
-		if p.holds[i].monID == id {
+		if p.holds[i].mon == m {
 			p.holds[i].thread = thread
 			p.holds[i].since = t
 			return
 		}
 	}
-	p.holds = append(p.holds, holdEntry{mon: m, monID: id, thread: thread, since: t})
+	p.holds = append(p.holds, holdEntry{mon: m, thread: thread, since: t})
+}
+
+// closeHold ends live hold i at t, adds its length to the monitor's
+// hold profile and drops it from the hold list.
+func (p *Profiler) closeHold(i int, t vclock.Time) {
+	h := p.holds[i]
+	d := t.Sub(h.since)
+	h.mon.Hold.Add(d)
+	h.mon.MaxHold = max(h.mon.MaxHold, d)
+	p.holds[i] = p.holds[len(p.holds)-1]
+	p.holds = p.holds[:len(p.holds)-1]
 }
 
 // onSwitch applies a CPU dispatch record, using per-CPU occupancy (not
@@ -570,7 +564,7 @@ func (p *Profiler) onSwitch(ev trace.Event) {
 	}
 	c := &p.cpu[idx]
 	if c.occupant != trace.NoThread {
-		if r := p.lookupThread(c.occupant); r != nil && r.state == StateRunning {
+		if r := p.threads.get(int64(c.occupant)); r != nil && r.state == StateRunning {
 			// No explicit ready/block/exit record preceded this switch
 			// (traces predating explicit re-queue events): infer the
 			// ready-queue re-entry.
@@ -633,7 +627,7 @@ func (p *Profiler) minRunningPriority() (int, bool) {
 		if occ == trace.NoThread {
 			return 0, false
 		}
-		if r := p.lookupThread(occ); r != nil && r.Priority < min {
+		if r := p.threads.get(int64(occ)); r != nil && r.Priority < min {
 			min = r.Priority
 		}
 	}
@@ -660,15 +654,7 @@ func (p *Profiler) setState(r *threadRec, t vclock.Time, s State) {
 	if r.state == s {
 		return
 	}
-	d := t.Sub(r.since)
-	r.Durations[r.state] += d
-	if p.KeepSpans && d > 0 && r.state != StateDead {
-		cpu := -1
-		if r.state == StateRunning {
-			cpu = r.runCPU
-		}
-		p.spans = append(p.spans, Span{Thread: r.ID, State: r.state, CPU: cpu, From: r.since, To: t})
-	}
+	p.closeInterval(r, t)
 	if r.state == StateReady {
 		last := len(p.ready) - 1
 		moved := p.ready[last]
@@ -679,97 +665,51 @@ func (p *Profiler) setState(r *threadRec, t vclock.Time, s State) {
 		r.readyIdx = -1
 	}
 	r.state = s
-	r.since = t
 	if s == StateReady {
 		r.readyIdx = int32(len(p.ready))
 		p.ready = append(p.ready, r)
 	}
 }
 
-// denseLimit bounds how large an ID the dense lookup tables will grow
-// to accommodate; anything beyond spills to the fallback maps so a
-// hostile replay with huge IDs cannot balloon memory.
-const denseLimit = 1 << 20
-
-// lookupThread resolves an already-registered thread, or nil.
-func (p *Profiler) lookupThread(id int32) *threadRec {
-	if idx := int(id) + 1; idx >= 0 && idx < len(p.denseThreads) {
-		return p.denseThreads[idx]
+// closeInterval charges the thread's current state with the time from
+// the start of its interval to t, retaining the span under KeepSpans,
+// and restarts the interval at t.
+func (p *Profiler) closeInterval(r *threadRec, t vclock.Time) {
+	d := t.Sub(r.since)
+	r.Durations[r.state] += d
+	if p.KeepSpans && d > 0 && r.state != StateDead {
+		cpu := -1
+		if r.state == StateRunning {
+			cpu = r.runCPU
+		}
+		p.spans = append(p.spans, Span{Thread: r.ID, State: r.state, CPU: cpu, From: r.since, To: t})
 	}
-	return p.threads[id]
+	r.since = t
 }
 
+// thread returns the thread's record, registering it at t on first use.
 func (p *Profiler) thread(id int32, t vclock.Time) *threadRec {
-	if id == trace.NoThread {
-		id = -1
-	}
-	if r := p.lookupThread(id); r != nil {
+	if r := p.threads.get(int64(id)); r != nil {
 		return r
 	}
 	r := &threadRec{state: StateNew, since: t, runCPU: -1, readyIdx: -1}
 	r.ID = id
 	r.Born = t
-	if idx := int(id) + 1; idx >= 0 && idx < denseLimit {
-		for idx >= len(p.denseThreads) {
-			p.denseThreads = append(p.denseThreads, nil)
-		}
-		p.denseThreads[idx] = r
-	} else {
-		if p.threads == nil {
-			p.threads = make(map[int32]*threadRec)
-		}
-		p.threads[id] = r
-	}
-	p.order = append(p.order, r)
-	return r
+	return p.threads.add(int64(id), r)
 }
 
 func (p *Profiler) monitor(id int64) *MonitorProfile {
-	if id >= 0 && id < int64(len(p.denseMons)) {
-		if m := p.denseMons[id]; m != nil {
-			return m
-		}
-	} else if m := p.monitors[id]; m != nil {
+	if m := p.monitors.get(id); m != nil {
 		return m
 	}
-	m := &MonitorProfile{ID: id, Hold: newLatencyHistogram(), QueueWait: newLatencyHistogram()}
-	if id >= 0 && id < denseLimit {
-		for id >= int64(len(p.denseMons)) {
-			p.denseMons = append(p.denseMons, nil)
-		}
-		p.denseMons[id] = m
-	} else {
-		if p.monitors == nil {
-			p.monitors = make(map[int64]*MonitorProfile)
-		}
-		p.monitors[id] = m
-	}
-	p.monOrder = append(p.monOrder, m)
-	return m
+	return p.monitors.add(id, &MonitorProfile{ID: id, Hold: newLatencyHistogram(), QueueWait: newLatencyHistogram()})
 }
 
 func (p *Profiler) cv(id int64) *CVProfile {
-	if id >= 0 && id < int64(len(p.denseCVs)) {
-		if c := p.denseCVs[id]; c != nil {
-			return c
-		}
-	} else if c := p.cvs[id]; c != nil {
+	if c := p.cvs.get(id); c != nil {
 		return c
 	}
-	c := &CVProfile{ID: id, Wait: newLatencyHistogram()}
-	if id >= 0 && id < denseLimit {
-		for id >= int64(len(p.denseCVs)) {
-			p.denseCVs = append(p.denseCVs, nil)
-		}
-		p.denseCVs[id] = c
-	} else {
-		if p.cvs == nil {
-			p.cvs = make(map[int64]*CVProfile)
-		}
-		p.cvs[id] = c
-	}
-	p.cvOrder = append(p.cvOrder, c)
-	return c
+	return p.cvs.add(id, &CVProfile{ID: id, Wait: newLatencyHistogram()})
 }
 
 // Finish closes every open interval at end and returns the completed
@@ -792,18 +732,9 @@ func (p *Profiler) Finish(end vclock.Time) *Profile {
 		End:       end,
 		Inversion: p.inv,
 	}
-	for _, r := range p.order {
+	for _, r := range p.threads.order {
 		// Close the final interval without a state change.
-		d := end.Sub(r.since)
-		r.Durations[r.state] += d
-		if p.KeepSpans && d > 0 && r.state != StateDead {
-			cpu := -1
-			if r.state == StateRunning {
-				cpu = r.runCPU
-			}
-			p.spans = append(p.spans, Span{Thread: r.ID, State: r.state, CPU: cpu, From: r.since, To: end})
-		}
-		r.since = end
+		p.closeInterval(r, end)
 		if r.state != StateDead {
 			r.Died = end
 			r.Alive = true
@@ -819,51 +750,13 @@ func (p *Profiler) Finish(end vclock.Time) *Profile {
 		prof.CPUIdle = append(prof.CPUIdle, c.idle)
 		prof.CPUSwitches = append(prof.CPUSwitches, c.switches)
 	}
-	prof.Monitors = append(prof.Monitors, p.monOrder...)
-	prof.CVs = append(prof.CVs, p.cvOrder...)
-	sortMonitors(prof.Monitors)
-	sortCVs(prof.CVs)
+	// Ascending ID: allocation order.
+	prof.Monitors = append(prof.Monitors, p.monitors.order...)
+	prof.CVs = append(prof.CVs, p.cvs.order...)
+	slices.SortFunc(prof.Monitors, func(a, b *MonitorProfile) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(prof.CVs, func(a, b *CVProfile) int { return cmp.Compare(a.ID, b.ID) })
 	prof.Spans = p.spans
 	p.finished = true
 	p.result = prof
 	return prof
-}
-
-// sortMonitors orders by ascending ID (allocation order).
-func sortMonitors(ms []*MonitorProfile) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && ms[j-1].ID > ms[j].ID; j-- {
-			ms[j-1], ms[j] = ms[j], ms[j-1]
-		}
-	}
-}
-
-func sortCVs(cs []*CVProfile) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j-1].ID > cs[j].ID; j-- {
-			cs[j-1], cs[j] = cs[j], cs[j-1]
-		}
-	}
-}
-
-func itoa32(v int32) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [12]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -1,7 +1,9 @@
 package profile
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/stats"
@@ -96,30 +98,18 @@ func threadTable(p *Profile) *stats.Table {
 		"switches", "preempt", "inverted")
 
 	// Busiest first; creation order breaks ties so output is stable.
-	idx := make([]int, len(p.Threads))
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0; j-- {
-			a, b := p.Threads[idx[j-1]], p.Threads[idx[j]]
-			if a.Running() >= b.Running() {
-				break
-			}
-			idx[j-1], idx[j] = idx[j], idx[j-1]
-		}
-	}
+	threads := slices.Clone(p.Threads)
+	slices.SortStableFunc(threads, func(a, b *ThreadProfile) int { return cmp.Compare(b.Running(), a.Running()) })
 
-	shown := idx
+	shown := threads
 	if len(shown) > maxThreadRows {
 		shown = shown[:maxThreadRows]
 	}
 	var restRunning vclock.Duration
-	for _, i := range idx[len(shown):] {
-		restRunning += p.Threads[i].Running()
+	for _, th := range threads[len(shown):] {
+		restRunning += th.Running()
 	}
-	for _, i := range shown {
-		th := p.Threads[i]
+	for _, th := range shown {
 		other := th.Durations[StateJoin] + th.Durations[StateForkWait]
 		t.AddRow(th.Label(),
 			fmt.Sprintf("%d", th.Priority),
@@ -155,16 +145,11 @@ func monitorTable(p *Profile, r *Report) *stats.Table {
 	t := stats.NewTable("Monitor contention (§6.1)",
 		"monitor", "enters", "contended", "hold mean", "hold max", "qwait mean", "qwait max")
 
-	ms := append([]*MonitorProfile(nil), p.Monitors...)
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0; j-- {
-			if ms[j-1].Enters > ms[j].Enters ||
-				(ms[j-1].Enters == ms[j].Enters && ms[j-1].ID <= ms[j].ID) {
-				break
-			}
-			ms[j-1], ms[j] = ms[j], ms[j-1]
-		}
-	}
+	// Busiest first, then ascending ID.
+	ms := slices.Clone(p.Monitors)
+	slices.SortFunc(ms, func(a, b *MonitorProfile) int {
+		return cmp.Or(cmp.Compare(b.Enters, a.Enters), cmp.Compare(a.ID, b.ID))
+	})
 	shown := ms
 	if len(shown) > maxMonitorRows {
 		shown = shown[:maxMonitorRows]
@@ -185,16 +170,11 @@ func cvTable(p *Profile, r *Report) *stats.Table {
 	t := stats.NewTable("Condition-variable waits (Table 2, §5.3)",
 		"cv", "waits", "timeouts", "signals", "woken", "wait mean", "wait max")
 
-	cs := append([]*CVProfile(nil), p.CVs...)
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0; j-- {
-			if cs[j-1].Waits > cs[j].Waits ||
-				(cs[j-1].Waits == cs[j].Waits && cs[j-1].ID <= cs[j].ID) {
-				break
-			}
-			cs[j-1], cs[j] = cs[j], cs[j-1]
-		}
-	}
+	// Busiest first, then ascending ID.
+	cs := slices.Clone(p.CVs)
+	slices.SortFunc(cs, func(a, b *CVProfile) int {
+		return cmp.Or(cmp.Compare(b.Waits, a.Waits), cmp.Compare(a.ID, b.ID))
+	})
 	shown := cs
 	if len(shown) > maxCVRows {
 		shown = shown[:maxCVRows]

@@ -65,14 +65,7 @@ func (s *Set) Finish() []*Profile {
 
 // Summary finishes the set and aggregates every profile into one
 // machine-readable record.
-func (s *Set) Summary() Summary {
-	profs := s.Finish()
-	var sum Summary
-	for _, p := range profs {
-		sum.add(p)
-	}
-	return sum
-}
+func (s *Set) Summary() Summary { return Summarize(s.Finish()...) }
 
 // Summary is the machine-readable aggregate of one or more profiles;
 // cmd/threadstudy -profilejson emits it as JSON. Every duration field is in
