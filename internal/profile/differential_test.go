@@ -287,7 +287,7 @@ func randomScriptWorld(seed int64) run {
 
 func TestReferenceRandomScripts(t *testing.T) {
 	for seed := int64(1); seed <= 150; seed++ {
-		randomScriptWorld(seed).check(t)
+		randomScriptWorld(seed).checkExact(t)
 	}
 }
 

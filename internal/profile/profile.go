@@ -649,12 +649,19 @@ func (p *Profiler) closeEpisode(end vclock.Time) {
 }
 
 // setState closes the thread's current state interval and opens a new
-// one at t, keeping the ready set in sync.
+// one at t, keeping the ready set in sync. A thread that stops running
+// vacates its CPU, which is idle from t until its next switch record: a
+// yielding thread may be dispatched on another CPU while no record ever
+// names the one it left.
 func (p *Profiler) setState(r *threadRec, t vclock.Time, s State) {
 	if r.state == s {
 		return
 	}
 	p.closeInterval(r, t)
+	if r.state == StateRunning && p.cpu[r.runCPU].occupant == r.ID {
+		p.cpu[r.runCPU].occupant = trace.NoThread
+		p.cpu[r.runCPU].idleSince = t
+	}
 	if r.state == StateReady {
 		last := len(p.ready) - 1
 		moved := p.ready[last]

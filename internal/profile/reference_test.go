@@ -197,8 +197,7 @@ func (r *refProfiler) Record(ev trace.Event) {
 }
 
 // switchCPU installs ev.Thread (or idleness) on CPU ev.Aux. The
-// outgoing occupant, if still running, goes back to ready: a yield
-// vacates the CPU without a record of its own.
+// outgoing occupant, if still running, goes back to ready.
 func (r *refProfiler) switchCPU(ev trace.Event) {
 	idx := int(ev.Aux)
 	if idx < 0 {
@@ -277,12 +276,17 @@ func (r *refProfiler) closeHold(monitor int64, t vclock.Time) {
 	delete(r.holds, monitor)
 }
 
-// move ends th's current state interval at t and starts state s.
+// move ends th's current state interval at t and starts state s. A
+// thread that stops running leaves its CPU idle: a yielder may be
+// dispatched elsewhere with no record for the CPU it left.
 func (r *refProfiler) move(th *refThread, t vclock.Time, s profile.State) {
 	if th.state == s {
 		return
 	}
 	r.closeInterval(th, t)
+	if th.state == profile.StateRunning && r.cpus[th.cpu].occupant == th.ID {
+		r.cpus[th.cpu].occupant, r.cpus[th.cpu].idleSince = trace.NoThread, t
+	}
 	th.state = s
 }
 
