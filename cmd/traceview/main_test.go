@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,9 +70,27 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// writeHostileTrace writes a one-record v1 trace whose switch names CPU
+// 1<<50, encoded by hand because trace.Write refuses such a record.
+func writeHostileTrace(t *testing.T) string {
+	t.Helper()
+	rec := []byte("THTRACE1")
+	rec = binary.AppendUvarint(rec, 0)                        // time delta
+	rec = binary.AppendUvarint(rec, uint64(trace.KindSwitch)) // kind
+	rec = binary.AppendVarint(rec, 1)                         // thread
+	rec = binary.AppendVarint(rec, trace.NoThread)            // arg
+	rec = binary.AppendVarint(rec, 1<<50)                     // aux: the CPU
+	path := filepath.Join(t.TempDir(), "hostile.bin")
+	if err := os.WriteFile(path, rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestCLI exercises the cliflag-based flag surface end to end.
 func TestCLI(t *testing.T) {
 	path := writeTrace(t)
+	hostile := writeHostileTrace(t)
 	cases := []struct {
 		name     string
 		args     []string
@@ -87,6 +106,8 @@ func TestCLI(t *testing.T) {
 		{"narrow timeline rejected", []string{"-timeline", "-width", "4", path}, 2, "", "-width 4: the timeline needs at least 8 columns"},
 		{"zero rows rejected", []string{"-timeline", "-rows", "0", path}, 2, "", "-rows 0: the timeline needs at least one row"},
 		{"missing file", []string{"nope.bin"}, 1, "", "traceview: "},
+		{"profile", []string{"-profile", path}, 0, "per-thread scheduler accounting", ""},
+		{"hostile CPU index rejected", []string{"-profile", hostile}, 1, "", "malformed trace data: switch on CPU 1125899906842624"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -553,11 +553,13 @@ func (p *Profiler) closeHold(i int, t vclock.Time) {
 // onSwitch applies a CPU dispatch record, using per-CPU occupancy (not
 // the record's Arg) to close the outgoing interval: a yield vacates the
 // CPU without a switch record of its own, so Arg alone is not reliable.
+// A record whose CPU index lies outside [0, trace.MaxCPUs) is ignored,
+// so a hostile one cannot grow the per-CPU table without bound.
 func (p *Profiler) onSwitch(ev trace.Event) {
-	idx := int(ev.Aux)
-	if idx < 0 {
+	if ev.Aux < 0 || ev.Aux >= trace.MaxCPUs {
 		return
 	}
+	idx := int(ev.Aux)
 	for idx >= len(p.cpu) {
 		p.cpu = append(p.cpu, cpuRec{occupant: trace.NoThread, idleSince: p.start})
 		p.cpus++

@@ -200,7 +200,7 @@ func (r *refProfiler) Record(ev trace.Event) {
 // outgoing occupant, if still running, goes back to ready.
 func (r *refProfiler) switchCPU(ev trace.Event) {
 	idx := int(ev.Aux)
-	if idx < 0 {
+	if idx < 0 || idx >= trace.MaxCPUs {
 		return
 	}
 	for len(r.cpus) <= idx {

@@ -19,6 +19,22 @@ var magic = []byte("THTRACE1")
 // ErrBadTrace is returned when decoding input that is not a valid trace.
 var ErrBadTrace = errors.New("trace: malformed trace data")
 
+// MaxCPUs bounds the CPU index of a switch record: far above any world
+// the simulator builds (the largest has 4 CPUs), and low enough that a
+// consumer sizing per-CPU state from a decoded trace allocates little.
+// Write refuses, and Read rejects as ErrBadTrace, a switch on a CPU
+// index outside [0, MaxCPUs).
+const MaxCPUs = 1024
+
+// badCPU returns an ErrBadTrace error for a switch on an out-of-range
+// CPU, and nil for any other event.
+func badCPU(ev Event) error {
+	if ev.Kind == KindSwitch && (ev.Aux < 0 || ev.Aux >= MaxCPUs) {
+		return fmt.Errorf("%w: switch on CPU %d, outside [0, %d)", ErrBadTrace, ev.Aux, MaxCPUs)
+	}
+	return nil
+}
+
 // Write encodes events to w in the binary trace format.
 func Write(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
@@ -28,6 +44,9 @@ func Write(w io.Writer, events []Event) error {
 	var buf [5 * binary.MaxVarintLen64]byte
 	var prev vclock.Time
 	for _, ev := range events {
+		if err := badCPU(ev); err != nil {
+			return err
+		}
 		n := 0
 		n += binary.PutUvarint(buf[n:], uint64(ev.Time-prev))
 		prev = ev.Time
@@ -82,13 +101,17 @@ func Read(r io.Reader) ([]Event, error) {
 			return nil, fmt.Errorf("%w: truncated record: %v", ErrBadTrace, err)
 		}
 		prev = prev.Add(vclock.Duration(dt))
-		events = append(events, Event{
+		ev := Event{
 			Time:   prev,
 			Kind:   Kind(kind),
 			Thread: int32(thread),
 			Arg:    arg,
 			Aux:    aux,
-		})
+		}
+		if err := badCPU(ev); err != nil {
+			return nil, err
+		}
+		events = append(events, ev)
 	}
 }
 

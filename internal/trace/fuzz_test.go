@@ -9,7 +9,8 @@ import (
 )
 
 // FuzzRead ensures the binary decoder never panics on malformed input —
-// it must either return events or ErrBadTrace.
+// it must either return events or ErrBadTrace — and never returns a
+// switch on a CPU index outside [0, MaxCPUs).
 func FuzzRead(f *testing.F) {
 	var buf bytes.Buffer
 	_ = Write(&buf, sampleEvents())
@@ -17,8 +18,16 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte("THTRACE1"))
 	f.Add([]byte("THTRACE1\x00\x01\x02"))
 	f.Add([]byte{})
+	for _, cpu := range []int64{MaxCPUs - 1, MaxCPUs, 1 << 50} {
+		f.Add(rawTrace(Event{Kind: KindSwitch, Thread: 1, Arg: NoThread, Aux: cpu}))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = Read(bytes.NewReader(data))
+		events, err := Read(bytes.NewReader(data))
+		for _, ev := range events {
+			if ev.Kind == KindSwitch && (ev.Aux < 0 || ev.Aux >= MaxCPUs) {
+				t.Fatalf("decoded a switch on CPU %d (err %v)", ev.Aux, err)
+			}
+		}
 	})
 }
 
@@ -35,7 +44,8 @@ func FuzzReadTrace(f *testing.F) {
 
 // FuzzEncodeDecode drives the v2 container from the other direction:
 // arbitrary bytes become a syntactically valid trace (monotone times,
-// in-range kinds — the only invariants the encoder itself demands), and
+// in-range kinds, switches on CPUs in [0, MaxCPUs) — the only
+// invariants the encoder itself demands), and
 // WriteTrace → ReadTrace must reproduce it exactly, name table included.
 func FuzzEncodeDecode(f *testing.F) {
 	f.Add([]byte{})
@@ -87,6 +97,9 @@ func traceFromBytes(data []byte) Trace {
 			Arg:    int64(binary.LittleEndian.Uint32(c[7:11])) - 1<<31,
 			Aux:    int64(c[11]) | int64(c[12])<<8 | -int64(c[13]&1)<<16,
 		})
+		if ev := &tr.Events[len(tr.Events)-1]; ev.Kind == KindSwitch {
+			ev.Aux = int64(uint64(ev.Aux) % MaxCPUs)
+		}
 	}
 	for i := 0; len(data) > 0; i++ {
 		n := min(int(data[0])%7+1, len(data))

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -109,6 +112,41 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// rawTrace encodes events in the v1 format without Write's checks, so
+// tests can build traces Write refuses to produce.
+func rawTrace(events ...Event) []byte {
+	b := append([]byte(nil), magic...)
+	var prev vclock.Time
+	for _, ev := range events {
+		b = binary.AppendUvarint(b, uint64(ev.Time-prev))
+		prev = ev.Time
+		b = binary.AppendUvarint(b, uint64(ev.Kind))
+		b = binary.AppendVarint(b, int64(ev.Thread))
+		b = binary.AppendVarint(b, ev.Arg)
+		b = binary.AppendVarint(b, ev.Aux)
+	}
+	return b
+}
+
+// TestSwitchCPUBounds: a switch must name a CPU in [0, MaxCPUs). Read
+// rejects any other index as ErrBadTrace, so a consumer that sizes
+// per-CPU state from a decoded trace cannot be made to allocate
+// gigabytes (or panic in makeslice), and Write refuses to produce one.
+func TestSwitchCPUBounds(t *testing.T) {
+	sw := func(cpu int64) Event { return Event{Time: 5, Kind: KindSwitch, Thread: 1, Arg: NoThread, Aux: cpu} }
+	if got, err := Read(bytes.NewReader(rawTrace(sw(MaxCPUs - 1)))); err != nil || len(got) != 1 {
+		t.Fatalf("switch on CPU MaxCPUs-1: %v, %d events", err, len(got))
+	}
+	for _, cpu := range []int64{-1, MaxCPUs, 1 << 26, 1 << 50} {
+		if _, err := Read(bytes.NewReader(rawTrace(sampleEvents()[0], sw(cpu)))); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("Read of a switch on CPU %d: err = %v, want ErrBadTrace", cpu, err)
+		}
+		if err := Write(io.Discard, []Event{sw(cpu)}); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("Write of a switch on CPU %d: err = %v, want ErrBadTrace", cpu, err)
+		}
+	}
+}
+
 // Property: encode/decode round-trips arbitrary monotonic event streams.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
@@ -123,6 +161,9 @@ func TestRoundTripProperty(t *testing.T) {
 				Thread: int32(rng.Intn(100) - 1),
 				Arg:    rng.Int63n(2000) - 1000,
 				Aux:    rng.Int63n(2000) - 1000,
+			}
+			if evs[i].Kind == KindSwitch {
+				evs[i].Aux = rng.Int63n(MaxCPUs) // a valid trace names a real CPU
 			}
 		}
 		var buf bytes.Buffer
