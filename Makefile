@@ -3,8 +3,8 @@
 # rewrite), build, the full test suite under the race
 # detector — the race run is what proves the parallel experiment
 # harness (experiments.RunAll) shares no hidden state — plus a short
-# fuzz pass over the plan/trace parsers and the two differential
-# oracles (timing wheel, running quantile), a bounded schedule-
+# fuzz pass over the plan/trace parsers and the three differential
+# oracles (timing wheel, running quantile, profiler), a bounded schedule-
 # exploration sweep (every healthy scenario clean, every known-bad
 # fixture caught), and the benchmark module's own vet, tests and output
 # checks.
@@ -57,8 +57,11 @@ bench:
 # robustness + encode/decode round trip) — plus the timing-wheel/
 # reference differential: random op streams must keep the hierarchical
 # wheel byte-for-byte equivalent to the naive sorted-list event queue —
-# and the running-quantile differential: any sample stream must keep
-# stats.Quantile equal to LatencyRecorder.Percentile after every Add.
+# the running-quantile differential: any sample stream must keep
+# stats.Quantile equal to LatencyRecorder.Percentile after every Add —
+# and the profiler: hostile event streams must never panic or hang it,
+# and on well-formed streams it must equal the reference profiler with
+# zero residue.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz FuzzPlanJSON -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run='^$$' -fuzz FuzzSpecJSON -fuzztime $(FUZZTIME) ./internal/workload/spec
@@ -66,6 +69,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz FuzzEncodeDecode -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz FuzzWheelDifferential -fuzztime $(FUZZTIME) ./internal/eventq
 	$(GO) test -run='^$$' -fuzz FuzzQuantileDifferential -fuzztime $(FUZZTIME) ./internal/stats
+	$(GO) test -run='^$$' -fuzz FuzzProfile -fuzztime $(FUZZTIME) ./internal/profile
 
 # Bounded systematic schedule exploration over all registered scenarios.
 explore:
