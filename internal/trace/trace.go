@@ -5,8 +5,8 @@
 //
 // Traces flow through the Sink interface so that experiments can choose
 // between full in-memory capture (Buffer), cheap online aggregation (the
-// stats package implements Sink), file encoding (Encoder), or any
-// combination (Tee).
+// stats and profile packages implement Sink), or any combination (Tee).
+// Write and WriteTrace encode a captured trace to a file.
 package trace
 
 import (
@@ -113,11 +113,11 @@ type Event struct {
 //
 // Flush pushes any buffered state to the sink's final destination and
 // reports the first error that has prevented events from reaching it.
-// Purely in-memory sinks (Buffer, the stats collectors) have
-// nothing to push and always return nil; file-encoding sinks (Encoder)
-// surface write errors — short writes included — here rather than
-// silently dropping events, because Record has no error channel of its
-// own. Flush must be safe to call more than once.
+// Purely in-memory sinks (Buffer, the stats collectors, the profiler)
+// have nothing to push and always return nil; a sink that writes
+// somewhere surfaces its write errors here rather than silently dropping
+// events, because Record has no error channel of its own. Flush must be
+// safe to call more than once.
 type Sink interface {
 	Record(Event)
 	Flush() error
