@@ -97,25 +97,21 @@ type Spec struct {
 	// Faults is the cluster-scoped fault plan; only instance-scoped
 	// kinds (crash_instance / stall_instance / degrade_instance) are
 	// accepted. Fault times are offsets from virtual time zero.
+	// AnyInstance victim picks draw from a stream seeded by
+	// Seed+faultSeedOffset, so they never alias workload randomness.
 	Faults *fault.Plan
-	// FaultSeed seeds AnyInstance victim picks during fault compilation.
-	// Zero derives a stream from Seed.
-	FaultSeed int64
 	// ProbeEvery enables the health monitor: every instance is probed at
-	// this period, ejected from routing after FailAfter consecutive
-	// failures and re-admitted after RecoverAfter consecutive successes.
-	// Zero disables health-aware routing entirely.
-	ProbeEvery   vclock.Duration
-	FailAfter    int // consecutive probe failures to eject; zero selects 3
-	RecoverAfter int // consecutive probe successes to re-admit; zero selects 2
+	// this period, ejected from routing after failAfter (3) consecutive
+	// failures and re-admitted after recoverAfter (2) consecutive
+	// successes. Zero disables health-aware routing entirely.
+	ProbeEvery vclock.Duration
 	// Timeout is the client's per-attempt deadline. Zero disables.
 	Timeout vclock.Duration
 	// Retries caps client retries per request beyond the first attempt,
-	// with capped exponential backoff (RetryBackoff doubling up to
-	// RetryBackoffCap; defaults 1ms and 8x).
-	Retries         int
-	RetryBackoff    vclock.Duration
-	RetryBackoffCap vclock.Duration
+	// with capped exponential backoff: RetryBackoff (default 1ms)
+	// doubling up to backoffCapFactor (8) times RetryBackoff.
+	Retries      int
+	RetryBackoff vclock.Duration
 	// RetryBudget caps fleet-wide retries at this fraction of offered
 	// arrivals so far — the retry-storm valve. Zero leaves retries
 	// unmetered.
@@ -164,13 +160,13 @@ func (s Spec) resilient() bool {
 		s.HedgeAfter > 0 || s.BreakerAfter > 0 || s.DegradedOver > 0
 }
 
-// faultSeed resolves the victim-pick stream for AnyInstance rules.
-func (s Spec) faultSeed() int64 {
-	if s.FaultSeed != 0 {
-		return s.FaultSeed
-	}
-	return s.Seed + 0xfa017
-}
+// Fixed resilience parameters.
+const (
+	faultSeedOffset  = 0xfa017 // AnyInstance victim picks seed from Seed+faultSeedOffset
+	failAfter        = 3       // consecutive probe failures that eject an instance
+	recoverAfter     = 2       // consecutive probe successes that re-admit it
+	backoffCapFactor = 8       // retry backoff cap, as a multiple of RetryBackoff
+)
 
 // withDefaults returns the spec with zero knobs resolved.
 func (s Spec) withDefaults() Spec {
@@ -202,21 +198,8 @@ func (s Spec) withDefaults() Spec {
 		perPark := sim.Config{}.Defaults().SwitchCost + 10*vclock.Microsecond
 		s.Start = vclock.Duration(s.Sessions)*perPark + 200*vclock.Millisecond
 	}
-	if s.ProbeEvery > 0 {
-		if s.FailAfter <= 0 {
-			s.FailAfter = 3
-		}
-		if s.RecoverAfter <= 0 {
-			s.RecoverAfter = 2
-		}
-	}
-	if s.Retries > 0 {
-		if s.RetryBackoff <= 0 {
-			s.RetryBackoff = vclock.Millisecond
-		}
-		if s.RetryBackoffCap <= 0 {
-			s.RetryBackoffCap = 8 * s.RetryBackoff
-		}
+	if s.Retries > 0 && s.RetryBackoff <= 0 {
+		s.RetryBackoff = vclock.Millisecond
 	}
 	if s.BreakerAfter > 0 && s.BreakerOpenFor <= 0 {
 		s.BreakerOpenFor = 25 * vclock.Millisecond
@@ -367,7 +350,7 @@ func New(spec Spec) (*Cluster, error) {
 	}
 	// Compile eagerly: a bad plan (thread-scoped kinds, out-of-range
 	// instance) fails at New, before any world exists to leak.
-	faults, err := compileFaults(spec.Faults, spec.Instances, spec.faultSeed())
+	faults, err := compileFaults(spec.Faults, spec.Instances, spec.Seed+faultSeedOffset)
 	if err != nil {
 		return nil, err
 	}

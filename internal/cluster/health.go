@@ -6,8 +6,8 @@ import (
 
 // The health monitor is the fleet's failure detector: a virtual-time
 // probe loop that ejects instances from the routing rotation after
-// FailAfter consecutive failed probes and re-admits them after
-// RecoverAfter consecutive successes. A probe models the usual
+// failAfter consecutive failed probes and re-admits them after
+// recoverAfter consecutive successes. A probe models the usual
 // shallow health check — it observes "is the instance accepting and
 // serving right now" (crash or stall), not service quality, which is
 // exactly why the D4 brownout slips past it.
@@ -26,18 +26,15 @@ type healthState struct {
 
 // healthMonitor tracks the whole fleet.
 type healthMonitor struct {
-	failAfter    int
-	recoverAfter int
-	inst         []healthState
+	inst []healthState
 
 	ejections    int64
 	readmissions int64
 	ttrMax       vclock.Duration // slowest eject→readmit cycle
 }
 
-func newHealthMonitor(n, failAfter, recoverAfter int) *healthMonitor {
-	m := &healthMonitor{failAfter: failAfter, recoverAfter: recoverAfter,
-		inst: make([]healthState, n)}
+func newHealthMonitor(n int) *healthMonitor {
+	m := &healthMonitor{inst: make([]healthState, n)}
 	for i := range m.inst {
 		m.inst[i].healthy = true
 	}
@@ -52,7 +49,7 @@ func (m *healthMonitor) probe(now vclock.Time, alive func(int) bool) {
 		st := &m.inst[i]
 		if alive(i) {
 			st.consecFail, st.consecOK = 0, st.consecOK+1
-			if !st.healthy && st.consecOK >= m.recoverAfter {
+			if !st.healthy && st.consecOK >= recoverAfter {
 				st.healthy = true
 				m.readmissions++
 				if ttr := now.Sub(st.ejectedAt); ttr > m.ttrMax {
@@ -62,7 +59,7 @@ func (m *healthMonitor) probe(now vclock.Time, alive func(int) bool) {
 			continue
 		}
 		st.consecOK, st.consecFail = 0, st.consecFail+1
-		if st.healthy && st.consecFail >= m.failAfter {
+		if st.healthy && st.consecFail >= failAfter {
 			st.healthy = false
 			st.ejectedAt = now
 			m.ejections++

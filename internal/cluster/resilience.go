@@ -240,7 +240,7 @@ func newDriver(c *Cluster) *driver {
 		d.brk[i] = breaker{after: s.BreakerAfter, openFor: s.BreakerOpenFor}
 	}
 	if s.ProbeEvery > 0 {
-		d.health = newHealthMonitor(len(c.insts), s.FailAfter, s.RecoverAfter)
+		d.health = newHealthMonitor(len(c.insts))
 	}
 	return d
 }
@@ -448,18 +448,11 @@ func (d *driver) budgetAllows() bool {
 
 // backoff returns the capped exponential backoff before retry n (1-based).
 func (d *driver) backoff(n int) vclock.Duration {
-	s := d.c.spec
-	b := s.RetryBackoff
-	for i := 1; i < n; i++ {
+	b, limit := d.c.spec.RetryBackoff, backoffCapFactor*d.c.spec.RetryBackoff
+	for i := 1; i < n && b < limit; i++ {
 		b *= 2
-		if b >= s.RetryBackoffCap {
-			return s.RetryBackoffCap
-		}
 	}
-	if b > s.RetryBackoffCap {
-		b = s.RetryBackoffCap
-	}
-	return b
+	return min(b, limit)
 }
 
 // hedgeDelay is how long the client waits before duplicating a request:

@@ -308,7 +308,7 @@ func TestBreakerStateMachine(t *testing.T) {
 // readmit cycle and checks the consecutive-threshold hysteresis and the
 // recovery clock.
 func TestHealthMonitorThresholds(t *testing.T) {
-	m := newHealthMonitor(2, 3, 2)
+	m := newHealthMonitor(2)
 	tick := vclock.Time(0).Add(vclock.Second)
 	step := func(alive0 bool) {
 		m.probe(tick, func(i int) bool {

@@ -9,11 +9,15 @@ import "repro/internal/vclock"
 // the workaround PCR shipped for stable priority inversions, at the cost
 // of an incompletely specified priority model (§6.2's own complaint).
 func (w *World) spawnSystemDaemon() {
+	const (
+		period = 100 * vclock.Millisecond // how often the daemon wakes
+		slice  = 5 * vclock.Millisecond   // the timeslice it donates
+	)
 	w.Spawn("SystemDaemon", PriorityDaemon, func(t *Thread) any {
 		for {
-			t.Sleep(w.cfg.SystemDaemonPeriod)
+			t.Sleep(period)
 			if victim := w.randomRunnable(); victim != nil {
-				t.DirectedYieldFor(victim, w.cfg.SystemDaemonSlice)
+				t.DirectedYieldFor(victim, slice)
 			}
 		}
 	})

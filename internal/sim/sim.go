@@ -142,14 +142,9 @@ type Config struct {
 
 	// SystemDaemon enables the priority-6 sleeper that "regularly wakes
 	// up and donates, using a directed yield, a small timeslice to
-	// another thread chosen at random" (§6.2).
+	// another thread chosen at random" (§6.2): it wakes every 100 ms and
+	// donates 5 ms.
 	SystemDaemon bool
-
-	// SystemDaemonPeriod is how often the daemon wakes. Default 100 ms.
-	SystemDaemonPeriod vclock.Duration
-
-	// SystemDaemonSlice is the donated timeslice. Default 5 ms.
-	SystemDaemonSlice vclock.Duration
 }
 
 // Hooks is Config's observability-and-fault surface, one nested struct
@@ -273,12 +268,6 @@ func (cfg Config) Defaults() Config {
 	}
 	if cfg.Trace == nil {
 		cfg.Trace = trace.Discard
-	}
-	if cfg.SystemDaemonPeriod <= 0 {
-		cfg.SystemDaemonPeriod = 100 * vclock.Millisecond
-	}
-	if cfg.SystemDaemonSlice <= 0 {
-		cfg.SystemDaemonSlice = 5 * vclock.Millisecond
 	}
 	return cfg
 }
