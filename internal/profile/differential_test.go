@@ -255,12 +255,8 @@ func randomScriptWorld(seed int64) run {
 						t.YieldButNotToMe()
 					case opSetPriority:
 						t.SetPriority(op.pri)
-					case opFork:
-						var grandkids [][]scriptOp
-						for range kids[j] {
-							grandkids = append(grandkids, nil)
-						}
-						t.ForkPri(fmt.Sprintf("%s.%d", t.Name(), j), op.pri, body(kids[j], grandkids))
+					case opFork: // a child's own forks start empty threads
+						t.ForkPri(fmt.Sprintf("%s.%d", t.Name(), j), op.pri, body(kids[j], make([][]scriptOp, len(kids[j]))))
 					default:
 						if op.explicit {
 							m.Enter(t)
