@@ -26,9 +26,9 @@ var ErrBadTrace = errors.New("trace: malformed trace data")
 // index outside [0, MaxCPUs).
 const MaxCPUs = 1024
 
-// badCPU returns an ErrBadTrace error for a switch on an out-of-range
-// CPU, and nil for any other event.
-func badCPU(ev Event) error {
+// checkSwitchCPU returns an ErrBadTrace error for a switch on an
+// out-of-range CPU, and nil for any other event.
+func checkSwitchCPU(ev Event) error {
 	if ev.Kind == KindSwitch && (ev.Aux < 0 || ev.Aux >= MaxCPUs) {
 		return fmt.Errorf("%w: switch on CPU %d, outside [0, %d)", ErrBadTrace, ev.Aux, MaxCPUs)
 	}
@@ -44,7 +44,7 @@ func Write(w io.Writer, events []Event) error {
 	var buf [5 * binary.MaxVarintLen64]byte
 	var prev vclock.Time
 	for _, ev := range events {
-		if err := badCPU(ev); err != nil {
+		if err := checkSwitchCPU(ev); err != nil {
 			return err
 		}
 		n := 0
@@ -108,7 +108,7 @@ func Read(r io.Reader) ([]Event, error) {
 			Arg:    arg,
 			Aux:    aux,
 		}
-		if err := badCPU(ev); err != nil {
+		if err := checkSwitchCPU(ev); err != nil {
 			return nil, err
 		}
 		events = append(events, ev)
