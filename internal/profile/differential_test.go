@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/profile"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 	"repro/internal/workload"
@@ -324,6 +326,59 @@ func TestReferenceSweep(t *testing.T) {
 		}
 		if d := diffProfiles(online, pr.ref.finish(pr.w.Now())); len(d) > 0 {
 			t.Errorf("world %d: online profile differs from the reference:\n  %s", i, strings.Join(d, "\n  "))
+		}
+	}
+}
+
+// collectorDiff replays events through stats' Collector (via Analyze)
+// and through a profiler, both to the last record, and lists every
+// thread whose Collector execution time differs from its profiled
+// running time.
+func collectorDiff(events []trace.Event, cpus int) []string {
+	var end vclock.Time
+	if len(events) > 0 {
+		end = events[len(events)-1].Time
+	}
+	exec := stats.Analyze(events, 0, vclock.Never).ExecByThread
+	p := profile.New(cpus)
+	for _, ev := range events {
+		p.Record(ev)
+	}
+	var diffs []string
+	seen := map[int32]bool{}
+	for _, th := range p.Finish(end).Threads {
+		seen[th.ID] = true
+		if exec[th.ID] != th.Running() {
+			diffs = append(diffs, fmt.Sprintf("t%d: collector %v, profiler %v", th.ID, exec[th.ID], th.Running()))
+		}
+	}
+	for id, d := range exec {
+		if !seen[id] {
+			diffs = append(diffs, fmt.Sprintf("t%d: collector %v, profiler has no such thread", id, d))
+		}
+	}
+	slices.Sort(diffs)
+	return diffs
+}
+
+// TestCollectorMatchesProfiler checks stats.Collector's per-thread CPU
+// time against the profiler on the random scripts and on the twelve
+// Table 1–3 benchmarks on 1, 2 and 4 CPUs.
+func TestCollectorMatchesProfiler(t *testing.T) {
+	for seed := int64(1); seed <= 150; seed++ {
+		r := randomScriptWorld(seed)
+		if d := collectorDiff(r.events, r.cpus); len(d) > 0 {
+			t.Errorf("%s: collector differs from the profiler:\n  %s", r.label, strings.Join(d, "\n  "))
+		}
+	}
+	for _, b := range workload.AllBenchmarks() {
+		for _, cpus := range []int{1, 2, 4} {
+			var buf trace.Buffer
+			workload.Run(b, workload.RunConfig{Window: 2 * vclock.Second, Seed: 1, CPUs: cpus,
+				Hooks: sim.Hooks{OnWorld: func(*sim.World) trace.Sink { return &buf }}})
+			if d := collectorDiff(buf.Events, cpus); len(d) > 0 {
+				t.Errorf("%s/%s cpus=%d: collector differs from the profiler:\n  %s", b.System, b.Name, cpus, strings.Join(d, "\n  "))
+			}
 		}
 	}
 }

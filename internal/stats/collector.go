@@ -25,7 +25,7 @@ type Collector struct {
 	born    map[int32]vclock.Time
 	lifeSum vclock.Duration
 
-	cpuOcc   map[int64]*occupancy
+	cpu      []occupancy // indexed by the switch record's CPU
 	finished bool
 }
 
@@ -46,13 +46,12 @@ func NewCollector(from, to vclock.Time) *Collector {
 			PriorityOfThread: make(map[int32]int),
 			ForkGenerations:  make([]int, 0, 4),
 		},
-		from:   from,
-		to:     to,
-		mls:    make(map[int64]bool),
-		cvs:    make(map[int64]bool),
-		gen:    make(map[int32]int),
-		born:   make(map[int32]vclock.Time),
-		cpuOcc: make(map[int64]*occupancy),
+		from: from,
+		to:   to,
+		mls:  make(map[int64]bool),
+		cvs:  make(map[int64]bool),
+		gen:  make(map[int32]int),
+		born: make(map[int32]vclock.Time),
 	}
 }
 
@@ -132,14 +131,27 @@ func (c *Collector) Record(ev trace.Event) {
 	case trace.KindSetPriority:
 		a.PriorityOfThread[ev.Thread] = int(ev.Aux)
 	case trace.KindSwitch:
-		o := c.cpuOcc[ev.Aux]
-		if o == nil {
-			o = &occupancy{thread: trace.NoThread, since: ev.Time}
-			c.cpuOcc[ev.Aux] = o
+		if ev.Aux < 0 || ev.Aux >= trace.MaxCPUs {
+			break
 		}
+		for int64(len(c.cpu)) <= ev.Aux {
+			c.cpu = append(c.cpu, occupancy{thread: trace.NoThread, since: ev.Time})
+		}
+		o := &c.cpu[ev.Aux]
 		c.closeInterval(o, ev.Time)
 		o.thread = ev.Thread
-		if ev.Thread != trace.NoThread && c.inWindow(ev.Time) {
+		if ev.Thread == trace.NoThread {
+			break
+		}
+		// A yielding thread dispatched here left any other CPU it still
+		// occupies with no switch record: that CPU is idle from now on.
+		for i := range c.cpu {
+			if other := &c.cpu[i]; other != o && other.thread == ev.Thread {
+				c.closeInterval(other, ev.Time)
+				other.thread = trace.NoThread
+			}
+		}
+		if c.inWindow(ev.Time) {
 			a.Switches++
 		}
 	case trace.KindYield:
@@ -195,8 +207,8 @@ func (c *Collector) Finish(now vclock.Time) *Analysis {
 		}
 		c.a.To = c.to
 	}
-	for _, o := range c.cpuOcc {
-		c.closeInterval(o, c.to)
+	for i := range c.cpu {
+		c.closeInterval(&c.cpu[i], c.to)
 	}
 	c.a.DistinctMLs = len(c.mls)
 	c.a.DistinctCVs = len(c.cvs)
