@@ -11,6 +11,11 @@
 //	traceview -dump -from 1s -to 1.1s idle.bin
 //	traceview -profile idle.bin              # per-thread scheduler accounting
 //	traceview -chrometrace out.json idle.bin # Chrome trace-event JSON (Perfetto)
+//	traceview -timeline -from 1s -to 1.1s idle.bin # ASCII thread timeline
+//	traceview -svg out.svg -from 1s -to 1.1s idle.bin
+//
+// The last four draw from one replay of the trace through the
+// accounting profiler (internal/profile).
 package main
 
 import (
@@ -103,28 +108,8 @@ func run(path string, m mode, from, to time.Duration) error {
 		hi = vclock.Time(to.Microseconds())
 	}
 
-	if m.profile || m.chrome != "" {
-		return profileTrace(tr, m)
-	}
-	if m.timeline || m.svg != "" {
-		end := hi
-		if end == vclock.Never {
-			if len(events) == 0 {
-				return fmt.Errorf("empty trace")
-			}
-			end = events[len(events)-1].Time
-		}
-		tl := stats.Timeline{From: lo, To: end, Width: m.width, MaxRows: m.rows}
-		if m.svg != "" {
-			if err := os.WriteFile(m.svg, []byte(tl.RenderSVG(tr)), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "wrote %s\n", m.svg)
-		}
-		if m.timeline {
-			fmt.Fprint(stdout, tl.Render(tr))
-		}
-		return nil
+	if m.profile || m.chrome != "" || m.timeline || m.svg != "" {
+		return profileTrace(tr, m, lo, hi)
 	}
 	if m.dump {
 		var window []trace.Event
@@ -162,25 +147,31 @@ func run(path string, m mode, from, to time.Duration) error {
 	return nil
 }
 
-// profileTrace replays the whole trace through the accounting profiler.
-// The CPU count is inferred from the switch records, so CPUs that never
-// dispatched a thread contribute no idle time here (the live profiler in
-// cmd/threadstudy knows the real count and is exact).
-func profileTrace(tr trace.Trace, m mode) error {
+// profileTrace replays the whole trace through the accounting profiler
+// once and writes every view m asks for from that one profile: the
+// Chrome trace, the SVG and ASCII timelines of the window [lo, hi], and
+// the report. The replay ends at the last record, or at hi when the
+// window reaches past it. The CPU count is inferred from the switch
+// records, so CPUs that never dispatched a thread contribute no idle
+// time here (the live profiler in cmd/threadstudy knows the real count
+// and is exact).
+func profileTrace(tr trace.Trace, m mode, lo, hi vclock.Time) error {
 	stdout := m.out()
-	events := tr.Events
 	cpus := 1
-	for _, ev := range events {
+	var end vclock.Time
+	for _, ev := range tr.Events {
 		if ev.Kind == trace.KindSwitch && int(ev.Aux)+1 > cpus {
 			cpus = int(ev.Aux) + 1
 		}
+		end = ev.Time
+	}
+	if hi != vclock.Never {
+		end = max(end, hi)
 	}
 	p := profile.New(cpus)
-	p.KeepSpans = m.chrome != ""
-	var end vclock.Time
-	for _, ev := range events {
+	p.KeepSpans = m.chrome != "" || m.timeline || m.svg != ""
+	for _, ev := range tr.Events {
 		p.Record(ev)
-		end = ev.Time
 	}
 	prof := p.Finish(end)
 	prof.ApplyNames(tr.Names)
@@ -199,6 +190,24 @@ func profileTrace(tr trace.Trace, m mode) error {
 			return cerr
 		}
 		fmt.Fprintf(stdout, "wrote %s (%d spans)\n", m.chrome, len(prof.Spans))
+	}
+	tl := profile.Timeline{From: lo, To: min(hi, end), Width: m.width, MaxRows: m.rows}
+	if m.svg != "" {
+		svg, err := tl.RenderSVG(prof)
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(m.svg, []byte(svg), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s\n", m.svg)
+	}
+	if m.timeline {
+		ascii, err := tl.Render(prof)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(stdout, ascii)
 	}
 	if m.profile {
 		fmt.Fprint(stdout, profile.NewReport(prof).String())

@@ -16,16 +16,16 @@ import (
 	"fmt"
 
 	"repro/internal/paradigm"
+	"repro/internal/profile"
 	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/vclock"
 	"repro/internal/xwin"
 )
 
 func show(strategy paradigm.WaitStrategy) {
-	var buf trace.Buffer
-	w := sim.NewWorld(sim.Config{Seed: 1, Trace: &buf})
+	profiler := profile.New(1)
+	profiler.KeepSpans = true
+	w := sim.NewWorld(sim.Config{Seed: 1, Trace: profiler})
 	defer w.Shutdown()
 	reg := paradigm.NewRegistry()
 	srv := xwin.NewServer(w)
@@ -38,14 +38,20 @@ func show(strategy paradigm.WaitStrategy) {
 	for _, th := range w.Threads() {
 		names[th.ID()] = th.Name()
 	}
-	tl := stats.Timeline{
+	prof := profiler.Finish(w.Now())
+	prof.ApplyNames(names)
+	tl := profile.Timeline{
 		From:  vclock.Time(200 * vclock.Millisecond),
 		To:    vclock.Time(320 * vclock.Millisecond),
 		Width: 96,
 	}
 	fmt.Printf("=== %s ===  (flushes so far: %d, merge ratio %.2f)\n",
 		strategy, srv.Flushes(), p.MergeRatio())
-	fmt.Print(tl.Render(trace.Trace{Events: buf.Events, Names: names}))
+	chart, err := tl.Render(prof)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Print(chart)
 	fmt.Println()
 }
 

@@ -33,9 +33,9 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// ErrNoSpans reports a Chrome export attempted on a profile whose
-// profiler did not retain spans (KeepSpans was false).
-var ErrNoSpans = errors.New("profile: Chrome export needs spans; enable KeepSpans before profiling")
+// ErrNoSpans reports a Chrome export or a Timeline drawn from a profile
+// whose profiler did not retain spans (KeepSpans was false).
+var ErrNoSpans = errors.New("profile: Chrome export and timelines need spans; enable KeepSpans before profiling")
 
 // WriteChromeTrace writes p as Chrome trace-event JSON. The profile must
 // have been collected with KeepSpans set (unless it saw no events at

@@ -9,7 +9,7 @@
 // or to every world of an experiment run via Set and sim.Hooks.OnWorld)
 // and it aggregates as events are recorded, so arbitrarily long virtual
 // windows stay memory-flat unless span retention (KeepSpans, needed for
-// Chrome-trace export) is requested.
+// Chrome-trace export and Timeline) is requested.
 //
 // All accounting is in virtual time and is exact: for every finished
 // profile, the running time summed over threads plus the idle time
@@ -89,7 +89,8 @@ func blockState(reason int64) State {
 }
 
 // Span is one contiguous interval a thread spent in one state. Spans are
-// retained only when KeepSpans is set; Chrome-trace export needs them.
+// retained only when KeepSpans is set; Chrome-trace export and Timeline
+// need them.
 type Span struct {
 	Thread int32
 	State  State
@@ -357,7 +358,8 @@ func (t *idTable[T]) add(id int64, r *T) *T {
 // A Profiler is not safe for concurrent use; like any trace sink it
 // belongs to exactly one world.
 type Profiler struct {
-	// KeepSpans retains the full state timeline for Chrome-trace export.
+	// KeepSpans retains the full state timeline for Chrome-trace export
+	// and Timeline.
 	// Set it before the first event; memory grows with trace length.
 	KeepSpans bool
 

@@ -2,10 +2,8 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 
-	"repro/internal/trace"
 	"repro/internal/vclock"
 )
 
@@ -204,25 +202,4 @@ func TestHistogramEdges(t *testing.T) {
 			t.Errorf("negative sample landed in bucket %d, want 0", h.PeakBucket())
 		}
 	})
-}
-
-// An inverted or empty window must yield the degenerate SVG, and a valid
-// window over an empty trace must not divide by zero or emit NaN
-// coordinates.
-func TestRenderSVGEdges(t *testing.T) {
-	ms := vclock.Millisecond
-	empty := trace.Trace{}
-	if got := (Timeline{From: vclock.Time(5 * ms), To: vclock.Time(5 * ms)}).RenderSVG(empty); !strings.HasPrefix(got, "<svg") || strings.Contains(got, "rect") {
-		t.Errorf("zero-width window: %q", got)
-	}
-	if got := (Timeline{From: vclock.Time(9 * ms), To: vclock.Time(2 * ms)}).RenderSVG(empty); strings.Contains(got, "NaN") {
-		t.Errorf("inverted window emitted NaN: %q", got)
-	}
-	got := (Timeline{From: 0, To: vclock.Time(10 * ms)}).RenderSVG(empty)
-	if strings.Contains(got, "NaN") || strings.Contains(got, "Inf") {
-		t.Errorf("empty trace emitted non-finite coordinates: %q", got)
-	}
-	if !strings.Contains(got, "<svg") || !strings.Contains(got, "</svg>") {
-		t.Errorf("not a complete SVG document: %q", got)
-	}
 }
