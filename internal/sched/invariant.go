@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/trace"
@@ -71,64 +72,13 @@ func OracleFor(policy string) string {
 // threads on purpose, and the check assumes one CPU.
 func CheckStrictPriority(events []trace.Event, quantum vclock.Duration) error {
 	tol := quantum + vclock.Millisecond
-	pri := map[int32]int64{}
-	readySince := map[int32]vclock.Time{}
-	blocked := map[int32]bool{}
-	dead := map[int32]bool{}
-	running := int32(trace.NoThread)
-
-	violation := func(now vclock.Time) error {
-		ids := make([]int32, 0, len(readySince))
-		for id := range readySince {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			if running != trace.NoThread && pri[id] > pri[running] && now.Sub(readySince[id]) > tol {
-				return fmt.Errorf("t%d (pri %d) runnable since %v while t%d (pri %d) ran — starved %v at %v",
-					id, pri[id], readySince[id], running, pri[running], now.Sub(readySince[id]), now)
-			}
+	return replayRunQueue(events, func(q *runQueue, id int32, now vclock.Time) error {
+		if wait := now.Sub(q.readySince[id]); q.pri[id] > q.pri[q.running] && wait > tol {
+			return fmt.Errorf("t%d (pri %d) runnable since %v while t%d (pri %d) ran — starved %v at %v",
+				id, q.pri[id], q.readySince[id], q.running, q.pri[q.running], wait, now)
 		}
 		return nil
-	}
-
-	for _, ev := range events {
-		if err := violation(ev.Time); err != nil {
-			return err
-		}
-		switch ev.Kind {
-		case trace.KindFork:
-			pri[int32(ev.Arg)] = ev.Aux
-		case trace.KindSetPriority:
-			pri[ev.Thread] = ev.Aux
-		case trace.KindReady:
-			delete(blocked, ev.Thread)
-			readySince[ev.Thread] = ev.Time
-		case trace.KindBlock:
-			blocked[ev.Thread] = true
-			delete(readySince, ev.Thread)
-		case trace.KindExit:
-			dead[ev.Thread] = true
-			delete(readySince, ev.Thread)
-			if running == ev.Thread {
-				running = trace.NoThread
-			}
-		case trace.KindSwitch:
-			from := int32(ev.Arg)
-			if ev.Thread != trace.NoThread {
-				delete(readySince, ev.Thread)
-				running = ev.Thread
-			} else {
-				running = trace.NoThread
-			}
-			// The switch-out target went back on the run queue unless its
-			// Block/Exit event (recorded before the switch) says otherwise.
-			if from != trace.NoThread && from != ev.Thread && !blocked[from] && !dead[from] {
-				readySince[from] = ev.Time
-			}
-		}
-	}
-	return nil
+	})
 }
 
 // checkBoundedWait builds the priority-blind waiting-time invariant: at
@@ -142,60 +92,77 @@ func CheckStrictPriority(events []trace.Event, quantum vclock.Duration) error {
 func checkBoundedWait(extra vclock.Duration) CheckFunc {
 	return func(events []trace.Event, quantum vclock.Duration) error {
 		tol := quantum + extra + vclock.Millisecond
-		readySince := map[int32]vclock.Time{}
-		blocked := map[int32]bool{}
-		dead := map[int32]bool{}
-		running := int32(trace.NoThread)
-
-		violation := func(now vclock.Time) error {
-			if running == trace.NoThread {
-				return nil
-			}
-			bound := vclock.Duration(int64(quantum)*int64(len(readySince))) + tol
-			ids := make([]int32, 0, len(readySince))
-			for id := range readySince {
-				ids = append(ids, id)
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			for _, id := range ids {
-				if wait := now.Sub(readySince[id]); wait > bound {
-					return fmt.Errorf("t%d runnable since %v while t%d ran — waited %v (> bound %v) at %v",
-						id, readySince[id], running, wait, bound, now)
-				}
+		return replayRunQueue(events, func(q *runQueue, id int32, now vclock.Time) error {
+			bound := vclock.Duration(int64(quantum)*int64(len(q.readySince))) + tol
+			if wait := now.Sub(q.readySince[id]); wait > bound {
+				return fmt.Errorf("t%d runnable since %v while t%d ran — waited %v (> bound %v) at %v",
+					id, q.readySince[id], q.running, wait, bound, now)
 			}
 			return nil
-		}
-
-		for _, ev := range events {
-			if err := violation(ev.Time); err != nil {
-				return err
-			}
-			switch ev.Kind {
-			case trace.KindReady:
-				delete(blocked, ev.Thread)
-				readySince[ev.Thread] = ev.Time
-			case trace.KindBlock:
-				blocked[ev.Thread] = true
-				delete(readySince, ev.Thread)
-			case trace.KindExit:
-				dead[ev.Thread] = true
-				delete(readySince, ev.Thread)
-				if running == ev.Thread {
-					running = trace.NoThread
-				}
-			case trace.KindSwitch:
-				from := int32(ev.Arg)
-				if ev.Thread != trace.NoThread {
-					delete(readySince, ev.Thread)
-					running = ev.Thread
-				} else {
-					running = trace.NoThread
-				}
-				if from != trace.NoThread && from != ev.Thread && !blocked[from] && !dead[from] {
-					readySince[from] = ev.Time
-				}
-			}
-		}
-		return nil
+		})
 	}
+}
+
+// runQueue is the one-CPU scheduling state the invariants replay: the
+// running thread, when each ready thread became ready, and every
+// thread's priority.
+type runQueue struct {
+	running    int32
+	readySince map[int32]vclock.Time
+	pri        map[int32]int64
+}
+
+// replayRunQueue replays a one-CPU run's fork, priority, ready, block,
+// exit and switch records. Before applying each record, while a thread
+// runs, it calls check for every ready thread in ascending ID order at
+// the record's instant, and it returns the first error check reports.
+func replayRunQueue(events []trace.Event, check func(q *runQueue, id int32, now vclock.Time) error) error {
+	q := runQueue{running: trace.NoThread, readySince: map[int32]vclock.Time{}, pri: map[int32]int64{}}
+	blocked := map[int32]bool{}
+	dead := map[int32]bool{}
+	var ids []int32
+	for _, ev := range events {
+		if q.running != trace.NoThread {
+			ids = ids[:0]
+			for id := range q.readySince {
+				ids = append(ids, id)
+			}
+			slices.Sort(ids)
+			for _, id := range ids {
+				if err := check(&q, id, ev.Time); err != nil {
+					return err
+				}
+			}
+		}
+		switch ev.Kind {
+		case trace.KindFork:
+			q.pri[int32(ev.Arg)] = ev.Aux
+		case trace.KindSetPriority:
+			q.pri[ev.Thread] = ev.Aux
+		case trace.KindReady:
+			delete(blocked, ev.Thread)
+			q.readySince[ev.Thread] = ev.Time
+		case trace.KindBlock:
+			blocked[ev.Thread] = true
+			delete(q.readySince, ev.Thread)
+		case trace.KindExit:
+			dead[ev.Thread] = true
+			delete(q.readySince, ev.Thread)
+			if q.running == ev.Thread {
+				q.running = trace.NoThread
+			}
+		case trace.KindSwitch:
+			from := int32(ev.Arg)
+			q.running = ev.Thread
+			if ev.Thread != trace.NoThread {
+				delete(q.readySince, ev.Thread)
+			}
+			// The switch-out target went back on the run queue unless its
+			// Block/Exit event (recorded before the switch) says otherwise.
+			if from != trace.NoThread && from != ev.Thread && !blocked[from] && !dead[from] {
+				q.readySince[from] = ev.Time
+			}
+		}
+	}
+	return nil
 }
