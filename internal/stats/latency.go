@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/vclock"
 )
@@ -74,7 +73,7 @@ func (r *LatencyRecorder) Percentile(p float64) vclock.Duration {
 		return 0
 	}
 	if !r.sorted {
-		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
+		slices.Sort(r.samples)
 		r.sorted = true
 	}
 	i := int(clampP(p) * float64(len(r.samples)-1))
