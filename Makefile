@@ -61,15 +61,17 @@ bench:
 # stats.Quantile equal to LatencyRecorder.Percentile after every Add —
 # and the profiler: hostile event streams must never panic or hang it,
 # and on well-formed streams it must equal the reference profiler with
-# zero residue.
+# zero residue. Each new input gets at most 1 s of minimizing, so the
+# budget goes to fuzzing: minimizing one FuzzProfile input can otherwise
+# outlast the whole budget at 0 execs/s.
 fuzz-short:
-	$(GO) test -run='^$$' -fuzz FuzzPlanJSON -fuzztime $(FUZZTIME) ./internal/fault
-	$(GO) test -run='^$$' -fuzz FuzzSpecJSON -fuzztime $(FUZZTIME) ./internal/workload/spec
-	$(GO) test -run='^$$' -fuzz FuzzRead'$$' -fuzztime $(FUZZTIME) ./internal/trace
-	$(GO) test -run='^$$' -fuzz FuzzEncodeDecode -fuzztime $(FUZZTIME) ./internal/trace
-	$(GO) test -run='^$$' -fuzz FuzzWheelDifferential -fuzztime $(FUZZTIME) ./internal/eventq
-	$(GO) test -run='^$$' -fuzz FuzzQuantileDifferential -fuzztime $(FUZZTIME) ./internal/stats
-	$(GO) test -run='^$$' -fuzz FuzzProfile -fuzztime $(FUZZTIME) ./internal/profile
+	$(GO) test -run='^$$' -fuzz FuzzPlanJSON -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/fault
+	$(GO) test -run='^$$' -fuzz FuzzSpecJSON -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/workload/spec
+	$(GO) test -run='^$$' -fuzz FuzzRead'$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/trace
+	$(GO) test -run='^$$' -fuzz FuzzEncodeDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/trace
+	$(GO) test -run='^$$' -fuzz FuzzWheelDifferential -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/eventq
+	$(GO) test -run='^$$' -fuzz FuzzQuantileDifferential -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/stats
+	$(GO) test -run='^$$' -fuzz FuzzProfile -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/profile
 
 # Bounded systematic schedule exploration over all registered scenarios.
 explore:
