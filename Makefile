@@ -40,7 +40,8 @@ race:
 
 # The hot-path allocs/op pin, then the microbenchmarks. The pin runs
 # first: the event loop, ready queues, discard-sink tracing, timing-wheel
-# schedule/cancel, batch admission and ticketed scheduling must stay
+# schedule/cancel, timer-slot arm/disarm (each CPU's quantum and compute
+# completion), batch admission and ticketed scheduling must stay
 # allocation-free in steady state. BenchmarkBlindFleet (internal/cluster)
 # reports what a small blind round-robin fleet costs end to end. Host
 # speed against the parent commit is perfbench's job (see
@@ -53,10 +54,13 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./internal/sim ./internal/eventq ./internal/cluster
 
 # Short coverage-guided fuzzing of the attacker-facing parsers — JSON
-# fault plans, JSON workload specs, and the binary trace codec (decode
-# robustness + encode/decode round trip) — plus the timing-wheel/
-# reference differential: random op streams must keep the hierarchical
-# wheel byte-for-byte equivalent to the naive sorted-list event queue —
+# fault plans, JSON workload specs, and the binary trace codec (v1 and
+# v2 decode robustness: errors wrap ErrBadTrace, no switch off
+# [0, MaxCPUs), a decoded v2 trace and its name table survive a round
+# trip; plus the encode/decode round trip) — plus the timing-wheel/
+# reference differential: random op streams, timer-slot arms and
+# disarms included, must keep the hierarchical wheel byte-for-byte
+# equivalent to the naive sorted-list event queue —
 # the running-quantile differential: any sample stream must keep
 # stats.Quantile equal to LatencyRecorder.Percentile after every Add —
 # and the profiler: hostile event streams must never panic or hang it,
@@ -68,6 +72,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz FuzzPlanJSON -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/fault
 	$(GO) test -run='^$$' -fuzz FuzzSpecJSON -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/workload/spec
 	$(GO) test -run='^$$' -fuzz FuzzRead'$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/trace
+	$(GO) test -run='^$$' -fuzz FuzzReadTrace -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/trace
 	$(GO) test -run='^$$' -fuzz FuzzEncodeDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/trace
 	$(GO) test -run='^$$' -fuzz FuzzWheelDifferential -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/eventq
 	$(GO) test -run='^$$' -fuzz FuzzQuantileDifferential -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/stats

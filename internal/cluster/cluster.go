@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"repro/internal/eventq"
 	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/vclock"
@@ -303,17 +304,16 @@ func (s Spec) validate() error {
 
 // instance is one fleet member: a world, its routed-request server, the
 // routing ledger, and the inbox that feeds routed requests to the world
-// (inbox.go).
+// (inbox.go) through a timer slot in the world's queue bound to deliver.
 type instance struct {
 	id     int
 	w      *sim.World
 	srv    *workload.Server
 	routed int64
 
-	box       inbox
-	armed     bool   // box's oldest injection is queued in w
-	ran       bool   // w has been Run at least once
-	deliverFn func() // deliver, bound once
+	box  inbox
+	pump eventq.Timer // armed while box's oldest injection is queued in w
+	ran  bool         // w has been Run at least once
 }
 
 // Cluster is a built fleet, ready to Run once.
@@ -382,7 +382,7 @@ func New(spec Spec) (*Cluster, error) {
 			return nil, err
 		}
 		in := &instance{id: i, w: w, srv: run.Server}
-		in.deliverFn = in.deliver
+		w.RegisterTimer(&in.pump, in.deliver)
 		c.insts = append(c.insts, in)
 	}
 	return c, nil

@@ -10,11 +10,12 @@ import (
 	"repro/internal/workload"
 )
 
-// This file is the cluster driver: one event loop runs every Spec.
-// Client events — arrivals, plus probes, timeouts, retries and hedges
-// when a resilience knob is set — sit in one eventq.Queue and pop in
-// (time, insertion seq) order. Two rules, both read off the spec,
-// replace any choice between run paths.
+// This file is the cluster driver: one event loop runs every Spec. Client
+// events — arrivals, plus probes, timeouts, retries and hedges when a
+// resilience knob is set — sit in one eventq.Queue and pop in (time,
+// insertion seq) order. The next arrival, the only one ever pending, is a
+// timer slot in that queue, re-armed at each arrival. Two rules, both read
+// off the spec, replace any choice between run paths.
 //
 // First, requests carry client state only when spec.resilient() holds.
 // A tracked request has a token per attempt, each instance reports
@@ -43,8 +44,9 @@ import (
 // Every routed request, tracked or not, waits in its instance's inbox
 // (inbox.go) rather than as a callback in the world. Routing takes the
 // world's event-order ticket (sim.World.Ticket) where a World.At call
-// would have been made, and one pump event per world delivers the
-// inbox's entries one at a time, each at its instant under its ticket.
+// would have been made, and one pump per world, a timer slot in the
+// world's queue, delivers the inbox's entries one at a time, each at its
+// instant under its ticket.
 // A request so costs the world exactly the one event, in exactly the
 // place, that a per-request World.At callback would, which keeps an
 // injection ahead of world events scheduled later for the same instant;
@@ -194,9 +196,9 @@ type driver struct {
 	brk    []breaker
 
 	q       eventq.Queue
-	now     vclock.Time // instant of the event being handled
-	barrier vclock.Time // every world has been advanced to here
-	arrive  func()      // onArrival, bound once
+	arrival eventq.Timer // the next arrival: a slot in q bound to onArrival
+	now     vclock.Time  // instant of the event being handled
+	barrier vclock.Time  // every world has been advanced to here
 
 	tokens    map[uint64]*attempt
 	nextToken uint64
@@ -232,7 +234,7 @@ func newDriver(c *Cluster) *driver {
 		firstArrival: vclock.Never,
 		clientP99:    stats.NewQuantile(0.99),
 	}
-	d.arrive = d.onArrival
+	d.q.Register(&d.arrival, d.onArrival)
 	if s.Replay != nil {
 		d.arrivals = int64(len(s.Replay.Entries))
 	}
@@ -308,7 +310,7 @@ func (d *driver) scheduleArrival(t vclock.Time) {
 	} else {
 		t = t.Add(expGap(d.c.rng, d.c.spec.Rate))
 	}
-	d.q.Schedule(t, d.arrive)
+	d.arrival.Arm(t)
 }
 
 // advance brings every world to t and folds in the tracked completions

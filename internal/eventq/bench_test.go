@@ -9,7 +9,7 @@ import (
 // The package-level microbenchmarks `make bench` reports. Each one pins
 // a distinct wheel regime: the mostly-cancelled near-future churn, the
 // same-timestamp batch drain, the cascade-heavy stride pattern, and the
-// far-future heap spillover.
+// far-future heap spillover; a last one the timer-slot lifecycle.
 
 // BenchmarkScheduleCancel: schedule 64 timers spanning every wheel
 // level, cancel them all. The paper's dominant timer lifecycle — CV
@@ -61,8 +61,8 @@ func BenchmarkBatchDrain(b *testing.B) {
 }
 
 // BenchmarkStridePop: schedule/pop pairs striding across level-0 and
-// level-1 windows, forcing regular cascades — the steady-state quantum
-// and compute-completion traffic.
+// level-1 windows, forcing regular cascades — the steady-state traffic
+// of short timers and arrivals.
 func BenchmarkStridePop(b *testing.B) {
 	var q Queue
 	nop := func() {}
@@ -94,5 +94,28 @@ func BenchmarkHeapSpillover(b *testing.B) {
 		for _, h := range handles {
 			q.Cancel(h)
 		}
+	}
+}
+
+// BenchmarkTimerSlot: two slots used the way one simulated CPU uses its
+// quantum and its compute completion — arm the quantum at dispatch, arm
+// and fire the completion, disarm the quantum at block — beside a
+// level-0 wheel event per op.
+func BenchmarkTimerSlot(b *testing.B) {
+	var q Queue
+	var quantum, completion Timer
+	nop := func() {}
+	q.Register(&quantum, nop)
+	q.Register(&completion, nop)
+	now := vclock.Time(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		quantum.Arm(now.Add(50_000))
+		completion.Arm(now.Add(250))
+		q.Schedule(now.Add(300), nop)
+		_, now, _ = q.PopDo() // the completion
+		quantum.Disarm()
+		_, now, _ = q.PopDo() // the wheel event
 	}
 }

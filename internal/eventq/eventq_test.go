@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -211,5 +212,68 @@ func TestCancelMiddle(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("popped %v, want %v", got, want)
 		}
+	}
+}
+
+// TestTimerRearmsFromCallback drives a slot the way a CPU's quantum
+// uses it: the callback re-arms its own slot, and Len, Empty and
+// NextTime count the armed slot as one pending event.
+func TestTimerRearmsFromCallback(t *testing.T) {
+	var q Queue
+	var slot Timer
+	var fired []vclock.Time
+	q.Register(&slot, func() {
+		if n := len(fired); n < 3 {
+			slot.Arm(fired[n-1].Add(50))
+		}
+	})
+	if !q.Empty() || slot.Armed() {
+		t.Fatalf("fresh slot: Empty = %v, Armed = %v", q.Empty(), slot.Armed())
+	}
+	slot.Arm(50)
+	q.Schedule(75, func() {})
+	if q.Len() != 2 || q.NextTime() != 50 {
+		t.Fatalf("Len = %d, NextTime = %v; want 2, 50", q.Len(), q.NextTime())
+	}
+	for {
+		do, when, ok := q.PopDo()
+		if !ok {
+			break
+		}
+		if when != 75 {
+			fired = append(fired, when)
+		}
+		do()
+	}
+	if want := []vclock.Time{50, 100, 150}; len(fired) != 3 || fired[0] != want[0] || fired[1] != want[1] || fired[2] != want[2] {
+		t.Fatalf("slot fired at %v, want %v", fired, want)
+	}
+	if slot.Armed() || !q.Empty() {
+		t.Fatalf("after the last firing: Armed = %v, Len = %d", slot.Armed(), q.Len())
+	}
+	slot.Disarm() // disarming a disarmed slot is a no-op
+	if q.Len() != 0 {
+		t.Fatalf("Disarm of a disarmed slot changed Len to %d", q.Len())
+	}
+}
+
+// TestTimerTakesScheduleSeq checks the tie rule: an armed slot orders
+// among same-instant events exactly as the event Schedule would have
+// made at the moment of arming, and a re-arm moves it behind everything
+// scheduled in between.
+func TestTimerTakesScheduleSeq(t *testing.T) {
+	var q Queue
+	var got []string
+	var a, b Timer
+	q.Register(&a, func() { got = append(got, "a") })
+	q.Register(&b, func() { got = append(got, "b") })
+	q.Schedule(10, func() { got = append(got, "e1") })
+	a.Arm(10)
+	b.Arm(10)
+	q.Schedule(10, func() { got = append(got, "e2") })
+	a.Arm(10) // re-arm: now behind e2
+	drain(&q)
+	if want := "e1 b e2 a"; fmt.Sprint(got) != "["+want+"]" {
+		t.Fatalf("pop order %v, want [%s]", got, want)
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"repro/internal/eventq"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
@@ -11,7 +10,7 @@ import (
 // settle brings the scheduler to a fixed point at the current instant:
 // every CPU either is idle with an empty run queue, or runs the thread
 // strict-priority dispatch (as modified by any boost) selects, with that
-// thread's pending compute scheduled as a completion event. Running
+// thread's pending compute armed in the CPU's completion slot. Running
 // threads with instantaneous work to do (no compute pending) are resumed
 // one at a time until they park again. The driver calls settle after
 // every event.
@@ -26,7 +25,7 @@ func (w *World) settle() {
 		pumped := false
 		for _, c := range w.cpus {
 			t := c.current
-			if t != nil && t.state == StateRunning && t.computeLeft == 0 && !t.completion.Valid() {
+			if t != nil && t.state == StateRunning && t.computeLeft == 0 && !c.completion.Armed() {
 				w.pump(t)
 				pumped = true
 				break // re-evaluate dispatch after each pump
@@ -39,25 +38,16 @@ func (w *World) settle() {
 }
 
 // adjust performs at most one dispatch change on c and ensures the
-// resident thread's compute is scheduled. It reports whether it switched.
+// resident thread's compute is armed. It reports whether it switched.
 func (w *World) adjust(c *cpu) bool {
 	desired := w.pickFor(c)
 	if desired != c.current {
 		w.switchTo(c, desired)
 		return true
 	}
-	t := c.current
-	if t != nil && t.computeLeft > 0 && !t.completion.Valid() {
-		if t.completionFn == nil {
-			// Bound once, at the thread's first grant: a closure per
-			// grant would allocate on the hot path.
-			t.completionFn = func() {
-				t.completion = eventq.Handle{}
-				t.computeLeft = 0
-			}
-		}
-		t.grantStart = w.clock
-		t.completion = w.evq.Schedule(w.clock.Add(t.computeLeft), t.completionFn)
+	if t := c.current; t != nil && t.computeLeft > 0 && !c.completion.Armed() {
+		c.grantStart = w.clock
+		c.completion.Arm(w.clock.Add(t.computeLeft))
 	}
 	return false
 }
@@ -151,7 +141,7 @@ func (w *World) switchTo(c *cpu, to *Thread) {
 	fromID := int64(trace.NoThread)
 	if from != nil {
 		fromID = int64(from.id)
-		w.unscheduleCompute(from)
+		w.unscheduleCompute(c)
 		from.state = StateRunnable
 		from.cpu = -1
 		w.pushReady(from, false)
@@ -166,10 +156,7 @@ func (w *World) switchTo(c *cpu, to *Thread) {
 	}
 	c.current = to
 	if to == nil {
-		if c.quantumEv.Valid() {
-			w.evq.Cancel(c.quantumEv)
-			c.quantumEv = eventq.Handle{}
-		}
+		c.quantum.Disarm()
 		w.record(trace.Event{Time: w.clock, Kind: trace.KindSwitch, Thread: trace.NoThread, Arg: fromID, Aux: int64(c.index)})
 		return
 	}
@@ -179,12 +166,8 @@ func (w *World) switchTo(c *cpu, to *Thread) {
 	// A boost continues the current timeslice ("the end of a timeslice
 	// ends the effect of a YieldButNotToMe", §6.3); a normal dispatch
 	// starts a fresh quantum.
-	if !(c.boost == to && c.quantumEv.Valid()) {
-		if c.quantumEv.Valid() {
-			w.evq.Cancel(c.quantumEv)
-		}
-		c.quantumEnd = w.clock.Add(w.quantumFor(to))
-		c.quantumEv = w.evq.Schedule(c.quantumEnd, c.quantumFn)
+	if !(c.boost == to && c.quantum.Armed()) {
+		c.quantum.Arm(w.clock.Add(w.quantumFor(to)))
 	}
 	if w.cfg.SwitchCost > 0 {
 		to.computeLeft += w.cfg.SwitchCost
@@ -192,16 +175,15 @@ func (w *World) switchTo(c *cpu, to *Thread) {
 	w.record(trace.Event{Time: w.clock, Kind: trace.KindSwitch, Thread: to.id, Arg: fromID, Aux: int64(c.index)})
 }
 
-// unscheduleCompute cancels t's pending completion event and banks the
-// virtual CPU it has consumed so far.
-func (w *World) unscheduleCompute(t *Thread) {
-	if !t.completion.Valid() {
+// unscheduleCompute disarms c's compute completion and banks the virtual
+// CPU its resident thread has consumed so far.
+func (w *World) unscheduleCompute(c *cpu) {
+	if !c.completion.Armed() {
 		return
 	}
-	w.evq.Cancel(t.completion)
-	t.completion = eventq.Handle{}
-	consumed := w.clock.Sub(t.grantStart)
-	t.computeLeft -= consumed
+	c.completion.Disarm()
+	t := c.current
+	t.computeLeft -= w.clock.Sub(c.grantStart)
 	if t.computeLeft < 0 {
 		panic(fmt.Sprintf("sim: thread %s over-consumed its grant by %v", t.name, -t.computeLeft))
 	}
@@ -224,7 +206,6 @@ func (w *World) unscheduleCompute(t *Thread) {
 // rotation comparison, so a policy that demotes the expiring thread sees
 // the demotion take effect at this very expiry.
 func (w *World) quantumExpire(c *cpu) {
-	c.quantumEv = eventq.Handle{}
 	c.boost = nil
 	t := c.current
 	if t == nil {
@@ -250,8 +231,7 @@ func (w *World) quantumExpire(c *cpu) {
 		}
 		// The policy elected to continue the current thread.
 	}
-	c.quantumEnd = w.clock.Add(w.quantumFor(t))
-	c.quantumEv = w.evq.Schedule(c.quantumEnd, c.quantumFn)
+	c.quantum.Arm(w.clock.Add(w.quantumFor(t)))
 }
 
 // quantumFor returns the timeslice to grant t: the policy's Quantum,
@@ -303,10 +283,7 @@ func (w *World) afterPark(t *Thread) {
 		if c != nil && c.current == t {
 			c.current = nil
 			t.cpu = -1
-			if c.quantumEv.Valid() {
-				w.evq.Cancel(c.quantumEv)
-				c.quantumEv = eventq.Handle{}
-			}
+			c.quantum.Disarm()
 			// Mark the CPU idle so interval accounting sees the end of
 			// this thread's execution interval; a successor dispatched
 			// at the same instant appears as a separate switch-in.
@@ -324,16 +301,16 @@ func (w *World) afterPark(t *Thread) {
 				return // no other ready thread: caller keeps the CPU
 			}
 			c.boost = other
-			c.boostEnd = c.quantumEnd
+			c.boostEnd = c.quantum.When()
 		case yieldDirected:
 			if target != nil && target.state == StateRunnable {
 				c.boost = target
-				end := c.quantumEnd
+				end := c.quantum.When()
 				if slice > 0 {
 					if e := w.clock.Add(slice); e < end {
 						end = e
 						// Force a dispatch pass when the donated slice
-						// ends; the quantum event is too late.
+						// ends; the quantum slot fires too late.
 						cc := c
 						w.evq.Schedule(end, func() {
 							if cc.boost == target && w.clock >= cc.boostEnd {
@@ -348,7 +325,7 @@ func (w *World) afterPark(t *Thread) {
 		}
 		// Vacate: back of our priority's queue; the timeslice keeps
 		// running so a boost lasts only until quantum end.
-		w.unscheduleCompute(t)
+		w.unscheduleCompute(c)
 		t.state = StateRunnable
 		t.cpu = -1
 		c.current = nil
@@ -363,7 +340,7 @@ func (w *World) afterPark(t *Thread) {
 		// Scheduler poll (Fork, SetPriority): adjust() decides.
 
 	case t.computeLeft > 0:
-		// Compute request: adjust() schedules the completion.
+		// Compute request: adjust() arms the completion.
 
 	default:
 		panic(fmt.Sprintf("sim: thread %s parked for no reason (state %v)", t.name, t.state))

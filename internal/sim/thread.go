@@ -77,14 +77,9 @@ type Thread struct {
 	serviceEst vclock.Duration // expected remaining service demand; 0 = unknown
 	sloClass   string          // SLO class label ("interactive", "batch", ...)
 
-	// Virtual CPU demand. When positive, a completion event is scheduled
-	// while the thread occupies a CPU. completionFn is the pre-bound
-	// completion callback, allocated once, when the first completion is
-	// scheduled.
-	computeLeft  vclock.Duration
-	grantStart   vclock.Time
-	completion   eventq.Handle
-	completionFn func()
+	// Virtual CPU demand. When positive, the completion slot of the CPU
+	// the thread occupies is armed for the end of the demand.
+	computeLeft vclock.Duration
 
 	// Pending reschedule request, consumed by the driver at park.
 	yieldReq    yieldKind
@@ -341,10 +336,11 @@ func (t *Thread) Compute(d vclock.Duration) {
 	// is legal exactly when nothing could observe the difference: no
 	// thread is ready (readyMask == 0 — an idle peer CPU stays idle), no
 	// event fires at or before the completion instant (strict >, so
-	// same-timestamp FIFO order survives; the quantum-expiry and any
-	// other-CPU completion events are in the queue and so bound `end`),
+	// same-timestamp FIFO order survives; NextTime merges the CPUs' timer
+	// slots, so this CPU's quantum expiry and any other CPU's compute
+	// completion bound `end` too),
 	// the current Run's horizon is not crossed, and no Stop is pending.
-	// The bumped eventsProcessed stands in for the completion event the
+	// The bumped eventsProcessed stands in for the completion slot the
 	// slow path would have popped, keeping event counts byte-identical.
 	if t.computeLeft == 0 && t.state == StateRunning && w.readyMask == 0 && !w.stopped {
 		if end := w.clock.Add(d); end <= w.horizon && w.evq.NextTime() > end {

@@ -61,13 +61,19 @@ func (h *Histogram) Add(d vclock.Duration) {
 	h.totals[i] += d
 }
 
+// bucketOf returns the index of the first bound above d, len(bounds) for
+// the overflow bucket: a binary search over the ascending bounds.
 func (h *Histogram) bucketOf(d vclock.Duration) int {
-	for i, b := range h.bounds {
-		if d < b {
-			return i
+	lo, hi := 0, len(h.bounds)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if d < h.bounds[m] {
+			hi = m
+		} else {
+			lo = m + 1
 		}
 	}
-	return len(h.bounds)
+	return lo
 }
 
 // Buckets returns the number of buckets, including the overflow bucket.

@@ -202,6 +202,33 @@ func TestHistogramConservation(t *testing.T) {
 	}
 }
 
+// TestHistogramBucketOf checks the binary search against a linear scan
+// for the first bound above the value, at every bound of the interval
+// bucketing and of a one-bound histogram, one either side of each, at 0,
+// below 0 and past the last bound.
+func TestHistogramBucketOf(t *testing.T) {
+	for _, h := range []*Histogram{NewIntervalHistogram(), NewHistogram(msd(3))} {
+		linear := func(d vclock.Duration) int {
+			for i, b := range h.bounds {
+				if d < b {
+					return i
+				}
+			}
+			return len(h.bounds)
+		}
+		last := h.bounds[len(h.bounds)-1]
+		probes := []vclock.Duration{0, -1, last + msd(1), vclock.Duration(1 << 62)}
+		for _, b := range h.bounds {
+			probes = append(probes, b-1, b, b+1)
+		}
+		for _, d := range probes {
+			if got, want := h.bucketOf(d), linear(d); got != want {
+				t.Errorf("%d bounds: bucketOf(%v) = %d, linear scan gives %d", len(h.bounds), d, got, want)
+			}
+		}
+	}
+}
+
 func TestEmptyHistogram(t *testing.T) {
 	h := NewIntervalHistogram()
 	if h.PeakBucket() != -1 {

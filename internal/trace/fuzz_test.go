@@ -3,6 +3,9 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/vclock"
@@ -23,6 +26,9 @@ func FuzzRead(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := Read(bytes.NewReader(data))
+		if err != nil && !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("error %v does not wrap ErrBadTrace", err)
+		}
 		for _, ev := range events {
 			if ev.Kind == KindSwitch && (ev.Aux < 0 || ev.Aux >= MaxCPUs) {
 				t.Fatalf("decoded a switch on CPU %d (err %v)", ev.Aux, err)
@@ -31,15 +37,51 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
-// FuzzReadTrace covers the v2 container the same way.
+// FuzzReadTrace covers the v2 container the same way: a failed decode
+// wraps ErrBadTrace, no decoded switch lies outside [0, MaxCPUs), and
+// whatever decodes survives a WriteTrace → ReadTrace round trip, name
+// table included. `make check` runs this target in the fuzz-short pass.
 func FuzzReadTrace(f *testing.F) {
 	var buf bytes.Buffer
 	_ = WriteTrace(&buf, Trace{Events: sampleEvents(), Names: map[int32]string{1: "a"}})
 	f.Add(buf.Bytes())
 	f.Add([]byte("THTRACE2\x01\x02\x01x"))
+	f.Add(hugeNameCount())
+	f.Add(append([]byte("THTRACE2\x00"), rawTrace(Event{Kind: KindSwitch, Thread: 1, Arg: NoThread, Aux: MaxCPUs})...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = ReadTrace(bytes.NewReader(data))
+		tr, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadTrace) {
+				t.Fatalf("error %v does not wrap ErrBadTrace", err)
+			}
+			return
+		}
+		for _, ev := range tr.Events {
+			if ev.Kind == KindSwitch && (ev.Aux < 0 || ev.Aux >= MaxCPUs) {
+				t.Fatalf("decoded a switch on CPU %d", ev.Aux)
+			}
+		}
+		var out bytes.Buffer
+		if err := WriteTrace(&out, tr); err != nil {
+			t.Fatalf("re-encode of a decoded trace: %v", err)
+		}
+		got, err := ReadTrace(&out)
+		if err != nil {
+			t.Fatalf("decode of the re-encoded trace: %v", err)
+		}
+		if !reflect.DeepEqual(got.Names, tr.Names) {
+			t.Fatalf("name table %v after the round trip, want %v", got.Names, tr.Names)
+		}
+		if !slices.Equal(got.Events, tr.Events) {
+			t.Fatalf("round trip changed the events: %d events, want %d", len(got.Events), len(tr.Events))
+		}
 	})
+}
+
+// hugeNameCount is a v2 header whose name table claims 1<<20 entries
+// (the largest count ReadTrace accepts) and then ends.
+func hugeNameCount() []byte {
+	return binary.AppendUvarint([]byte("THTRACE2"), 1<<20)
 }
 
 // FuzzEncodeDecode drives the v2 container from the other direction:

@@ -79,7 +79,9 @@ func ReadTrace(r io.Reader) (Trace, error) {
 	if count > 1<<20 {
 		return Trace{}, fmt.Errorf("%w: implausible name count %d", ErrBadTrace, count)
 	}
-	names := make(map[int32]string, count)
+	// The count is untrusted: the map grows as entries arrive rather
+	// than being sized from it before a single name is read.
+	names := map[int32]string{}
 	for i := uint64(0); i < count; i++ {
 		id, err := binary.ReadVarint(br)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -273,6 +274,28 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:12]
 	if _, err := ReadTrace(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("expected truncation error")
+	}
+}
+
+// TestReadTraceHugeNameCount feeds a v2 header whose name table claims
+// 1<<20 entries and then ends. The decode must fail as ErrBadTrace
+// without allocating for the claimed count: sizing the name map from it
+// once cost these 11 bytes 56 MB.
+func TestReadTraceHugeNameCount(t *testing.T) {
+	in := hugeNameCount()
+	const runs = 10
+	var err error
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		_, err = ReadTrace(bytes.NewReader(in))
+	}
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("err = %v, want ErrBadTrace", err)
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 64<<10 {
+		t.Fatalf("a %d-byte header allocated %d bytes per decode, want at most 64 KiB", len(in), per)
 	}
 }
 
