@@ -3,6 +3,7 @@ package sim_test
 import (
 	"testing"
 
+	"repro/internal/eventq"
 	"repro/internal/sim"
 	"repro/internal/vclock"
 )
@@ -21,10 +22,9 @@ type ticketWorld struct {
 	timed    int // requests queued for the timer session
 	inj, tmr *sim.Thread
 
-	// The ticketed twin's ordered backlog and its one pump callback.
-	box   []ticketEntry
-	armed bool
-	pump  func()
+	// The ticketed twin's ordered backlog and its one pump slot.
+	box  []ticketEntry
+	pump eventq.Timer
 }
 
 type ticketEntry struct {
@@ -56,12 +56,11 @@ func newTicketWorld() *ticketWorld {
 	}
 	tw.inj = tw.w.Spawn("injected", sim.PriorityHigh, serve(&tw.injected))
 	tw.tmr = tw.w.Spawn("timed", sim.PriorityHigh, serve(&tw.timed))
-	tw.pump = func() {
+	tw.w.RegisterTimer(&tw.pump, func() {
 		tw.box = tw.box[1:]
-		tw.armed = false
 		tw.inject()
 		tw.arm()
-	}
+	})
 	return tw
 }
 
@@ -75,17 +74,18 @@ func (tw *ticketWorld) timer() {
 	tw.w.WakeIfBlocked(tw.tmr, nil)
 }
 
-// arm queues the backlog's head under its ticket, unless it is queued.
+// arm arms the pump for the backlog's head under its ticket, unless it
+// is armed.
 func (tw *ticketWorld) arm() {
-	if !tw.armed && len(tw.box) > 0 {
-		tw.w.AtTicket(tw.box[0].at, tw.box[0].ticket, tw.pump)
-		tw.armed = true
+	if !tw.pump.Armed() && len(tw.box) > 0 {
+		tw.w.ArmTicket(&tw.pump, tw.box[0].at, tw.box[0].ticket)
 	}
 }
 
 // TestTicketsMatchAt drives two identical worlds through the same
 // rounds: one schedules every injection with At, the other takes a
-// ticket at the same point and keeps only the backlog's head queued.
+// ticket at the same point and keeps only the backlog's head armed in
+// one timer slot.
 // Each round puts timers on injection instants both before and after
 // the injections are scheduled, and the worker's compute completions,
 // scheduled inside earlier and later Runs, fall on them as well. The
