@@ -18,7 +18,9 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/monitor"
 	"repro/internal/paradigm"
+	"repro/internal/profile"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 	"repro/internal/workload"
@@ -80,6 +82,37 @@ func BenchmarkWorkload(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkBuildDesktop measures what it costs to set up the twelve
+// Table 1-3 worlds before any of them runs: each with a probe, the
+// SystemDaemon, a stats.Collector trace and a profiler attached through
+// OnWorld, the way the desktop host-cost benchmark (perfbench) builds
+// them. Its allocs/op and B/op are the setup memory that benchmark's
+// alloc_mb and peak_rss_mb include.
+func BenchmarkBuildDesktop(b *testing.B) {
+	benches := workload.AllBenchmarks()
+	end := vclock.Time(0).Add(13 * vclock.Second)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		set := profile.NewSet()
+		hooks := sim.Hooks{Probe: &sim.Probe{}, OnWorld: set.Attach}
+		worlds := make([]*sim.World, 0, len(benches))
+		for _, bench := range benches {
+			w := sim.NewWorld(sim.Config{
+				Trace:        stats.NewCollector(vclock.Time(0).Add(3*vclock.Second), end),
+				Seed:         1,
+				CPUs:         1,
+				Hooks:        hooks,
+				SystemDaemon: true,
+			})
+			bench.Build(w, paradigm.NewRegistry())
+			worlds = append(worlds, w)
+		}
+		for _, w := range worlds {
+			w.Shutdown()
+		}
 	}
 }
 

@@ -37,10 +37,12 @@ func (m *Monitor) Conds() []*Cond {
 }
 
 // auditReport renders this monitor's suspicious CVs as human-readable
-// findings. Every monitor registers it with its world's probe
-// (sim.World.RegisterAuditor) at creation, so a harness holding the
-// probe can sweep every CV an experiment created — threadstudy's -audit
-// flag — without the experiment having to expose its monitors.
+// findings. A monitor registers it with its world's probe
+// (sim.World.RegisterAuditor) when its first CV is created (NewCond), so
+// a harness holding the probe can sweep every CV an experiment created —
+// threadstudy's -audit flag — without the experiment having to expose
+// its monitors. A monitor without CVs has nothing to report and is never
+// registered.
 func (m *Monitor) auditReport(minWaits int) []string {
 	var out []string
 	for _, c := range AuditCVs(minWaits, m) {

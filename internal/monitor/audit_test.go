@@ -132,3 +132,37 @@ func TestAuditMinWaitsGuard(t *testing.T) {
 		t.Error("minWaits=1 should trip")
 	}
 }
+
+// TestAuditRegistersWithFirstCV checks that a monitor joins its probe's
+// audit sweep when its first CV is created, not when it is built: a world
+// of many CV-less monitors (a workload's library) and one all-timeout CV
+// reports exactly that CV, and building a CV-less monitor allocates only
+// the monitor itself — no audit closure, no registration.
+func TestAuditRegistersWithFirstCV(t *testing.T) {
+	probe := &sim.Probe{}
+	cfg := cfgFast()
+	cfg.Hooks.Probe = probe
+	w := testWorld(t, cfg)
+	for i := 0; i < 200; i++ {
+		NewWithOptions(w, "lib", fastOptions())
+	}
+	m := NewWithOptions(w, "queue", fastOptions())
+	cv := m.NewCondTimeout("masked", vclock.Millisecond)
+	m.NewCond("second") // a second CV must not register the monitor again
+	w.Spawn("waiter", sim.PriorityNormal, func(th *sim.Thread) any {
+		m.Enter(th)
+		cv.Wait(th) // times out; no NOTIFY exists anywhere
+		m.Exit(th)
+		return nil
+	})
+	w.Run(vclock.Time(vclock.Second))
+
+	got := probe.Audit(1)
+	want := `monitor "queue" cv "masked": 1 waits, all timed out, 0 notifies (§5.3 masked-missing-NOTIFY signature)`
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("Probe.Audit = %q, want exactly [%q]", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { NewWithOptions(w, "lib", fastOptions()) }); n != 1 {
+		t.Errorf("building a CV-less monitor in a probed world allocates %v objects, want 1", n)
+	}
+}

@@ -34,6 +34,9 @@ type waiter struct {
 // NewCond creates a condition variable on m with no timeout interval.
 func (m *Monitor) NewCond(name string) *Cond {
 	c := &Cond{m: m, id: m.w.AllocCVID(), name: name}
+	if len(m.conds) == 0 {
+		m.w.RegisterAuditor(m.auditReport)
+	}
 	m.conds = append(m.conds, c)
 	return c
 }
@@ -240,7 +243,8 @@ func (c *Cond) signal(t *sim.Thread, max int) int {
 		wtr.notified = true
 		woke++
 		if m.opt.DeferNotifyReschedule {
-			m.deferred = append(m.deferred, wtr.t)
+			x := m.ext()
+			x.deferred = append(x.deferred, wtr.t)
 		} else {
 			m.w.WakeIfBlocked(wtr.t, t)
 		}
@@ -266,7 +270,8 @@ func (c *Cond) signalHoare(t *sim.Thread) int {
 	// reacquires it from the urgent queue on resumption; trace both so
 	// enter/exit events pair up.
 	m.w.Trace().Record(trace.Event{Time: m.w.Now(), Kind: trace.KindMLExit, Thread: t.ID(), Arg: m.id})
-	m.urgent = append(m.urgent, t)
+	x := m.ext()
+	x.urgent = append(x.urgent, t)
 	t.Block(sim.BlockMutex)
 	if m.holder != t {
 		panic(fmt.Sprintf("monitor: Hoare signaller %s resumed without monitor %q", t.Name(), m.name))

@@ -111,6 +111,17 @@ type Monitor struct {
 
 	holder *sim.Thread
 	queue  []*sim.Thread // FIFO mutex waiters
+	conds  []*Cond
+
+	// x is the state only the optional disciplines use, nil until one of
+	// them first needs it (ext): most monitors, a workload's library
+	// among them, are entered and exited and nothing else.
+	x *monitorExt
+}
+
+// monitorExt is a monitor's state for Hoare signalling, priority
+// inheritance, the §6.1 deferred reschedule and the metalock.
+type monitorExt struct {
 	urgent []*sim.Thread // Hoare signallers awaiting the monitor back (LIFO)
 
 	// Priority-inheritance bookkeeping: the holder's own priority at
@@ -125,8 +136,15 @@ type Monitor struct {
 	// metalock state (only used when opt.MetalockHold > 0)
 	metaHolder  *sim.Thread
 	metaWaiters []*sim.Thread
+}
 
-	conds []*Cond
+// ext returns the monitor's optional-discipline state, allocating it on
+// first use.
+func (m *Monitor) ext() *monitorExt {
+	if m.x == nil {
+		m.x = &monitorExt{}
+	}
+	return m.x
 }
 
 // New creates a monitor in w with default options.
@@ -136,9 +154,15 @@ func New(w *sim.World, name string) *Monitor {
 
 // NewWithOptions creates a monitor with explicit options.
 func NewWithOptions(w *sim.World, name string, opt Options) *Monitor {
-	m := &Monitor{w: w, id: w.AllocMonitorID(), name: name, opt: opt.defaults()}
-	w.RegisterAuditor(m.auditReport)
-	return m
+	return NewWithID(w, w.AllocMonitorID(), name, opt)
+}
+
+// NewWithID creates a monitor under an identifier the caller reserved
+// with w.ReserveMonitorIDs. A pool that builds its monitors on first use
+// calls it, so each monitor stamps the trace with the ID an up-front
+// build would have given it.
+func NewWithID(w *sim.World, id int64, name string, opt Options) *Monitor {
+	return &Monitor{w: w, id: id, name: name, opt: opt.defaults()}
 }
 
 // ID returns the monitor's world-unique identifier, as stamped on trace
@@ -218,8 +242,9 @@ func (m *Monitor) blockOnMutex(t *sim.Thread) {
 func (m *Monitor) acquire(t *sim.Thread) {
 	m.holder = t
 	if m.opt.PriorityInheritance {
-		m.holderBase = t.Priority()
-		m.boosted = false
+		x := m.ext()
+		x.holderBase = t.Priority()
+		x.boosted = false
 	}
 }
 
@@ -231,7 +256,7 @@ func (m *Monitor) inherit(blocker *sim.Thread) {
 	}
 	if blocker.Priority() > m.holder.Priority() {
 		m.w.SetPriorityOf(m.holder, blocker.Priority())
-		m.boosted = true
+		m.ext().boosted = true
 	}
 }
 
@@ -239,14 +264,15 @@ func (m *Monitor) inherit(blocker *sim.Thread) {
 // must be the holder. Hoare signallers on the urgent queue outrank
 // ordinary entrants.
 func (m *Monitor) releaseLocked(t *sim.Thread) {
-	if m.boosted {
-		m.w.SetPriorityOf(t, m.holderBase)
-		m.boosted = false
+	x := m.x
+	if x != nil && x.boosted {
+		m.w.SetPriorityOf(t, x.holderBase)
+		x.boosted = false
 	}
 	switch {
-	case len(m.urgent) > 0:
-		next := m.urgent[len(m.urgent)-1]
-		m.urgent = m.urgent[:len(m.urgent)-1]
+	case x != nil && len(x.urgent) > 0:
+		next := x.urgent[len(x.urgent)-1]
+		x.urgent = x.urgent[:len(x.urgent)-1]
 		m.acquire(next)
 		m.w.WakeIfBlocked(next, t)
 	case len(m.queue) > 0:
@@ -257,9 +283,9 @@ func (m *Monitor) releaseLocked(t *sim.Thread) {
 	default:
 		m.holder = nil
 	}
-	if len(m.deferred) > 0 {
-		pending := m.deferred
-		m.deferred = nil
+	if x != nil && len(x.deferred) > 0 {
+		pending := x.deferred
+		x.deferred = nil
 		for _, waiter := range pending {
 			m.w.WakeIfBlocked(waiter, t)
 		}
@@ -285,8 +311,9 @@ func (m *Monitor) withMetalock(t *sim.Thread, fn func()) {
 		fn()
 		return
 	}
-	for m.metaHolder != nil && m.metaHolder != t {
-		holder := m.metaHolder
+	x := m.ext()
+	for x.metaHolder != nil && x.metaHolder != t {
+		holder := x.metaHolder
 		switch {
 		case m.opt.MetalockDonation && holder.State() == sim.StateRunnable:
 			t.DirectedYieldFor(holder, m.opt.MetalockHold)
@@ -294,17 +321,17 @@ func (m *Monitor) withMetalock(t *sim.Thread, fn func()) {
 			// Holder is live on another CPU: spin for one hold period.
 			t.Compute(m.opt.MetalockHold)
 		default:
-			m.metaWaiters = append(m.metaWaiters, t)
+			x.metaWaiters = append(x.metaWaiters, t)
 			t.Block(sim.BlockMutex)
 		}
 	}
-	m.metaHolder = t
+	x.metaHolder = t
 	t.Compute(m.opt.MetalockHold)
 	fn()
-	m.metaHolder = nil
-	if len(m.metaWaiters) > 0 {
-		pending := m.metaWaiters
-		m.metaWaiters = nil
+	x.metaHolder = nil
+	if len(x.metaWaiters) > 0 {
+		pending := x.metaWaiters
+		x.metaWaiters = nil
 		for _, wt := range pending {
 			m.w.WakeIfBlocked(wt, t)
 		}

@@ -159,7 +159,9 @@ type MonitorProfile struct {
 	Contended int64 // entries that had to queue for the mutex
 
 	// Hold is the distribution of Enter→Exit hold intervals; QueueWait
-	// the distribution of Block→Enter mutex queue waits.
+	// the distribution of Block→Enter mutex queue waits. QueueWait is nil
+	// until the monitor's first completed mutex queue wait: most
+	// monitors are never contended, and nil reads as empty.
 	Hold      *stats.Histogram
 	QueueWait *stats.Histogram
 
@@ -259,21 +261,22 @@ func (p *Profile) ApplyNames(names map[int32]string) {
 	}
 }
 
-// newLatencyHistogram buckets lock holds, queue waits and CV waits:
-// fine sub-millisecond buckets up to the 50 ms quantum/timeout scale,
-// then coarse buckets to a second.
-func newLatencyHistogram() *stats.Histogram {
-	return stats.NewHistogram(
-		100*vclock.Microsecond,
-		vclock.Millisecond,
-		5*vclock.Millisecond,
-		10*vclock.Millisecond,
-		50*vclock.Millisecond,
-		100*vclock.Millisecond,
-		500*vclock.Millisecond,
-		vclock.Second,
-	)
+// latencyBounds bucket lock holds, queue waits and CV waits: fine
+// sub-millisecond buckets up to the 50 ms quantum/timeout scale, then
+// coarse buckets to a second. Every latency histogram shares this one
+// slice; nothing modifies it.
+var latencyBounds = []vclock.Duration{
+	100 * vclock.Microsecond,
+	vclock.Millisecond,
+	5 * vclock.Millisecond,
+	10 * vclock.Millisecond,
+	50 * vclock.Millisecond,
+	100 * vclock.Millisecond,
+	500 * vclock.Millisecond,
+	vclock.Second,
 }
+
+func newLatencyHistogram() *stats.Histogram { return stats.NewHistogram(latencyBounds...) }
 
 // threadRec is a ThreadProfile plus the profiler's live state-machine
 // fields. The mutex-queue and CV-wait trackers live inline rather than
@@ -338,8 +341,14 @@ func (t *idTable[T]) get(id int64) *T {
 // add registers r as id's record and returns it.
 func (t *idTable[T]) add(id int64, r *T) *T {
 	if uint64(id) < denseLimit {
-		for int64(len(t.dense)) <= id {
-			t.dense = append(t.dense, nil)
+		if id >= int64(len(t.dense)) {
+			// At least double: growing one append at a time takes
+			// append's 1.25x steps once the table is large, and a
+			// library's scattered monitor IDs then reallocate it many
+			// times over.
+			grown := make([]*T, min(max(int(id)+1, 2*len(t.dense)), denseLimit))
+			copy(grown, t.dense)
+			t.dense = grown
 		}
 		t.dense[id] = r
 	} else {
@@ -484,6 +493,9 @@ func (p *Profiler) Record(ev trace.Event) {
 		}
 		if r := p.thread(ev.Thread, ev.Time); r.queueActive {
 			d := ev.Time.Sub(r.queueSince)
+			if m.QueueWait == nil {
+				m.QueueWait = newLatencyHistogram()
+			}
 			m.QueueWait.Add(d)
 			m.MaxQueueWait = max(m.MaxQueueWait, d)
 			r.queueActive = false
@@ -713,7 +725,7 @@ func (p *Profiler) monitor(id int64) *MonitorProfile {
 	if m := p.monitors.get(id); m != nil {
 		return m
 	}
-	return p.monitors.add(id, &MonitorProfile{ID: id, Hold: newLatencyHistogram(), QueueWait: newLatencyHistogram()})
+	return p.monitors.add(id, &MonitorProfile{ID: id, Hold: newLatencyHistogram()})
 }
 
 func (p *Profiler) cv(id int64) *CVProfile {

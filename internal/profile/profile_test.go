@@ -3,8 +3,11 @@ package profile_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/monitor"
 	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -246,5 +249,62 @@ func TestProfileDeterministic(t *testing.T) {
 	}
 	if len(a) == 0 {
 		t.Fatal("empty profile report")
+	}
+}
+
+// TestUncontendedMonitorHasNoQueueWait checks that the profiler builds a
+// monitor's queue-wait histogram only at its first completed mutex queue
+// wait: an uncontended monitor keeps a nil QueueWait, and the report
+// prints "-" for its mean queue wait.
+func TestUncontendedMonitorHasNoQueueWait(t *testing.T) {
+	p := profile.New(1)
+	w := sim.NewWorld(sim.Config{
+		CPUs:       1,
+		SwitchCost: -1,
+		Hooks:      sim.Hooks{OnWorld: func(*sim.World) trace.Sink { return p }},
+	})
+	defer w.Shutdown()
+	quiet := monitor.New(w, "quiet")
+	busy := monitor.New(w, "busy")
+	w.Spawn("holder", sim.PriorityNormal, func(t *sim.Thread) any {
+		quiet.With(t, func() { t.Compute(ms(1)) })
+		busy.With(t, func() { t.BlockIO(ms(5)) }) // the contender queues meanwhile
+		return nil
+	})
+	w.Spawn("contender", sim.PriorityNormal, func(t *sim.Thread) any {
+		t.Compute(ms(2))
+		busy.With(t, func() {})
+		return nil
+	})
+	w.Run(vclock.Time(0).Add(ms(100)))
+	prof := p.Finish(w.Now())
+
+	byID := map[int64]*profile.MonitorProfile{}
+	for _, m := range prof.Monitors {
+		byID[m.ID] = m
+	}
+	q, b := byID[quiet.ID()], byID[busy.ID()]
+	if q == nil || b == nil {
+		t.Fatalf("profile has monitors %v, want both %d and %d", prof.Monitors, quiet.ID(), busy.ID())
+	}
+	if q.Enters != 1 || q.Contended != 0 || q.QueueWait != nil {
+		t.Errorf("uncontended monitor: enters %d contended %d QueueWait %v, want 1, 0, nil", q.Enters, q.Contended, q.QueueWait)
+	}
+	if b.Contended != 1 || b.QueueWait == nil || b.QueueWait.Count() != 1 {
+		t.Fatalf("contended monitor: contended %d QueueWait %v, want 1 and one recorded wait", b.Contended, b.QueueWait)
+	}
+
+	qwaitMean := map[string]string{}
+	for _, line := range strings.Split(profile.NewReport(prof).String(), "\n") {
+		// monitor, enters, contended, hold mean, hold max, qwait mean, qwait max
+		if f := strings.Fields(line); len(f) == 7 && strings.HasPrefix(f[0], "ml") {
+			qwaitMean[f[0]] = f[5]
+		}
+	}
+	if got := qwaitMean[fmt.Sprintf("ml%d", quiet.ID())]; got != "-" {
+		t.Errorf("uncontended monitor's qwait mean = %q, want \"-\"", got)
+	}
+	if got := qwaitMean[fmt.Sprintf("ml%d", busy.ID())]; got == "-" || got == "" {
+		t.Errorf("contended monitor's qwait mean = %q, want a duration", got)
 	}
 }

@@ -371,6 +371,19 @@ func (r *refProfiler) finish(end vclock.Time) *profile.Profile {
 	return p
 }
 
+// orEmpty returns h, or, when h is nil, an empty histogram with like's
+// bounds.
+func orEmpty(h, like *stats.Histogram) *stats.Histogram {
+	if h != nil {
+		return h
+	}
+	bounds := make([]vclock.Duration, like.Buckets()-1)
+	for i := range bounds {
+		_, bounds[i], _ = like.BucketRange(i)
+	}
+	return stats.NewHistogram(bounds...)
+}
+
 // diffProfiles compares two profiles field by field, histograms bucket
 // by bucket, and names every difference (up to a cap).
 func diffProfiles(got, want *profile.Profile) []string {
@@ -381,6 +394,12 @@ func diffProfiles(got, want *profile.Profile) []string {
 		}
 	}
 	hist := func(what string, g, w *stats.Histogram) {
+		// A nil histogram is an empty one: the profiler leaves an
+		// uncontended monitor's QueueWait nil.
+		if g == nil && w == nil {
+			return
+		}
+		g, w = orEmpty(g, w), orEmpty(w, g)
 		if g.Buckets() != w.Buckets() {
 			add("%s: %d buckets, want %d", what, g.Buckets(), w.Buckets())
 			return

@@ -205,11 +205,11 @@ func inversionSection(p *Profile, r *Report) {
 	r.Blocks = append(r.Blocks, sb.String())
 }
 
-// meanOf renders a histogram's mean, or "-" when it is empty.
+// meanOf renders a histogram's mean, or "-" when it is empty or nil
+// (an uncontended monitor's QueueWait).
 func meanOf(h *stats.Histogram) string {
-	n := h.Count()
-	if n == 0 {
+	if h == nil || h.Count() == 0 {
 		return "-"
 	}
-	return (h.Total() / vclock.Duration(n)).String()
+	return (h.Total() / vclock.Duration(h.Count())).String()
 }

@@ -256,6 +256,22 @@ func (w *World) Threads() []*Thread {
 // distinct IDs observed during a benchmark.
 func (w *World) AllocMonitorID() int64 { w.monitorIDs++; return w.monitorIDs }
 
+// ReserveMonitorIDs takes the next n monitor identifiers in one call and
+// returns base: the reserved IDs are base+1 .. base+n, exactly those n
+// AllocMonitorID calls would have returned, and the next AllocMonitorID
+// returns base+n+1. A pool that builds its monitors lazily
+// (monitor.NewWithID) reserves their IDs up front this way, so every
+// monitor created after it keeps the ID it would have had. It panics on
+// a negative n.
+func (w *World) ReserveMonitorIDs(n int) (base int64) {
+	if n < 0 {
+		panic(fmt.Sprintf("sim: cannot reserve %d monitor IDs", n))
+	}
+	base = w.monitorIDs
+	w.monitorIDs += int64(n)
+	return base
+}
+
 // AllocCVID allocates a world-unique condition-variable identifier.
 func (w *World) AllocCVID() int64 { w.cvIDs++; return w.cvIDs }
 
@@ -663,10 +679,12 @@ func (w *World) SetMaxThreads(n int) {
 }
 
 // RegisterAuditor forwards a post-run audit closure to the world's probe,
-// if any. Package monitor registers one per monitor so harnesses can
-// sweep every CV an experiment created for the §5.3 masked-missing-NOTIFY
-// signature after the run completes (Probe.Audit). With no probe
-// configured the registration is dropped.
+// if any. Package monitor registers one per monitor when the monitor's
+// first condition variable is created, so harnesses can sweep every CV
+// an experiment created for the §5.3 masked-missing-NOTIFY signature
+// after the run completes (Probe.Audit); a monitor without CVs has
+// nothing to report and registers nothing. With no probe configured the
+// registration is dropped.
 func (w *World) RegisterAuditor(f func(minWaits int) []string) {
 	if w.cfg.Hooks.Probe != nil {
 		w.cfg.Hooks.Probe.registerAuditor(f)

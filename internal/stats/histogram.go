@@ -16,13 +16,21 @@ type Histogram struct {
 	// bounds are ascending exclusive upper limits; bucket i holds values
 	// in [bounds[i-1], bounds[i]). A final overflow bucket holds values
 	// >= bounds[len-1].
-	bounds []vclock.Duration
-	counts []int64
-	totals []vclock.Duration
+	bounds  []vclock.Duration
+	buckets []bucket // len(bounds)+1, the last the overflow bucket
+}
+
+// bucket is one bucket's count of recorded values and their sum.
+type bucket struct {
+	count int64
+	total vclock.Duration
 }
 
 // NewHistogram creates a histogram with the given ascending bucket upper
-// bounds. It panics on empty or non-ascending bounds.
+// bounds. It panics on empty or non-ascending bounds. The histogram
+// keeps the bounds slice itself rather than a copy, so histograms built
+// from one slice (NewHistogram(shared...)) share it; the caller must not
+// modify the slice afterwards.
 func NewHistogram(bounds ...vclock.Duration) *Histogram {
 	if len(bounds) == 0 {
 		panic("stats: histogram needs at least one bound")
@@ -32,13 +40,7 @@ func NewHistogram(bounds ...vclock.Duration) *Histogram {
 			panic("stats: histogram bounds must ascend")
 		}
 	}
-	b := make([]vclock.Duration, len(bounds))
-	copy(b, bounds)
-	return &Histogram{
-		bounds: b,
-		counts: make([]int64, len(bounds)+1),
-		totals: make([]vclock.Duration, len(bounds)+1),
-	}
+	return &Histogram{bounds: bounds, buckets: make([]bucket, len(bounds)+1)}
 }
 
 // NewIntervalHistogram returns the bucketing used for execution-interval
@@ -56,9 +58,9 @@ func NewIntervalHistogram() *Histogram {
 
 // Add records one duration.
 func (h *Histogram) Add(d vclock.Duration) {
-	i := h.bucketOf(d)
-	h.counts[i]++
-	h.totals[i] += d
+	b := &h.buckets[h.bucketOf(d)]
+	b.count++
+	b.total += d
 }
 
 // bucketOf returns the index of the first bound above d, len(bounds) for
@@ -77,7 +79,7 @@ func (h *Histogram) bucketOf(d vclock.Duration) int {
 }
 
 // Buckets returns the number of buckets, including the overflow bucket.
-func (h *Histogram) Buckets() int { return len(h.counts) }
+func (h *Histogram) Buckets() int { return len(h.buckets) }
 
 // BucketRange returns bucket i's [lo, hi) range; the overflow bucket's hi
 // is vclock.Never's duration equivalent, reported as lo itself with
@@ -93,13 +95,13 @@ func (h *Histogram) BucketRange(i int) (lo, hi vclock.Duration, unbounded bool) 
 }
 
 // BucketCount returns the number of values recorded in bucket i.
-func (h *Histogram) BucketCount(i int) int64 { return h.counts[i] }
+func (h *Histogram) BucketCount(i int) int64 { return h.buckets[i].count }
 
 // Count returns the total number of recorded values.
 func (h *Histogram) Count() int64 {
 	var n int64
-	for _, c := range h.counts {
-		n += c
+	for _, b := range h.buckets {
+		n += b.count
 	}
 	return n
 }
@@ -107,8 +109,8 @@ func (h *Histogram) Count() int64 {
 // Total returns the sum of all recorded values.
 func (h *Histogram) Total() vclock.Duration {
 	var t vclock.Duration
-	for _, x := range h.totals {
-		t += x
+	for _, b := range h.buckets {
+		t += b.total
 	}
 	return t
 }
@@ -122,10 +124,10 @@ func (h *Histogram) FractionCount(lo, hi vclock.Duration) float64 {
 		return 0
 	}
 	var in int64
-	for i := range h.counts {
+	for i, b := range h.buckets {
 		blo, bhi, unbounded := h.BucketRange(i)
 		if blo >= lo && !unbounded && bhi <= hi {
-			in += h.counts[i]
+			in += b.count
 		}
 	}
 	return float64(in) / float64(n)
@@ -139,10 +141,10 @@ func (h *Histogram) FractionTotal(lo, hi vclock.Duration) float64 {
 		return 0
 	}
 	var in vclock.Duration
-	for i := range h.totals {
+	for i, b := range h.buckets {
 		blo, bhi, unbounded := h.BucketRange(i)
 		if blo >= lo && !unbounded && bhi <= hi {
-			in += h.totals[i]
+			in += b.total
 		}
 	}
 	return float64(in) / float64(t)
@@ -152,9 +154,9 @@ func (h *Histogram) FractionTotal(lo, hi vclock.Duration) float64 {
 // (ties broken toward the smaller bucket), or -1 if empty.
 func (h *Histogram) PeakBucket() int {
 	best, bestCount := -1, int64(0)
-	for i, c := range h.counts {
-		if c > bestCount {
-			best, bestCount = i, c
+	for i, b := range h.buckets {
+		if b.count > bestCount {
+			best, bestCount = i, b.count
 		}
 	}
 	return best
@@ -168,12 +170,13 @@ func (h *Histogram) String() string {
 		return "(empty histogram)"
 	}
 	var max int64
-	for _, c := range h.counts {
-		if c > max {
-			max = c
+	for _, b := range h.buckets {
+		if b.count > max {
+			max = b.count
 		}
 	}
-	for i, c := range h.counts {
+	for i, b := range h.buckets {
+		c := b.count
 		if c == 0 {
 			continue
 		}

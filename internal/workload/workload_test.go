@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/paradigm"
-	"repro/internal/sim"
 	"repro/internal/vclock"
 )
 
@@ -291,27 +290,6 @@ func TestFindBenchmark(t *testing.T) {
 	}
 	if len(AllBenchmarks()) != 12 {
 		t.Fatalf("AllBenchmarks = %d, want 12", len(AllBenchmarks()))
-	}
-}
-
-func TestLibraryBounds(t *testing.T) {
-	w := sim.NewWorld(sim.Config{SwitchCost: -1, TimeoutGranularity: 1})
-	defer w.Shutdown()
-	lib := NewLibrary(w, "lib", 10)
-	if lib.Size() != 10 {
-		t.Fatalf("size = %d", lib.Size())
-	}
-	th := w.Spawn("t", sim.PriorityNormal, func(t *sim.Thread) any {
-		lib.Touch(t, Region{0, 10}, 3)
-		lib.Touch(t, Region{20, 30}, 1) // out of range: panics
-		return nil
-	})
-	w.Run(vclock.Time(vclock.Second))
-	if th.Err() == nil {
-		t.Fatal("out-of-range region should panic")
-	}
-	if (Region{2, 7}).Span() != 5 {
-		t.Fatal("span wrong")
 	}
 }
 
