@@ -3,8 +3,9 @@
 # rewrite), build, the full test suite under the race
 # detector — the race run is what proves the parallel experiment
 # harness (experiments.RunAll) shares no hidden state — plus a short
-# fuzz pass over the plan/trace parsers and the three differential
-# oracles (timing wheel, running quantile, profiler), a bounded schedule-
+# fuzz pass over the plan/trace parsers, the three differential
+# oracles (timing wheel, running quantile, profiler) and the cluster
+# oracle (FuzzCluster), a bounded schedule-
 # exploration sweep (every healthy scenario clean, every known-bad
 # fixture caught), and the benchmark module's own vet, tests and output
 # checks.
@@ -63,9 +64,14 @@ bench:
 # equivalent to the naive sorted-list event queue —
 # the running-quantile differential: any sample stream must keep
 # stats.Quantile equal to LatencyRecorder.Percentile after every Add —
-# and the profiler: hostile event streams must never panic or hang it,
+# the profiler: hostile event streams must never panic or hang it,
 # and on well-formed streams it must equal the reference profiler with
-# zero residue. Each new input gets at most 1 s of minimizing, so the
+# zero residue — and the cluster oracle (FuzzCluster): random small
+# fleets under every router, admission and client policy, with instance
+# faults and record/replay, must keep the offered-load identity, give
+# byte-equal summaries at any shard count and on replay, and never panic
+# or hang, while oversized fleets fail with ErrInvalidSpec. Each new
+# input gets at most 1 s of minimizing, so the
 # budget goes to fuzzing: minimizing one FuzzProfile input can otherwise
 # outlast the whole budget at 0 execs/s.
 fuzz-short:
@@ -77,6 +83,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz FuzzWheelDifferential -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/eventq
 	$(GO) test -run='^$$' -fuzz FuzzQuantileDifferential -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/stats
 	$(GO) test -run='^$$' -fuzz FuzzProfile -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/profile
+	$(GO) test -run='^$$' -fuzz FuzzCluster -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/cluster
 
 # Bounded systematic schedule exploration over all registered scenarios.
 explore:
