@@ -30,7 +30,7 @@ func (w *World) randomRunnable() *Thread {
 	if n == 0 {
 		return nil
 	}
-	k := w.rng.Intn(n)
+	k := w.Rand().Intn(n)
 	for p := PriorityMin; p <= PriorityInterrupt; p++ {
 		for t := w.readyHead[p]; t != nil; t = t.qnext {
 			if k == 0 {

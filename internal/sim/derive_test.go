@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/vclock"
@@ -163,5 +164,47 @@ func TestThreadArenaBulkSpawn(t *testing.T) {
 		if !ok {
 			t.Fatalf("thread %d never ran", i)
 		}
+	}
+}
+
+// The world's own stream is seeded on first use. A world that never
+// draws from it builds no source, and the first Rand call yields
+// exactly the stream rand.New(rand.NewSource(seed)) gives, as seeding
+// at NewWorld did. The SystemDaemon's victim choice is the simulator's
+// own draw, so a daemon world with a contended CPU seeds the source
+// while it runs; that its draws are unchanged is pinned by TestGolden's
+// Table 1-3 reports (cmd/threadstudy testdata/golden/quick.txt and
+// default.txt) and by TestTraceDigests' desktop preset worlds.
+func TestRandSeededOnFirstUse(t *testing.T) {
+	spin := func(th *Thread) any {
+		for {
+			th.Compute(vclock.Millisecond)
+		}
+	}
+	w := NewWorld(Config{Seed: 11})
+	defer w.Shutdown()
+	w.Spawn("a", PriorityNormal, spin)
+	w.Spawn("b", PriorityNormal, spin)
+	w.Run(vclock.Time(0).Add(vclock.Second))
+	if w.rng != nil {
+		t.Fatal("a world that never drew seeded its random source")
+	}
+	ref := rand.New(rand.NewSource(11))
+	for i := 0; i < 64; i++ {
+		if got, want := w.Rand().Int63(), ref.Int63(); got != want {
+			t.Fatalf("draw %d: %d, want %d", i, got, want)
+		}
+	}
+
+	d := NewWorld(Config{Seed: 11, SystemDaemon: true})
+	defer d.Shutdown()
+	if d.rng != nil {
+		t.Fatal("NewWorld seeded the random source")
+	}
+	d.Spawn("a", PriorityNormal, spin)
+	d.Spawn("b", PriorityNormal, spin)
+	d.Run(vclock.Time(0).Add(vclock.Second))
+	if d.rng == nil {
+		t.Fatal("the SystemDaemon drew no victim in a contended second")
 	}
 }

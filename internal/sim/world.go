@@ -23,8 +23,8 @@ type World struct {
 	horizon vclock.Time // current Run's `until`; bounds the compute fast path
 	evq     eventq.Queue
 	sink    trace.Sink
-	traceOn bool // false when sink is trace.Discard: record() short-circuits
-	rng     *rand.Rand
+	traceOn bool       // false when sink is trace.Discard: record() short-circuits
+	rng     *rand.Rand // seeded by Rand on first use
 
 	cpus []*cpu
 
@@ -114,7 +114,6 @@ func NewWorld(cfg Config) *World {
 	w := &World{
 		cfg:  cfg,
 		sink: cfg.Trace,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
 	}
 	pol := cfg.Hooks.Policy
 	if pol == nil {
@@ -205,7 +204,17 @@ func (w *World) Config() Config { return w.cfg }
 // the world — a cluster's router, a test harness, an open-loop load
 // generator — must use DeriveRand instead, so sibling instances in a
 // multi-world run stay bitwise independent.
-func (w *World) Rand() *rand.Rand { return w.rng }
+//
+// The source is seeded from Config.Seed on the first call, so a world
+// that never draws (a cluster instance, say) never pays for the seeding,
+// and one that does sees the same stream as if it had been seeded at
+// NewWorld.
+func (w *World) Rand() *rand.Rand {
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(w.cfg.Seed))
+	}
+	return w.rng
+}
 
 // DeriveRand returns a new deterministic random stream derived from the
 // world's seed and name. Unlike Rand, the returned stream is private to
