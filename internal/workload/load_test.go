@@ -200,3 +200,48 @@ func TestServerCrashMidService(t *testing.T) {
 		t.Errorf("pending %d dropped %d undelivered %d, want 0 1 1", s.Pending(), s.Dropped(), s.Undelivered())
 	}
 }
+
+// Drain alternates two buffers. Two drains in a row return each batch
+// once, in completion order, and the third drain returns the first
+// drain's buffer again, holding every completion recorded since.
+func TestServerDrainAlternatesBuffers(t *testing.T) {
+	w := sim.NewWorld(sim.Config{Seed: 1, SwitchCost: -1})
+	defer w.Shutdown()
+	s := startServer(w, NewNameTable("s", 1), 1, sim.PriorityNormal)
+	batch := func(at int64, tokens ...uint64) []Completion {
+		w.At(vclock.Time(at), func() {
+			for _, tok := range tokens {
+				s.InjectTracked(0, 10*vclock.Microsecond, tok)
+			}
+		})
+		w.Run(vclock.Time(at + 1000))
+		return s.Drain()
+	}
+	check := func(name string, got []Completion, tokens ...uint64) {
+		t.Helper()
+		if len(got) != len(tokens) {
+			t.Fatalf("%s drain: %+v, want tokens %v", name, got, tokens)
+		}
+		for i, cp := range got {
+			if cp.Token != tokens[i] || !cp.OK || i > 0 && cp.At < got[i-1].At {
+				t.Fatalf("%s drain: %+v, want tokens %v in completion order", name, got, tokens)
+			}
+		}
+	}
+	first := batch(100, 1, 2, 3)
+	check("first", first, 1, 2, 3)
+	firstBuf := &first[0]
+	second := batch(2000, 4, 5)
+	check("second", second, 4, 5)
+	if &second[0] == firstBuf {
+		t.Fatal("the second drain reused the first drain's buffer")
+	}
+	third := batch(4000, 6, 7, 8)
+	check("third", third, 6, 7, 8)
+	if &third[0] != firstBuf {
+		t.Error("the third drain did not reuse the first drain's buffer")
+	}
+	if got := s.Drain(); len(got) != 0 {
+		t.Errorf("a drain with nothing completed returned %+v", got)
+	}
+}

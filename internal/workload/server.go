@@ -110,7 +110,8 @@ type Server struct {
 	epoch      int
 	stallUntil vclock.Time
 	cancelSet  map[uint64]bool
-	events     []Completion
+	events     []Completion // tracked completions since the last Drain
+	drained    []Completion // the buffer the last Drain returned
 	dropped    int64
 	failed     int64
 
@@ -340,11 +341,13 @@ func (s *Server) InjectTracked(i int, service vclock.Duration, token uint64) {
 }
 
 // Drain returns the tracked completions recorded since the previous
-// Drain, in completion order. Call from the cluster driver after an
-// advance barrier — never while the world may still be stepping.
+// Drain, in completion order. The result is valid only until the next
+// Drain: the server alternates two buffers, recording into the one the
+// Drain before returned. Call from the cluster driver after an advance
+// barrier — never while the world may still be stepping.
 func (s *Server) Drain() []Completion {
 	ev := s.events
-	s.events = nil
+	s.events, s.drained = s.drained[:0], ev
 	return ev
 }
 
