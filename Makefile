@@ -44,7 +44,10 @@ race:
 # schedule/cancel, timer-slot arm/disarm (each CPU's quantum and compute
 # completion), batch admission and ticketed scheduling must stay
 # allocation-free in steady state. BenchmarkBlindFleet (internal/cluster)
-# reports what a small blind round-robin fleet costs end to end. Host
+# reports what a small blind round-robin fleet costs end to end, and
+# BenchmarkResilientFleet what the tracked driver costs on a faulted
+# fleet with the whole client policy stack (timeouts, retries, hedges,
+# breakers, probes). Host
 # speed against the parent commit is perfbench's job (see
 # BENCHMARK.json); the profiled sweep's event counts, profile digests
 # and zero residue are pinned by TestSweepPayload

@@ -313,7 +313,12 @@ type instance struct {
 
 	box  inbox
 	pump eventq.Timer // armed while box's oldest injection is queued in w
-	ran  bool         // w has been Run at least once
+
+	// due is a lower bound on the earlier of w's next event and box's
+	// oldest injection: advance sets it from w.NextEvent, send and the
+	// closing Close lower it, and a barrier runs the world only when due
+	// has come. It starts at zero, so a world's first barrier runs it.
+	due vclock.Time
 }
 
 // Cluster is a built fleet, ready to Run once.
@@ -326,6 +331,12 @@ type Cluster struct {
 	faults *instanceFaults // compiled fault timelines; empty when fault-free
 	rng    *rand.Rand      // arrival/identity/demand stream, owned by Run
 	ran    bool
+
+	// advanced lists, in barrier and instance-ID order, the instances
+	// run since the driver last drained their completions; shards
+	// waits for advanceAll's shard goroutines.
+	advanced []*instance
+	shards   sync.WaitGroup
 }
 
 // New builds the fleet: N worlds seeded Seed+f(id), each populated with
@@ -354,7 +365,8 @@ func New(spec Spec) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{spec: spec, preset: preset, route: route, admit: admit, faults: faults}
+	c := &Cluster{spec: spec, preset: preset, route: route, admit: admit, faults: faults,
+		advanced: make([]*instance, 0, spec.Instances)}
 	names := workload.NewNameTable("echo", spec.Sessions)
 	// Each instance world is one "server" workload spec: the preset's
 	// background population plus a passive session pool, compiled
@@ -423,38 +435,52 @@ func (c *Cluster) drawService(rng *rand.Rand) vclock.Duration {
 	return s.Service
 }
 
-// advanceAll brings every instance world to t, dealing them round-robin
-// across the spec's advance shards. Each world first arms its inbox, so
-// the requests routed to it since the last barrier are due in its event
-// queue; a world with nothing due by t is then left where it is
-// (instance.advance), which with client state is most worlds at most
-// barriers. Instances are mutually independent between barriers — no
+// advanceAll brings every instance world to t. It runs only the worlds
+// whose due bound has come (instance.advance): a world that has run and
+// has nothing due by t would change nothing but its clock, and with
+// client state that is most worlds at most barriers. The worlds it runs
+// are dealt round-robin across the spec's advance shards; the barrier's
+// own goroutine takes the first shard, so a barrier with at most one
+// world due starts no goroutine, and one over idle worlds allocates
+// nothing. Instances are mutually independent between barriers — no
 // shared mutable state, each world advanced by exactly one goroutine —
 // so the shard count changes wall-clock time only, never simulated
 // state.
 func (c *Cluster) advanceAll(t vclock.Time) {
-	shards := c.spec.Shards
-	if shards > len(c.insts) {
-		shards = len(c.insts)
-	}
-	if shards <= 1 {
-		for _, in := range c.insts {
-			in.advance(t)
+	k := len(c.advanced)
+	for _, in := range c.insts {
+		if in.due <= t {
+			c.advanced = append(c.advanced, in)
 		}
-		return
 	}
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
+	due := c.advanced[k:]
+	shards := min(c.spec.Shards, len(due))
+	for s := 1; s < shards; s++ {
+		c.shards.Add(1)
 		go func(s int) {
-			defer wg.Done()
-			for i := s; i < len(c.insts); i += shards {
-				c.insts[i].advance(t)
-			}
+			advanceShard(due, s, shards, t)
+			c.shards.Done()
 		}(s)
 	}
-	wg.Wait()
+	if shards > 0 {
+		advanceShard(due, 0, shards, t)
+	}
+	c.shards.Wait()
+	if afterBarrier != nil {
+		afterBarrier(c)
+	}
 }
+
+// advanceShard runs shard s of n: every n-th world of due from the s-th.
+func advanceShard(due []*instance, s, n int, t vclock.Time) {
+	for i := s; i < len(due); i += n {
+		due[i].advance(t)
+	}
+}
+
+// afterBarrier, when set, is called at the end of every advanceAll. It
+// is nil outside this package's tests, which check the due bounds there.
+var afterBarrier func(*Cluster)
 
 // Run drives the fleet through its offered load and returns the
 // aggregated summary. It may be called once per Cluster. The driver

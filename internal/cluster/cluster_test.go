@@ -70,6 +70,57 @@ func TestShardDeterminism(t *testing.T) {
 	}
 }
 
+// A barrier over idle worlds runs none of them and allocates nothing,
+// serially and on shards: it starts no goroutine and keeps no closure.
+func TestIdleBarrierAllocs(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		spec := smallSpec()
+		spec.Shards = shards
+		c, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Shutdown()
+		at := vclock.Time(0).Add(c.spec.Start)
+		c.advanceAll(at) // each world's first barrier runs it
+		if len(c.advanced) != len(c.insts) {
+			t.Fatalf("shards %d: the first barrier ran %d of %d worlds", shards, len(c.advanced), len(c.insts))
+		}
+		c.advanced = c.advanced[:0]
+		if got := testing.AllocsPerRun(100, func() { c.advanceAll(at) }); got != 0 {
+			t.Errorf("shards %d: an idle barrier allocates %.1f times, want 0", shards, got)
+		}
+		if len(c.advanced) != 0 {
+			t.Errorf("shards %d: idle barriers ran %d worlds", shards, len(c.advanced))
+		}
+	}
+}
+
+// The closing advance runs every world, since each has its pool's Close
+// due, so every world ends at the same clock even when the drain is
+// shorter than the SystemDaemon's 100ms period and most worlds have
+// nothing else due by its end.
+func TestClosingAdvanceRunsEveryWorld(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		spec := smallSpec()
+		spec.Drain = vclock.Millisecond
+		spec.Shards = shards
+		c, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Shutdown()
+		if _, err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range c.insts {
+			if now, want := in.w.Now(), c.insts[0].w.Now(); now != want {
+				t.Errorf("shards %d: instance %d ended at %v, instance 0 at %v", shards, in.id, now, want)
+			}
+		}
+	}
+}
+
 // Re-running an identical spec must reproduce the identical summary —
 // the single-shard determinism baseline the shard suite builds on.
 func TestRerunDeterminism(t *testing.T) {

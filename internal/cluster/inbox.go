@@ -83,7 +83,9 @@ func (b *inbox) pop() {
 // the world's ticket now, where a World.At call would have taken its
 // place in the event order, so the request reaches the server at the
 // same point of the world's event stream as that call's callback would.
+// The world is due by t at the latest.
 func (in *instance) send(t vclock.Time, session int, service vclock.Duration, token uint64, tracked bool) {
+	in.due = min(in.due, t)
 	in.box.push(injection{
 		at:      t,
 		ticket:  in.w.Ticket(),
@@ -121,21 +123,21 @@ func (in *instance) deliver() {
 	in.arm()
 }
 
-// advance arms the inbox and runs the world to t, unless the world has
-// run before and has no event due by t. Run returns only at a settled
-// fixed point, and between barriers the driver touches a world only
-// through its inbox (armed above, so a due injection counts as an
-// event) and Server.CancelQueued, so running such a world would change
-// nothing but its clock and horizon. A world that never ran still has
-// its first settle to do, and must do it at this horizon. The closing
-// advance runs every world, as each has its pool's Close due, so every
-// world still ends at the clock, and the Probe at the event and
-// virtual-time totals, that running every world at every barrier gives.
+// advance arms the inbox, runs the world to t and takes the world's
+// next event as its due bound. advanceAll calls it only once the bound
+// has come: Run returns only at a settled fixed point, and between
+// barriers the driver touches a world only through its inbox (send
+// lowers the bound to each injection's instant), Server.CancelQueued
+// (which schedules nothing) and the closing Close (which lowers the
+// bound to its instant), so running a world before its bound would
+// change nothing but its clock and horizon. A world that never ran
+// still has its first settle to do, and must do it at its first
+// barrier: its bound starts at zero. The closing advance runs every
+// world, as each has its pool's Close due, so every world still ends at
+// the clock, and the Probe at the event and virtual-time totals, that
+// running every world at every barrier gives.
 func (in *instance) advance(t vclock.Time) {
 	in.arm()
-	if in.ran && in.w.NextEvent() > t {
-		return
-	}
-	in.ran = true
 	in.w.Run(t)
+	in.due = in.w.NextEvent()
 }

@@ -43,6 +43,22 @@ func TestBlindInjectionAllocs(t *testing.T) {
 // requests into four instances.
 func BenchmarkBlindFleet(b *testing.B) {
 	spec := blindFleetSpec(4000)
+	uncheckedBarriers(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkResilientFleet runs the faulted fleet end to end, New
+// through Shutdown: the tracked driver's cost for 2,000 requests into
+// four instances with timeouts, budgeted retries, hedges, breakers,
+// health probes, and a crash, a stall and a brownout.
+func BenchmarkResilientFleet(b *testing.B) {
+	spec := faultedSpec()
+	uncheckedBarriers(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(spec); err != nil {

@@ -14,8 +14,16 @@ import (
 // events — arrivals, plus probes, timeouts, retries and hedges when a
 // resilience knob is set — sit in one eventq.Queue and pop in (time,
 // insertion seq) order. The next arrival, the only one ever pending, is a
-// timer slot in that queue, re-armed at each arrival. Two rules, both read
-// off the spec, replace any choice between run paths.
+// timer slot in that queue, re-armed at each arrival. The per-attempt
+// timeouts share one more slot: every timeout falls Spec.Timeout after
+// its dispatch and the driver clock never goes back, so they fall due in
+// the order they were armed. Each takes its ticket (eventq.Queue.Reserve)
+// where a Schedule call would have taken its place, waits in a FIFO, and
+// the slot stays armed at the FIFO's head under the head's ticket, so
+// every timeout pops at the (time, seq) that Schedule would have given
+// it, without a closure or a queued event per attempt. Retries and hedges
+// have varying delays and stay ordinary events. Two rules, both read off
+// the spec, replace any choice between run paths.
 //
 // First, requests carry client state only when spec.resilient() holds.
 // A tracked request has a token per attempt, each instance reports
@@ -31,15 +39,17 @@ import (
 // holds as an accounting identity, not a hope.
 //
 // Second, the worlds advance to an event's instant only when something
-// must read them there. With client state, every pop brings the fleet
-// to the event time (once per instant) and folds in the instances'
-// Completion buffers in (time, instance-ID) order before the event is
-// handled. Without it, only a load-reading router pays a barrier, at
-// every read, so a read sees the injections made earlier at the same
-// instant; a blind router lets injections pile up and the worlds catch
-// up in bulk at the end — same simulated outcome per world, radically
-// different driver cost. At a barrier a world with nothing due is not
-// run at all (Cluster.advanceAll).
+// must read them there. With client state, every pop raises a barrier
+// at the event time (once per instant) and folds in the Completion
+// buffers of the instances it ran in (time, instance-ID) order before
+// the event is handled. Without it, only a load-reading router pays a
+// barrier, at every read, so a read sees the injections made earlier at
+// the same instant; a blind router lets injections pile up and the
+// worlds catch up in bulk at the end — same simulated outcome per
+// world, radically different driver cost. A barrier runs only the
+// worlds whose due bound has come (Cluster.advanceAll): each instance
+// keeps a lower bound on its world's next event and its inbox's head,
+// so a barrier costs what it runs, not the fleet size.
 //
 // Every routed request, tracked or not, waits in its instance's inbox
 // (inbox.go) rather than as a callback in the world. Routing takes the
@@ -177,6 +187,59 @@ type attempt struct {
 	done  bool
 }
 
+// pendingTimeout is one attempt's timeout: due at at, ordered among
+// the client events by the ticket seq taken when it was armed.
+type pendingTimeout struct {
+	at  vclock.Time
+	seq uint64
+	att *attempt
+}
+
+// timeoutFIFO is a growable ring of pending timeouts. Every timeout is
+// Spec.Timeout after its dispatch and the driver clock never goes back,
+// so the timeouts fall due in the order they are armed.
+type timeoutFIFO struct {
+	ring     []pendingTimeout
+	first, n int
+}
+
+func (f *timeoutFIFO) push(e pendingTimeout) {
+	if f.n == len(f.ring) {
+		grown := make([]pendingTimeout, max(64, 2*len(f.ring)))
+		m := copy(grown, f.ring[f.first:])
+		copy(grown[m:], f.ring[:f.first])
+		f.ring, f.first = grown, 0
+	}
+	f.ring[(f.first+f.n)%len(f.ring)] = e
+	f.n++
+}
+
+// head returns the earliest pending timeout, or nil.
+func (f *timeoutFIFO) head() *pendingTimeout {
+	if f.n == 0 {
+		return nil
+	}
+	return &f.ring[f.first]
+}
+
+// tail returns the latest pending timeout, or nil.
+func (f *timeoutFIFO) tail() *pendingTimeout {
+	if f.n == 0 {
+		return nil
+	}
+	return &f.ring[(f.first+f.n-1)%len(f.ring)]
+}
+
+// pop removes and returns the earliest pending timeout; f must not be
+// empty.
+func (f *timeoutFIFO) pop() pendingTimeout {
+	e := f.ring[f.first]
+	f.ring[f.first] = pendingTimeout{} // let the attempt go
+	f.first = (f.first + 1) % len(f.ring)
+	f.n--
+	return e
+}
+
 // --- the driver ------------------------------------------------------
 
 // landed is one tracked completion tagged with its instance.
@@ -195,10 +258,12 @@ type driver struct {
 	health *healthMonitor
 	brk    []breaker
 
-	q       eventq.Queue
-	arrival eventq.Timer // the next arrival: a slot in q bound to onArrival
-	now     vclock.Time  // instant of the event being handled
-	barrier vclock.Time  // every world has been advanced to here
+	q         eventq.Queue
+	arrival   eventq.Timer // the next arrival: a slot in q bound to onArrival
+	timeout   eventq.Timer // the earliest pending timeout: a slot in q bound to onTimeout
+	deadlines timeoutFIFO  // pending timeouts in arming order, which is (at, seq) order
+	now       vclock.Time  // instant of the event being handled
+	barrier   vclock.Time  // every world has been advanced to here
 
 	tokens    map[uint64]*attempt
 	nextToken uint64
@@ -235,6 +300,7 @@ func newDriver(c *Cluster) *driver {
 		clientP99:    stats.NewQuantile(0.99),
 	}
 	d.q.Register(&d.arrival, d.onArrival)
+	d.q.Register(&d.timeout, d.onTimeout)
 	if s.Replay != nil {
 		d.arrivals = int64(len(s.Replay.Entries))
 	}
@@ -288,6 +354,7 @@ func (d *driver) run() *Summary {
 	closeAt := d.barrier.Add(vclock.Microsecond)
 	for _, in := range c.insts {
 		in.w.At(closeAt, in.srv.Close)
+		in.due = min(in.due, closeAt)
 	}
 	c.advanceAll(closeAt.Add(s.Drain))
 	d.drainCompletions()
@@ -326,17 +393,20 @@ func (d *driver) advance(t vclock.Time) {
 	d.drainCompletions()
 }
 
-// drainCompletions folds the instances' Completion buffers into the
-// client state machine in (time, instance-ID) order — the only order
-// that is independent of how worlds were dealt onto shards. The stable
-// sort keeps each instance's own completion order at equal times.
+// drainCompletions folds the Completion buffers of the instances that
+// ran since the last drain into the client state machine in (time,
+// instance-ID) order — the only order that is independent of how worlds
+// were dealt onto shards. Only a world that runs can complete anything.
+// The stable sort keeps each instance's own completion order at equal
+// times.
 func (d *driver) drainCompletions() {
 	all := d.landed[:0]
-	for i, in := range d.c.insts { // instance-ID order
+	for _, in := range d.c.advanced {
 		for _, cp := range in.srv.Drain() {
-			all = append(all, landed{i, cp})
+			all = append(all, landed{in.id, cp})
 		}
 	}
+	d.c.advanced = d.c.advanced[:0]
 	if len(all) == 0 {
 		return
 	}
@@ -522,7 +592,28 @@ func (d *driver) onProbe() {
 	}
 }
 
-func (d *driver) onTimeout(att *attempt) {
+// armTimeout queues att's timeout at at. It takes its place in the
+// client event order now, as a Schedule call would, and waits in the
+// timeout FIFO; only the FIFO's head is armed in the queue.
+func (d *driver) armTimeout(at vclock.Time, att *attempt) {
+	if tail := d.deadlines.tail(); tail != nil && at < tail.at {
+		panic("cluster: client timeouts armed out of order")
+	}
+	seq := d.q.Reserve()
+	d.deadlines.push(pendingTimeout{at: at, seq: seq, att: att})
+	if !d.timeout.Armed() {
+		d.timeout.ArmSeq(at, seq)
+	}
+}
+
+// onTimeout is the timeout slot's callback: it pops the FIFO's head,
+// arms the next one under its own ticket, and fails the head's attempt
+// unless it already ended.
+func (d *driver) onTimeout() {
+	att := d.deadlines.pop().att
+	if next := d.deadlines.head(); next != nil {
+		d.timeout.ArmSeq(next.at, next.seq)
+	}
 	if att.done || att.req.resolved {
 		return
 	}
@@ -657,7 +748,7 @@ func (d *driver) dispatch(req *creq, exclude int, hedge bool, now vclock.Time) {
 	req.pending++
 	in.send(now, req.user%d.c.spec.Sessions, svc, tok, true)
 	if d.c.spec.Timeout > 0 {
-		d.q.Schedule(now.Add(d.c.spec.Timeout), func() { d.onTimeout(att) })
+		d.armTimeout(now.Add(d.c.spec.Timeout), att)
 	}
 	if !hedge && !req.hedged && req.attempts == 1 && d.c.spec.HedgeAfter > 0 {
 		d.q.Schedule(now.Add(d.hedgeDelay()), func() { d.onHedge(req) })
