@@ -3,8 +3,9 @@
 # rewrite), build, the full test suite under the race
 # detector — the race run is what proves the parallel experiment
 # harness (experiments.RunAll) shares no hidden state — plus a short
-# fuzz pass over the plan/trace parsers, the three differential
-# oracles (timing wheel, running quantile, profiler) and the cluster
+# fuzz pass over the plan/trace parsers, the four differential
+# oracles (timing wheel, running quantile, percentile selection,
+# profiler) and the cluster
 # oracle (FuzzCluster), a bounded schedule-
 # exploration sweep (every healthy scenario clean, every known-bad
 # fixture caught), and the benchmark module's own vet, tests and output
@@ -42,8 +43,13 @@ race:
 # The hot-path allocs/op pin, then the microbenchmarks. The pin runs
 # first: the event loop, ready queues, discard-sink tracing, timing-wheel
 # schedule/cancel, timer-slot arm/disarm (each CPU's quantum and compute
-# completion), batch admission and ticketed scheduling must stay
-# allocation-free in steady state. BenchmarkBlindFleet (internal/cluster)
+# completion), batch admission, ticketed scheduling, a cohort arrival
+# feed re-arming its slot and a policy's aging tick firing and re-arming
+# must stay allocation-free in steady state. BenchmarkTimerSlot
+# (internal/eventq) times the slot lifecycle with two slots registered,
+# as a pcr-rr world has per CPU, and with five, as a one-CPU slo-hybrid
+# world has (its CPU's two, the aging tick and two cohort arrival
+# feeds). BenchmarkBlindFleet (internal/cluster)
 # reports what a small blind round-robin fleet costs end to end, and
 # BenchmarkResilientFleet what the tracked driver costs on a faulted
 # fleet with the whole client policy stack (timeouts, retries, hedges,
@@ -67,6 +73,10 @@ bench:
 # equivalent to the naive sorted-list event queue —
 # the running-quantile differential: any sample stream must keep
 # stats.Quantile equal to LatencyRecorder.Percentile after every Add —
+# the percentile differential: any interleaving of Add, Merge and
+# Percentile at any p, NaN and out-of-range p included, must keep
+# LatencyRecorder equal to a sorted copy of its samples, and selection
+# cut short into its sort fallback must give the same ranks —
 # the profiler: hostile event streams must never panic or hang it,
 # and on well-formed streams it must equal the reference profiler with
 # zero residue — and the cluster oracle (FuzzCluster): random small
@@ -85,6 +95,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz FuzzEncodeDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/trace
 	$(GO) test -run='^$$' -fuzz FuzzWheelDifferential -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/eventq
 	$(GO) test -run='^$$' -fuzz FuzzQuantileDifferential -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/stats
+	$(GO) test -run='^$$' -fuzz FuzzPercentileDifferential -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/stats
 	$(GO) test -run='^$$' -fuzz FuzzProfile -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/profile
 	$(GO) test -run='^$$' -fuzz FuzzCluster -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/cluster
 

@@ -416,7 +416,7 @@ func expGap(rng *rand.Rand, rate float64) vclock.Duration {
 
 // drawUser picks the arriving user, honoring the hot-user skew.
 func (c *Cluster) drawUser(rng *rand.Rand) int {
-	s := c.spec
+	s := &c.spec
 	if s.HotUsers > 0 && rng.Float64() < s.HotFraction {
 		return rng.Intn(s.HotUsers)
 	}
@@ -428,7 +428,7 @@ func (c *Cluster) drawUser(rng *rand.Rand) int {
 
 // drawService picks the request's CPU demand, honoring the heavy tail.
 func (c *Cluster) drawService(rng *rand.Rand) vclock.Duration {
-	s := c.spec
+	s := &c.spec
 	if s.HeavyFraction > 0 && rng.Float64() < s.HeavyFraction {
 		return s.Service * vclock.Duration(s.HeavyFactor)
 	}

@@ -288,7 +288,7 @@ type driver struct {
 }
 
 func newDriver(c *Cluster) *driver {
-	s := c.spec
+	s := &c.spec
 	d := &driver{
 		c:            c,
 		track:        s.resilient(),
@@ -316,7 +316,7 @@ func newDriver(c *Cluster) *driver {
 // run drives the fleet through its offered load and returns the
 // summary.
 func (d *driver) run() *Summary {
-	c, s := d.c, d.c.spec
+	c, s := d.c, &d.c.spec
 	c.faults.arm(c.insts)
 	t0 := vclock.Time(0).Add(s.Start)
 	d.now, d.barrier = t0, t0
@@ -485,7 +485,7 @@ func (d *driver) attemptFailed(req *creq, now vclock.Time) {
 	if req.resolved {
 		return
 	}
-	s := d.c.spec
+	s := &d.c.spec
 	if req.retries < s.Retries {
 		if d.budgetAllows() {
 			d.retriesIssued++
@@ -511,7 +511,7 @@ func (d *driver) attemptFailed(req *creq, now vclock.Time) {
 // per-request retry counts multiply under fleet-wide overload, a
 // fleet-wide fraction cannot.
 func (d *driver) budgetAllows() bool {
-	s := d.c.spec
+	s := &d.c.spec
 	if s.RetryBudget <= 0 {
 		return true
 	}

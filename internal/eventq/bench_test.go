@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/vclock"
@@ -100,22 +101,34 @@ func BenchmarkHeapSpillover(b *testing.B) {
 // BenchmarkTimerSlot: two slots used the way one simulated CPU uses its
 // quantum and its compute completion — arm the quantum at dispatch, arm
 // and fire the completion, disarm the quantum at block — beside a
-// level-0 wheel event per op.
+// level-0 wheel event per op. The slots=5 case adds three slots that
+// stay armed past every CPU timer, as a one-CPU slo-hybrid world's aging
+// tick and two cohort arrival feeds do, so each rescan of the earliest
+// slot walks five.
 func BenchmarkTimerSlot(b *testing.B) {
-	var q Queue
-	var quantum, completion Timer
-	nop := func() {}
-	q.Register(&quantum, nop)
-	q.Register(&completion, nop)
-	now := vclock.Time(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		quantum.Arm(now.Add(50_000))
-		completion.Arm(now.Add(250))
-		q.Schedule(now.Add(300), nop)
-		_, now, _ = q.PopDo() // the completion
-		quantum.Disarm()
-		_, now, _ = q.PopDo() // the wheel event
+	for _, slots := range []int{2, 5} {
+		b.Run(fmt.Sprintf("slots=%d", slots), func(b *testing.B) {
+			var q Queue
+			var quantum, completion Timer
+			nop := func() {}
+			q.Register(&quantum, nop)
+			q.Register(&completion, nop)
+			feeds := make([]Timer, slots-2)
+			for i := range feeds {
+				q.Register(&feeds[i], nop)
+				feeds[i].Arm(vclock.Never - vclock.Time(i+1))
+			}
+			now := vclock.Time(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				quantum.Arm(now.Add(50_000))
+				completion.Arm(now.Add(250))
+				q.Schedule(now.Add(300), nop)
+				_, now, _ = q.PopDo() // the completion
+				quantum.Disarm()
+				_, now, _ = q.PopDo() // the wheel event
+			}
+		})
 	}
 }

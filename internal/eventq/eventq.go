@@ -6,9 +6,10 @@
 // The queue is a hybrid of a hierarchical timing wheel and an indexed
 // binary min-heap, split by temporal distance:
 //
-//   - Near-future events — the dense population: client timeouts,
-//     retries and hedges, the thousands of sleeper timers and
-//     mostly-cancelled 50 ms CV timeouts the paper's worlds generate —
+//   - Near-future events — the dense population: the cluster's retries
+//     and hedges, the desktop input generators' events, and the thousands
+//     of sleeper timers and mostly-cancelled 50 ms CV timeouts the
+//     paper's worlds generate —
 //     live in a four-level timing wheel (64 slots per level, 1 µs ticks,
 //     ~16.8 virtual seconds of horizon). Schedule and Cancel are O(1)
 //     pointer splices into per-slot intrusive lists, and a run of

@@ -23,8 +23,9 @@ import "repro/internal/vclock"
 // does not move the minimum is O(1). Disarming the earliest slot, or
 // re-arming it later, rescans every slot registered with the queue, so
 // slots are meant for a handful of timers per queue (two per simulated
-// CPU, one for a cluster instance's inbox, one for a cluster's next
-// arrival), not for a timer population.
+// CPU, one for a cluster instance's inbox, one for an aging policy's
+// tick, one per workload cohort's arrival stream, and a cluster driver's
+// next arrival and client-timeout FIFO), not for a timer population.
 type Timer struct {
 	q     *Queue
 	do    func()

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/eventq"
 	"repro/internal/trace"
@@ -322,6 +323,47 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Errorf("ticketed scheduling redeemed %d of %d tickets", redeemed, batchN)
 	}
 
+	// Cohort arrivals: a feed keeping its next arrival in one registered
+	// slot, re-armed from the slot's own callback under a fresh ticket,
+	// the way the workload package's arrival generator does.
+	var feed eventq.Timer
+	arrivals := 0
+	w.RegisterTimer(&feed, func() {
+		arrivals++
+		w.ArmTicket(&feed, w.Now().Add(vclock.Microsecond), w.Ticket())
+	})
+	w.ArmTicket(&feed, w.Now(), w.Ticket())
+	cohort := func() {
+		horizon = horizon.Add(batchN * vclock.Microsecond)
+		w.Run(horizon)
+	}
+	cohort() // warm
+	before = arrivals
+	if got := testing.AllocsPerRun(10, cohort); got > 0 {
+		t.Errorf("cohort arrivals: %.1f allocs per %d arrivals, want 0", got, batchN)
+	}
+	if n := arrivals - before; n != 11*batchN {
+		t.Errorf("cohort arrivals: %d arrivals in 11 runs of %d µs, want one per µs", n, batchN)
+	}
+	feed.Disarm()
+
+	// Aging tick: a policy with a Tick period gets one registered slot
+	// that fires, sweeps the ready queues and re-arms itself in place.
+	// The sleeper keeps a thread live, so the tick keeps re-arming.
+	aw := NewWorld(Config{TimeoutGranularity: 1, Hooks: Hooks{Policy: tickingPolicy{PCRPolicy}}})
+	defer aw.Shutdown()
+	aw.Spawn("sleeper", PriorityNormal, func(th *Thread) any { th.Sleep(1000 * vclock.Second); return nil })
+	const ticks = 10
+	age := func() { aw.Run(aw.Now().Add(ticks * tickingPeriod)) }
+	age() // start the sleeper
+	events := aw.EventsProcessed()
+	if got := testing.AllocsPerRun(10, age); got > 0 {
+		t.Errorf("aging tick: %.1f allocs per %d ticks, want 0", got, ticks)
+	}
+	if n := aw.EventsProcessed() - events; n != 11*ticks {
+		t.Errorf("aging tick: %d events in 11 runs of %d periods, want one tick per period", n, ticks)
+	}
+
 	// Thread handoff: park/resume round trips between the driver and two
 	// threads computing against each other, quantum rotations included.
 	hw := newHandoffWorld()
@@ -329,7 +371,7 @@ func TestHotPathAllocs(t *testing.T) {
 	const span = 100 * vclock.Microsecond
 	handoffs := func() { hw.Run(hw.Now().Add(span)) }
 	handoffs() // start both threads
-	events := hw.EventsProcessed()
+	events = hw.EventsProcessed()
 	if got := testing.AllocsPerRun(10, handoffs); got > 0 {
 		t.Errorf("thread handoff: %.1f allocs per %v of round trips, want 0", got, span)
 	}
@@ -372,6 +414,23 @@ func TestHotPathAllocs(t *testing.T) {
 		if s.done != warm+11 || s.th.State() != StateBlocked {
 			t.Errorf("session %d served %d of %d requests, %v", i, s.done, warm+11, s.th)
 		}
+	}
+}
+
+// tickingPolicy is a policy with an aging period and no aging moves.
+type tickingPolicy struct{ Policy }
+
+const tickingPeriod = vclock.Millisecond
+
+func (tickingPolicy) Tick() vclock.Duration { return tickingPeriod }
+
+// TestWorldSizeClass pins World inside the 4,864-byte allocation size
+// class: the runtime prefixes a pointerful object over 512 bytes with an
+// 8-byte header, so 8 more bytes of World would take every world to the
+// 5,376-byte class, 512 bytes more per world in a fleet.
+func TestWorldSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(World{}); n > 4864-8 {
+		t.Errorf("World is %d bytes, want at most %d", n, 4864-8)
 	}
 }
 

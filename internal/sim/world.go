@@ -24,6 +24,7 @@ type World struct {
 	evq     eventq.Queue
 	sink    trace.Sink
 	traceOn bool       // false when sink is trace.Discard: record() short-circuits
+	stopped bool       // beside traceOn: the two bools share one word
 	rng     *rand.Rand // seeded by Rand on first use
 
 	cpus []*cpu
@@ -53,8 +54,6 @@ type World struct {
 	threadArena []Thread
 	arenaNext   int
 
-	stopped bool
-
 	monitorIDs int64
 	cvIDs      int64
 
@@ -81,6 +80,11 @@ type World struct {
 	policy     Policy
 	needPick   bool
 	ageScratch []ageMove
+	// tick is the policy's aging sweep, a registered slot re-armed one
+	// Tick period ahead each time it fires. It is nil when the policy
+	// has no tick, and held by pointer so that such worlds, nearly all of
+	// them, stay inside their allocation size class.
+	tick *eventq.Timer
 }
 
 // ageMove is ageReady's scratch record: a queued thread and the level the
@@ -155,20 +159,17 @@ func NewWorld(cfg Config) *World {
 	// spawns new threads from At callbacks loses its tick; none of the
 	// shipped workloads do that.)
 	if period := w.policy.Tick(); period > 0 {
-		w.schedulePolicyTick(period)
+		w.tick = new(eventq.Timer)
+		w.evq.Register(w.tick, func() {
+			w.ageReady()
+			if w.liveCount > 0 && !w.stopped {
+				w.tick.Arm(w.clock.Add(period))
+			}
+		})
+		w.tick.Arm(w.clock.Add(period))
 	}
 	cfg.Hooks.Probe.observeWorld()
 	return w
-}
-
-// schedulePolicyTick arms the policy's aging sweep one period from now.
-func (w *World) schedulePolicyTick(period vclock.Duration) {
-	w.evq.Schedule(w.clock.Add(period), func() {
-		w.ageReady()
-		if w.liveCount > 0 && !w.stopped {
-			w.schedulePolicyTick(period)
-		}
-	})
 }
 
 // ageReady offers every queued thread to the policy's Age seam and

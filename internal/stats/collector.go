@@ -18,8 +18,8 @@ type Collector struct {
 	a        *Analysis
 	from, to vclock.Time
 
-	mls     map[int64]bool
-	cvs     map[int64]bool
+	mls     idSet
+	cvs     idSet
 	live    int
 	gen     map[int32]int
 	born    map[int32]vclock.Time
@@ -48,10 +48,47 @@ func NewCollector(from, to vclock.Time) *Collector {
 		},
 		from: from,
 		to:   to,
-		mls:  make(map[int64]bool),
-		cvs:  make(map[int64]bool),
 		gen:  make(map[int32]int),
 		born: make(map[int32]vclock.Time),
+	}
+}
+
+// idSetDenseLimit bounds the IDs an idSet keeps in its bitset; larger
+// ones spill to its map, so a hostile replay with huge IDs cannot
+// balloon the bitset (at most 128 KB).
+const idSetDenseLimit = 1 << 20
+
+// idSet counts distinct monitor or CV IDs. The simulator allocates both
+// as small sequential integers, so IDs in [0, idSetDenseLimit) set a bit
+// in a dense bitset instead of a map entry; any other ID goes to the map.
+// The zero value is an empty set.
+type idSet struct {
+	bits   []uint64
+	sparse map[int64]struct{}
+	n      int // distinct IDs added
+}
+
+func (s *idSet) add(id int64) {
+	if uint64(id) < idSetDenseLimit {
+		w := int(id >> 6)
+		if w >= len(s.bits) {
+			// At least double, as profile's idTable does.
+			grown := make([]uint64, min(max(w+1, 2*len(s.bits)), idSetDenseLimit/64))
+			copy(grown, s.bits)
+			s.bits = grown
+		}
+		if m := uint64(1) << (id & 63); s.bits[w]&m == 0 {
+			s.bits[w] |= m
+			s.n++
+		}
+		return
+	}
+	if _, ok := s.sparse[id]; !ok {
+		if s.sparse == nil {
+			s.sparse = make(map[int64]struct{})
+		}
+		s.sparse[id] = struct{}{}
+		s.n++
 	}
 }
 
@@ -160,7 +197,7 @@ func (c *Collector) Record(ev trace.Event) {
 		}
 	case trace.KindWait:
 		if c.inWindow(ev.Time) {
-			c.cvs[ev.Arg] = true // Table 3: distinct CVs waited on in-window
+			c.cvs.add(ev.Arg) // Table 3: distinct CVs waited on in-window
 			a.Waits++
 		}
 	case trace.KindWaitDone:
@@ -172,7 +209,7 @@ func (c *Collector) Record(ev trace.Event) {
 		}
 	case trace.KindMLEnter:
 		if c.inWindow(ev.Time) {
-			c.mls[ev.Arg] = true // Table 3: distinct monitors entered in-window
+			c.mls.add(ev.Arg) // Table 3: distinct monitors entered in-window
 			a.MLEnters++
 			if ev.Aux == 1 {
 				a.MLContended++
@@ -210,8 +247,8 @@ func (c *Collector) Finish(now vclock.Time) *Analysis {
 	for i := range c.cpu {
 		c.closeInterval(&c.cpu[i], c.to)
 	}
-	c.a.DistinctMLs = len(c.mls)
-	c.a.DistinctCVs = len(c.cvs)
+	c.a.DistinctMLs = c.mls.n
+	c.a.DistinctCVs = c.cvs.n
 	c.a.EternalCount = len(c.born)
 	if c.a.ExitedCount > 0 {
 		c.a.MeanExitedLifetime = c.lifeSum / vclock.Duration(c.a.ExitedCount)

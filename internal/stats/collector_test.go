@@ -138,3 +138,34 @@ func TestCollectorNeverWindow(t *testing.T) {
 		t.Fatalf("MLEnters = %d", a.MLEnters)
 	}
 }
+
+// TestIDSet counts distinct IDs against a map: small sequential IDs,
+// repeats, the dense limit's edges, and the hostile ones a replayed
+// trace can carry (negative, huge), which must spill to the map rather
+// than grow the bitset past its cap.
+func TestIDSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ids := []int64{0, 1, 1, 63, 64, 65, idSetDenseLimit - 1, idSetDenseLimit, idSetDenseLimit, -1, -1 << 62, 1<<63 - 1, 0}
+	for i := 0; i < 2000; i++ {
+		switch i % 3 {
+		case 0:
+			ids = append(ids, rng.Int63n(5000))
+		case 1:
+			ids = append(ids, rng.Int63())
+		default:
+			ids = append(ids, ids[rng.Intn(len(ids))])
+		}
+	}
+	var s idSet
+	want := map[int64]bool{}
+	for _, id := range ids {
+		s.add(id)
+		want[id] = true
+		if s.n != len(want) {
+			t.Fatalf("after adding %d: %d distinct, want %d", id, s.n, len(want))
+		}
+	}
+	if len(s.bits) > idSetDenseLimit/64 {
+		t.Errorf("bitset grew to %d words, cap %d", len(s.bits), idSetDenseLimit/64)
+	}
+}

@@ -85,8 +85,9 @@ func TestLatencyRecorderMerge(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			merged := fill(tc.a...)
 			other := fill(tc.b...)
-			// Sort other first so Merge sees a sorted donor — the merged
-			// recorder must re-sort rather than trust donor order.
+			// Read other first so Merge sees a partly ordered donor — the
+			// merged recorder must rank the union rather than trust donor
+			// order.
 			other.Percentile(0.5)
 			merged.Merge(other)
 			direct := fill(append(append([]vclock.Duration{}, tc.a...), tc.b...)...)

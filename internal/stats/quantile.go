@@ -7,7 +7,7 @@ import "repro/internal/vclock"
 // holding the same samples would return from Percentile(p). It keeps the
 // lowest int(p·(n−1))+1 samples in a max-heap, whose top is the value,
 // and the rest in a min-heap, so Add costs O(log n) and Value O(1) where
-// Percentile re-sorts the whole history on every read after an Add.
+// Percentile selects over the whole history on every read after an Add.
 // The cluster driver uses it for the running p99 behind its hedge delay.
 type Quantile struct {
 	p  float64

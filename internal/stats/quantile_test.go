@@ -190,7 +190,7 @@ func BenchmarkQuantileAdd(b *testing.B) {
 
 // BenchmarkPercentileAfterAdd times the pattern the tracker replaced:
 // one Add then Percentile(0.99) on a recorder holding between n and 2n
-// samples, which re-sorts the history on every read.
+// samples, which selects over the whole history on every read.
 func BenchmarkPercentileAfterAdd(b *testing.B) {
 	samples := benchSamples()
 	mask := len(samples) - 1
@@ -213,6 +213,30 @@ func BenchmarkPercentileAfterAdd(b *testing.B) {
 				}
 				r.Add(samples[(n+i)&mask])
 				benchSink = r.Percentile(0.99)
+			}
+		})
+	}
+}
+
+// BenchmarkPercentileSummary times a run summary's reads — p50, p95, p99
+// and the maximum — of a recorder holding n samples in arrival order,
+// the pattern of a cluster or SLO summary at the end of a run. Each op
+// refills the recorder by one Merge into reserved room, so the reads
+// start from unordered samples every time.
+func BenchmarkPercentileSummary(b *testing.B) {
+	samples := benchSamples()
+	for _, n := range quantileBenchSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			var donor LatencyRecorder
+			for i := 0; i < n; i++ {
+				donor.Add(samples[i%len(samples)])
+			}
+			room := make([]vclock.Duration, 0, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := LatencyRecorder{samples: room}
+				r.Merge(&donor)
+				benchSink = r.Percentile(0.5) + r.Percentile(0.95) + r.Percentile(0.99) + r.Max()
 			}
 		})
 	}

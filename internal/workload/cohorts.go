@@ -3,6 +3,7 @@ package workload
 import (
 	"math/rand"
 
+	"repro/internal/eventq"
 	"repro/internal/sim"
 	"repro/internal/vclock"
 	"repro/internal/workload/spec"
@@ -31,8 +32,10 @@ type arrivals struct {
 	// replay, when set, supplies every arrival instant, session and
 	// demand instead of the samplers: no RNG draws at all.
 	replay []spec.Entry
-	// fire is the scheduled callback, built once per cohort.
-	fire func()
+	// slot holds the cohort's next arrival: one is pending at a time, so
+	// it is a registered timer slot re-armed per arrival, not a queue
+	// event.
+	slot eventq.Timer
 }
 
 // generator drives every cohort of one run. Once left reaches zero the
@@ -50,7 +53,7 @@ func (g *generator) add(a *arrivals) {
 	if a.replay != nil {
 		a.requests = int64(len(a.replay))
 	}
-	a.fire = func() { g.arrive(a) }
+	g.w.RegisterTimer(&a.slot, func() { g.arrive(a) })
 	g.cohorts = append(g.cohorts, a)
 	g.left++
 }
@@ -63,8 +66,14 @@ func (g *generator) start(start vclock.Duration) {
 		if a.replay != nil {
 			first = vclock.Duration(a.replay[0].AtUS)
 		}
-		g.w.After(first, a.fire)
+		g.schedule(a, first)
 	}
+}
+
+// schedule arms a's slot d from now (now, if d is negative), in the
+// place in the event order an After call made now would take.
+func (g *generator) schedule(a *arrivals, d vclock.Duration) {
+	g.w.ArmTicket(&a.slot, g.w.Now().Add(max(d, 0)), g.w.Ticket())
 }
 
 // arrive injects one request (driver context) and schedules the next.
@@ -85,7 +94,7 @@ func (g *generator) arrive(a *arrivals) {
 		g.tap(now, a.name, idx, service)
 	}
 	if a.injected < a.requests {
-		g.w.After(a.nextGap(now), a.fire)
+		g.schedule(a, a.nextGap(now))
 		return
 	}
 	if g.left--; g.left == 0 {

@@ -170,6 +170,11 @@ func TestServerBuildAllocs(t *testing.T) {
 	if n := unsafe.Sizeof(srvSession{}); n > 48 {
 		t.Errorf("srvSession is %d bytes, want at most 48", n)
 	}
+	// A Server embeds its LatencyRecorder: 8 bytes more would move every
+	// pool from the 288-byte allocation class to the 320-byte one.
+	if n := unsafe.Sizeof(Server{}); n > 288 {
+		t.Errorf("Server is %d bytes, want at most 288", n)
+	}
 }
 
 // A crash while a session is computing keeps the request in service:
