@@ -4,7 +4,7 @@
 # detector — the race run is what proves the parallel experiment
 # harness (experiments.RunAll) shares no hidden state — plus a short
 # fuzz pass over the plan/trace parsers, the four differential
-# oracles (timing wheel, running quantile, percentile selection,
+# oracles (event queue, running quantile, percentile selection,
 # profiler) and the cluster
 # oracle (FuzzCluster), a bounded schedule-
 # exploration sweep (every healthy scenario clean, every known-bad
@@ -41,7 +41,7 @@ race:
 	$(GO) test -race ./...
 
 # The hot-path allocs/op pin, then the microbenchmarks. The pin runs
-# first: the event loop, ready queues, discard-sink tracing, timing-wheel
+# first: the event loop, ready queues, discard-sink tracing, event-queue
 # schedule/cancel, timer-slot arm/disarm (each CPU's quantum and compute
 # completion), batch admission, ticketed scheduling, a cohort arrival
 # feed re-arming its slot and a policy's aging tick firing and re-arming
@@ -67,9 +67,10 @@ bench:
 # fault plans, JSON workload specs, and the binary trace codec (v1 and
 # v2 decode robustness: errors wrap ErrBadTrace, no switch off
 # [0, MaxCPUs), a decoded v2 trace and its name table survive a round
-# trip; plus the encode/decode round trip) — plus the timing-wheel/
-# reference differential: random op streams, timer-slot arms and
-# disarms included, must keep the hierarchical wheel byte-for-byte
+# trip; plus the encode/decode round trip) — plus the event-queue/
+# reference differential (FuzzWheelDifferential, named for the timing
+# wheel the queue once was): random op streams, timer-slot arms and
+# disarms included, must keep the heap and its slots byte-for-byte
 # equivalent to the naive sorted-list event queue —
 # the running-quantile differential: any sample stream must keep
 # stats.Quantile equal to LatencyRecorder.Percentile after every Add —

@@ -8,16 +8,17 @@ import (
 )
 
 // The package-level microbenchmarks `make bench` reports. Each one pins
-// a distinct wheel regime: the mostly-cancelled near-future churn, the
-// same-timestamp batch drain, the cascade-heavy stride pattern, and the
-// far-future heap spillover; a last one the timer-slot lifecycle.
+// a distinct heap pattern: schedule-then-cancel churn, a same-timestamp
+// batch drain and a steady schedule/pop stride; a last one the timer-slot
+// lifecycle.
 
-// BenchmarkScheduleCancel: schedule 64 timers spanning every wheel
-// level, cancel them all. The paper's dominant timer lifecycle — CV
-// timeouts that are almost always cancelled before firing.
+// BenchmarkScheduleCancel: schedule 64 timers from microseconds to
+// seconds ahead, then cancel them all, each Cancel a sift from the
+// middle of the heap. CV timeouts notified before their deadline follow
+// this lifecycle.
 func BenchmarkScheduleCancel(b *testing.B) {
 	var q Queue
-	offsets := []vclock.Duration{3, 150, 20_000, 2_000_000} // µs, one per level
+	offsets := []vclock.Duration{3, 150, 20_000, 2_000_000} // µs
 	handles := make([]Handle, 0, 64)
 	nop := func() {}
 	b.ReportAllocs()
@@ -34,8 +35,8 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchDrain: 64 events at one timestamp drained through a
-// single level-0 bucket — one bitmap lookup, then O(1) head unlinks.
+// BenchmarkBatchDrain: 64 events at one timestamp drained in insertion
+// order, the seq tie-break deciding every compare.
 func BenchmarkBatchDrain(b *testing.B) {
 	var q Queue
 	fired := 0
@@ -61,9 +62,8 @@ func BenchmarkBatchDrain(b *testing.B) {
 	}
 }
 
-// BenchmarkStridePop: schedule/pop pairs striding across level-0 and
-// level-1 windows, forcing regular cascades — the steady-state traffic
-// of short timers and arrivals.
+// BenchmarkStridePop: schedule/pop pairs at varying short offsets, one
+// event queued at a time, as short timers and arrivals produce.
 func BenchmarkStridePop(b *testing.B) {
 	var q Queue
 	nop := func() {}
@@ -78,30 +78,10 @@ func BenchmarkStridePop(b *testing.B) {
 	}
 }
 
-// BenchmarkHeapSpillover: events beyond the 2^24-tick wheel horizon take
-// the indexed min-heap path; schedule/cancel 64 of them per iteration.
-func BenchmarkHeapSpillover(b *testing.B) {
-	var q Queue
-	nop := func() {}
-	handles := make([]Handle, 0, 64)
-	far := vclock.Time(0).Add(1 << 25) // past the wheel horizon
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		handles = handles[:0]
-		for j := 0; j < 64; j++ {
-			handles = append(handles, q.Schedule(far.Add(vclock.Duration(j)), nop))
-		}
-		for _, h := range handles {
-			q.Cancel(h)
-		}
-	}
-}
-
 // BenchmarkTimerSlot: two slots used the way one simulated CPU uses its
 // quantum and its compute completion — arm the quantum at dispatch, arm
 // and fire the completion, disarm the quantum at block — beside a
-// level-0 wheel event per op. The slots=5 case adds three slots that
+// scheduled event per op. The slots=5 case adds three slots that
 // stay armed past every CPU timer, as a one-CPU slo-hybrid world's aging
 // tick and two cohort arrival feeds do, so each rescan of the earliest
 // slot walks five.
@@ -127,7 +107,7 @@ func BenchmarkTimerSlot(b *testing.B) {
 				q.Schedule(now.Add(300), nop)
 				_, now, _ = q.PopDo() // the completion
 				quantum.Disarm()
-				_, now, _ = q.PopDo() // the wheel event
+				_, now, _ = q.PopDo() // the scheduled event
 			}
 		})
 	}

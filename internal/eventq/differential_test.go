@@ -8,7 +8,7 @@ import (
 )
 
 // The differential battery: every operation sequence is applied to both the
-// wheel/heap hybrid and a naive reference model (a flat slice scanned for
+// Queue (the heap beside its timer slots) and a naive reference model (a flat slice scanned for
 // the (when, seq) minimum, with seqs numbered explicitly so a ticket
 // reserved early orders ahead of later schedules, and a timer slot's re-arm
 // modelled as a cancel plus a schedule under a fresh seq), asserting
@@ -48,15 +48,15 @@ const (
 //
 // Stream grammar (total: any byte slice is a valid program):
 //
-//	op%8 == 0,1: schedule; a scale byte picks the temporal band (level-0
-//	             ties through far-future heap spillover and past times),
+//	op%8 == 0,1: schedule; a scale byte picks the temporal band (ties
+//	             at one instant through the far future and past times),
 //	             three raw bytes pick the offset within the band
 //	op%8 == 2:   cancel the handle named by the next byte (possibly
 //	             already popped or cancelled: must be a no-op; a slot's
 //	             arming is skipped)
 //	op%8 == 3:   pop one event
-//	op%8 == 4:   drain the entire run of events at NextTime (the batch
-//	             path: same-timestamp events through one level-0 bucket)
+//	op%8 == 4:   drain the entire run of events at NextTime (a
+//	             same-timestamp batch, ordered by seq alone)
 //	op%8 == 5:   reserve a ticket and hold it (invariants still checked)
 //	op%8 == 6:   arm (or re-arm) the slot the next byte names, at a time
 //	             picked by a scale byte and three raw bytes as for a
@@ -179,19 +179,19 @@ func runDifferential(t failer, data []byte) {
 		case 0:
 			dt = raw % 4 // same-timestamp batches
 		case 1:
-			dt = raw % 64 // level 0
+			dt = raw % 64 // under 64 µs
 		case 2:
-			dt = raw % 4096 // level 1
+			dt = raw % 4096 // under ~4.1 ms
 		case 3:
-			dt = raw % (1 << 18) // level 2
+			dt = raw % (1 << 18) // under ~262 ms
 		case 4:
-			dt = raw % (1 << 24) // level 3
+			dt = raw % (1 << 24) // under ~16.8 s
 		case 5:
-			dt = 1<<24 + raw // beyond the wheel: far-future heap
+			dt = 1<<24 + raw // far future
 		case 6:
-			dt = -raw // past timestamp: heap
+			dt = -raw // past timestamp
 		case 7:
-			dt = raw%260*63 + 1 // stride across slot boundaries
+			dt = raw%260*63 + 1 // strides of 63 µs
 		}
 		return now.Add(vclock.Duration(dt))
 	}
@@ -294,9 +294,11 @@ func runDifferential(t failer, data []byte) {
 	}
 }
 
-// TestDifferentialTargeted drives hand-built sequences at the wheel's
-// seams: window boundaries of every level, same-timestamp batches across
-// a cascade, cancel-of-minimum, heap/wheel ties, and past timestamps.
+// TestDifferentialTargeted drives hand-built sequences: timestamps either
+// side of the 64 µs, ~4.1 ms, ~262 ms and ~16.8 s boundaries (the level
+// and horizon seams of the timing wheel this queue replaced, kept as
+// inputs), same-timestamp batches, cancel-of-minimum, slot/event ties,
+// slots armed under held tickets, and past timestamps.
 func TestDifferentialTargeted(t *testing.T) {
 	sched := func(scale byte, raw int) []byte {
 		return []byte{0, scale, byte(raw >> 16), byte(raw >> 8), byte(raw)}
@@ -385,8 +387,8 @@ func TestDifferentialRandom(t *testing.T) {
 }
 
 // TestDifferentialLongHorizon runs a sleeper-shaped workload: thousands
-// of timers spread over multi-second horizons (every wheel level plus
-// the heap tail), popped in full.
+// of timers spread from microseconds to past 16 s ahead, popped in
+// full.
 func TestDifferentialLongHorizon(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	var data []byte

@@ -3,21 +3,21 @@ package eventq
 import "testing"
 
 // FuzzWheelDifferential feeds arbitrary operation streams through the
-// differential interpreter: the timing wheel + far-future heap hybrid must
-// match the naive sorted-reference model op for op — pop order, NextTime,
-// Len, and Handle-generation semantics (a stale Cancel is a no-op) — on
-// every input. The seed corpus under testdata/fuzz/FuzzWheelDifferential
-// covers the wheel's seams: level boundaries, same-timestamp batches across
-// cascades, cancel-of-minimum, heap spillover and past timestamps. The slot
-// seeds (ops 6 and 7) arm a timer slot at the instant of a level-0 event, of
-// a level-1 bucket that cascades and of a far-future heap event, so the
-// (when, seq) merge decides every tie. The ticket seeds take tickets (op 5),
+// differential interpreter: the heap and its timer slots must match the
+// naive sorted-reference model op for op — pop order, NextTime, Len, and
+// Handle-generation semantics (a stale Cancel is a no-op) — on every input.
+// The target keeps the name it had when the queue was a timing wheel, and
+// the seed corpus under testdata/fuzz/FuzzWheelDifferential keeps the
+// wheel's old seams as inputs: timestamps either side of its level
+// boundaries and its 2^24 µs horizon, same-timestamp batches, cancel-of-
+// minimum and past timestamps. The slot seeds (ops 6 and 7) arm a timer
+// slot at the instant of scheduled events, near and far, so the (when,
+// seq) merge decides every tie. The ticket seeds take tickets (op 5),
 // schedule a later event at the tickets' instant, then arm slots under the
 // tickets, newest first (ArmSeq), so the slots order ahead of the event and
-// of each other against their arming order: at level 0, at a level-1
-// instant, in the far-future heap, beside a level-1 bucket's cached minimum,
-// and against a slot armed with a fresh seq. One more re-arms and disarms
-// the earliest slot. `make check` runs this target in the fuzz-short pass.
+// of each other against their arming order, near, far and against a slot
+// armed with a fresh seq. One more re-arms and disarms the earliest slot.
+// `make check` runs this target in the fuzz-short pass.
 func FuzzWheelDifferential(f *testing.F) {
 	sched := func(scale byte, raw int) []byte {
 		return []byte{0, scale, byte(raw >> 16), byte(raw >> 8), byte(raw)}

@@ -7,9 +7,9 @@ import "repro/internal/vclock"
 // re-armed and disarmed in place. It suits a timer that is set far more
 // often than it fires, such as a CPU's quantum expiry or the completion
 // of the compute grant running on it, where a Schedule/Cancel pair per
-// setting would splice an event into and out of the wheel every time,
-// and a driver feeding an ordered backlog into the queue one entry at a
-// time, each under the ticket Reserve gave it.
+// setting would sift an event into and out of the heap every time, and a
+// driver feeding an ordered backlog into the queue one entry at a time,
+// each under the ticket Reserve gave it.
 //
 // Ordering is exactly that of the Schedule/Cancel pair it replaces: Arm
 // takes the next insertion sequence number from the queue's counter, as
@@ -97,16 +97,4 @@ func (q *Queue) scanSlots() {
 		}
 	}
 	q.slot = m
-}
-
-// popSlot fires s: the slot is disarmed before its callback runs, and the
-// watermark moves to the firing instant the way a heap pop moves it,
-// since the wheel's buckets were not touched on the way.
-func (q *Queue) popSlot(s *Timer) (do func(), when vclock.Time, ok bool) {
-	when = s.when
-	s.Disarm()
-	if when > q.cur {
-		q.advanceTo(when)
-	}
-	return s.do, when, true
 }

@@ -128,37 +128,9 @@ func BenchmarkHandoff(b *testing.B) {
 	w.Run(w.Now().Add(vclock.Duration(b.N) * vclock.Microsecond))
 }
 
-// BenchmarkWheelScheduleCancel measures the mostly-cancelled timer
-// population the paper's CV timeouts produce: schedule a spread of
-// pooled timers across every wheel level, then cancel them all before
-// any fires — pure O(1) bucket splices, no heap traffic.
-func BenchmarkWheelScheduleCancel(b *testing.B) {
-	w := NewWorld(Config{TimeoutGranularity: 1})
-	defer w.Shutdown()
-	nop := func() {}
-	offsets := []vclock.Duration{ // one per wheel level, plus slot strides
-		3 * vclock.Microsecond, 150 * vclock.Microsecond,
-		20 * vclock.Millisecond, 2 * vclock.Second,
-	}
-	handles := make([]eventq.Handle, 0, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		handles = handles[:0]
-		for j := 0; j < 64; j++ {
-			d := offsets[j%len(offsets)] + vclock.Duration(j)*vclock.Microsecond
-			handles = append(handles, w.evq.Schedule(w.clock.Add(d), nop))
-		}
-		for _, h := range handles {
-			w.evq.Cancel(h)
-		}
-	}
-}
-
 // BenchmarkBatchAdmission measures a same-timestamp event run draining
-// through a single level-0 wheel bucket: after the first pop finds the
-// bucket, each further event is an O(1) head unlink with no per-event
-// heap consultation.
+// through the heap: 64 events at one instant pop in insertion order, one
+// root removal each.
 func BenchmarkBatchAdmission(b *testing.B) {
 	w := NewWorld(Config{TimeoutGranularity: 1})
 	defer w.Shutdown()
@@ -233,9 +205,10 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Errorf("discard tracing: %.1f allocs per record, want 0", got)
 	}
 
-	// Timing wheel schedule/cancel: the mostly-cancelled CV-timeout
-	// population. Offsets span all four wheel levels so a regression in
-	// any level's bucket splice shows up.
+	// Schedule/cancel churn: 64 timers spread from microseconds to
+	// seconds ahead, all cancelled before any fires, as a run of CV
+	// timeouts notified in time would be. The pooled event structs and
+	// the heap's backing array are reused, so the churn allocates nothing.
 	nop := func() {}
 	offsets := []vclock.Duration{
 		3 * vclock.Microsecond, 150 * vclock.Microsecond,
@@ -252,9 +225,9 @@ func TestHotPathAllocs(t *testing.T) {
 			w.evq.Cancel(h)
 		}
 	}
-	churn() // warm the event pool across levels
+	churn() // warm the event pool and the heap
 	if got := testing.AllocsPerRun(10, churn); got > 0 {
-		t.Errorf("wheel schedule/cancel: %.1f allocs per %d-timer churn, want 0", got, len(handles))
+		t.Errorf("schedule/cancel: %.1f allocs per %d-timer churn, want 0", got, len(handles))
 	}
 
 	// Timer slots: a CPU's quantum and compute completion are re-armed
@@ -272,8 +245,8 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Errorf("timer slot arm/disarm: %.1f allocs per %d arms and a disarm, want 0", got, len(offsets))
 	}
 
-	// Batch admission: a same-timestamp run drains through one level-0
-	// bucket without per-event heap consultation — and without allocating.
+	// Batch admission: a same-timestamp run drains through the heap in
+	// insertion order without allocating.
 	const batchN = 64
 	drained := 0
 	bump := func() { drained++ }
@@ -400,8 +373,8 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	sw.After(vclock.Millisecond/2, arrive)
 	request := func() { sw.Run(sw.Now().Add(vclock.Millisecond)) }
-	// Warm up: the event pool fills across the wheel levels the run
-	// touches. (The CPU's quantum and completion slots were bound to
+	// Warm up: the event pool and the heap grow to the depth the run
+	// reaches. (The CPU's quantum and completion slots were bound to
 	// their callbacks once, by NewWorld.)
 	const warm = 10
 	for i := 0; i < warm; i++ {
@@ -424,13 +397,13 @@ const tickingPeriod = vclock.Millisecond
 
 func (tickingPolicy) Tick() vclock.Duration { return tickingPeriod }
 
-// TestWorldSizeClass pins World inside the 4,864-byte allocation size
+// TestWorldSizeClass pins World inside the 704-byte allocation size
 // class: the runtime prefixes a pointerful object over 512 bytes with an
 // 8-byte header, so 8 more bytes of World would take every world to the
-// 5,376-byte class, 512 bytes more per world in a fleet.
+// 768-byte class, 64 bytes more per world in a fleet.
 func TestWorldSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(World{}); n > 4864-8 {
-		t.Errorf("World is %d bytes, want at most %d", n, 4864-8)
+	if n := unsafe.Sizeof(World{}); n > 704-8 {
+		t.Errorf("World is %d bytes, want at most %d", n, 704-8)
 	}
 }
 

@@ -390,15 +390,16 @@ func (c *Cedar) pokeUI(n, times int) {
 	}
 }
 
-// generate schedules fire() at jittered intervals of mean interval until
-// the returned stop function is called.
-func (c *Cedar) generate(mean vclock.Duration, fire func()) (stop func()) {
+// generate schedules fire() on w at jittered intervals of mean interval
+// until the returned stop function is called. The Cedar and GVX input
+// generators share it.
+func generate(w *sim.World, mean vclock.Duration, fire func()) (stop func()) {
 	stopped := false
 	var next func()
 	schedule := func() {
 		// Jitter in [0.5, 1.5) of the mean, deterministic per seed.
-		j := vclock.Duration(float64(mean) * (0.5 + c.W.Rand().Float64()))
-		c.W.After(j, next)
+		j := vclock.Duration(float64(mean) * (0.5 + w.Rand().Float64()))
+		w.After(j, next)
 	}
 	next = func() {
 		if stopped {
@@ -414,7 +415,7 @@ func (c *Cedar) generate(mean vclock.Duration, fire func()) (stop func()) {
 // StartKeyboard begins keystroke input at about keysPerSec.
 func (c *Cedar) StartKeyboard(keysPerSec float64) {
 	mean := vclock.Duration(float64(vclock.Second) / keysPerSec)
-	c.stops = append(c.stops, c.generate(mean, func() {
+	c.stops = append(c.stops, generate(c.W, mean, func() {
 		c.input.Push(inputEvent{kind: "key", count: 1, born: c.W.Now()})
 	}))
 }
@@ -426,7 +427,7 @@ func (c *Cedar) StartKeyboard(keysPerSec float64) {
 func (c *Cedar) StartMouse(eventsPerSec float64) {
 	const burst = 4
 	mean := vclock.Duration(float64(vclock.Second) * burst / eventsPerSec)
-	c.stops = append(c.stops, c.generate(mean, func() {
+	c.stops = append(c.stops, generate(c.W, mean, func() {
 		for i := 0; i < burst; i++ {
 			c.input.Push(inputEvent{kind: "mouse", count: 1})
 		}
@@ -436,7 +437,7 @@ func (c *Cedar) StartMouse(eventsPerSec float64) {
 // StartScrolling begins window-scroll clicks at about scrollsPerSec.
 func (c *Cedar) StartScrolling(scrollsPerSec float64) {
 	mean := vclock.Duration(float64(vclock.Second) / scrollsPerSec)
-	c.stops = append(c.stops, c.generate(mean, func() {
+	c.stops = append(c.stops, generate(c.W, mean, func() {
 		c.input.Push(inputEvent{kind: "scroll", count: 1})
 	}))
 }

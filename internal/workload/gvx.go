@@ -225,39 +225,20 @@ func (g *GVX) handle(t *sim.Thread, e inputEvent) {
 	}
 }
 
-// generate mirrors Cedar.generate for GVX input.
-func (g *GVX) generate(mean vclock.Duration, fire func()) (stop func()) {
-	stopped := false
-	var next func()
-	schedule := func() {
-		j := vclock.Duration(float64(mean) * (0.5 + g.W.Rand().Float64()))
-		g.W.After(j, next)
-	}
-	next = func() {
-		if stopped {
-			return
-		}
-		fire()
-		schedule()
-	}
-	schedule()
-	return func() { stopped = true }
-}
-
 // StartKeyboard begins keystroke input at about keysPerSec.
 func (g *GVX) StartKeyboard(keysPerSec float64) {
 	mean := vclock.Duration(float64(vclock.Second) / keysPerSec)
-	g.stops = append(g.stops, g.generate(mean, func() {
+	g.stops = append(g.stops, generate(g.W, mean, func() {
 		g.input.Push(inputEvent{kind: "key", count: 1})
 	}))
 }
 
 // StartMouse begins mouse motion at about eventsPerSec raw events,
-// delivered in hardware bursts of 6 (coalesced by the Notifier).
+// delivered in hardware bursts of 10 (coalesced by the Notifier).
 func (g *GVX) StartMouse(eventsPerSec float64) {
 	const burst = 10
 	mean := vclock.Duration(float64(vclock.Second) * burst / eventsPerSec)
-	g.stops = append(g.stops, g.generate(mean, func() {
+	g.stops = append(g.stops, generate(g.W, mean, func() {
 		for i := 0; i < burst; i++ {
 			g.input.Push(inputEvent{kind: "mouse", count: 1})
 		}
@@ -269,7 +250,7 @@ func (g *GVX) StartMouse(eventsPerSec float64) {
 // 0.4 % contention scrolling, far above Cedar's 0.01–0.1 %).
 func (g *GVX) StartScrolling(scrollsPerSec float64) {
 	mean := vclock.Duration(float64(vclock.Second) / scrollsPerSec)
-	g.stops = append(g.stops, g.generate(mean, func() {
+	g.stops = append(g.stops, generate(g.W, mean, func() {
 		g.input.Push(inputEvent{kind: "scroll", count: 1})
 	}))
 }
