@@ -82,9 +82,8 @@ bench:
 # and on well-formed streams it must equal the reference profiler with
 # zero residue — and the cluster oracle (FuzzCluster): random small
 # fleets under every router, admission and client policy, with instance
-# faults and record/replay, must keep the offered-load identity, give
-# byte-equal summaries at any shard count and on replay, and never panic
-# or hang, while oversized fleets fail with ErrInvalidSpec. Each new
+# faults, must keep the offered-load identity, give byte-equal
+# summaries at any shard count, and never panic or hang, while oversized fleets fail with ErrInvalidSpec. Each new
 # input gets at most 1 s of minimizing, so the
 # budget goes to fuzzing: minimizing one FuzzProfile input can otherwise
 # outlast the whole budget at 0 execs/s.

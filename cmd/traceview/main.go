@@ -33,6 +33,10 @@ import (
 
 const usageLine = "usage: traceview [-dump|-timeline|-profile] [-chrometrace f] [-from d] [-to d] trace.bin"
 
+// maxWidth caps -width: the ASCII timeline allocates that many columns
+// up front, so an unbounded width is an out-of-memory crash, not a chart.
+const maxWidth = 4096
+
 func main() {
 	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -45,7 +49,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		dump     = fs.Bool("dump", false, "dump events as text instead of summarizing")
 		timeline = fs.Bool("timeline", false, "render an ASCII thread timeline of the window")
 		svg      = fs.String("svg", "", "write an SVG thread timeline of the window to this file")
-		width    = fs.Int("width", 100, "timeline width in columns")
+		width    = fs.Int("width", 100, "timeline width in columns (8-4096)")
 		rows     = fs.Int("rows", 20, "timeline rows (busiest threads first)")
 		from     = fs.Duration("from", 0, "window start (virtual)")
 		to       = fs.Duration("to", 0, "window end (virtual; 0 = end of trace)")
@@ -61,6 +65,9 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	}
 	if err := cliflag.MinInt("width", *width, 8, "the timeline needs at least 8 columns"); err != nil {
 		return fs.Fail(err)
+	}
+	if *width > maxWidth {
+		return fs.Failf("-width %d: the timeline draws at most %d columns", *width, maxWidth)
 	}
 	if err := cliflag.MinInt("rows", *rows, 1, "the timeline needs at least one row"); err != nil {
 		return fs.Fail(err)

@@ -92,6 +92,28 @@ func writeHostileTrace(t *testing.T) string {
 	return path
 }
 
+// writeFarTimeTrace writes a three-record trace — a fork at 0, its
+// switch-in at 92346332349464576 µs, its exit at 2^62+2^50 µs — whose
+// window times the timeline width overflows int64.
+func writeFarTimeTrace(t *testing.T) string {
+	t.Helper()
+	events := []trace.Event{
+		{Time: 0, Kind: trace.KindFork, Thread: trace.NoThread, Arg: 1, Aux: 4},
+		{Time: 92346332349464576, Kind: trace.KindSwitch, Thread: 1, Arg: trace.NoThread, Aux: 0},
+		{Time: 1<<62 + 1<<50, Kind: trace.KindExit, Thread: 1},
+	}
+	path := filepath.Join(t.TempDir(), "far.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := trace.WriteTrace(f, trace.Trace{Events: events}); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // writeBenchmarkTrace runs one Table 1–3 benchmark for a virtual second
 // on cpus CPUs and writes its trace, thread names included.
 func writeBenchmarkTrace(t *testing.T, system, name string, cpus int) string {
@@ -126,6 +148,8 @@ func writeBenchmarkTrace(t *testing.T, system, name string, cpus int) string {
 func TestCLI(t *testing.T) {
 	path := writeTrace(t)
 	hostile := writeHostileTrace(t)
+	far := writeFarTimeTrace(t)
+	farSVG := filepath.Join(t.TempDir(), "far.svg")
 	cpu1 := writeBenchmarkTrace(t, "Cedar", "Mouse movement", 1)
 	cpu2 := writeBenchmarkTrace(t, "Cedar", "Document formatting", 2)
 	svg1 := filepath.Join(t.TempDir(), "1cpu.svg")
@@ -146,10 +170,15 @@ func TestCLI(t *testing.T) {
 		{"extra operand", []string{path, "extra"}, 2, "", "usage: traceview", ""},
 		{"unknown flag", []string{"-bogus", path}, 2, "", "flag provided but not defined", ""},
 		{"narrow timeline rejected", []string{"-timeline", "-width", "4", path}, 2, "", "-width 4: the timeline needs at least 8 columns", ""},
+		{"widest timeline", []string{"-timeline", "-width", "4096", path}, 0, "timeline ", "", ""},
+		{"wide timeline rejected", []string{"-timeline", "-width", "4097", path}, 2, "", "-width 4097: the timeline draws at most 4096 columns", ""},
+		{"huge timeline width rejected", []string{"-timeline", "-width", "1099511627776", path}, 2, "", "the timeline draws at most 4096 columns", ""},
 		{"zero rows rejected", []string{"-timeline", "-rows", "0", path}, 2, "", "-rows 0: the timeline needs at least one row", ""},
 		{"missing file", []string{"nope.bin"}, 1, "", "traceview: ", ""},
 		{"profile", []string{"-profile", path}, 0, "per-thread scheduler accounting", "", ""},
 		{"hostile CPU index rejected", []string{"-profile", hostile}, 1, "", "malformed trace data: switch on CPU 1125899906842624", ""},
+		{"far-time timeline", []string{"-timeline", far}, 0, "t1 ", "", ""},
+		{"far-time svg", []string{"-svg", farSVG, far}, 0, "wrote " + farSVG, "", ""},
 		{"timeline 1 cpu", []string{"-timeline", cpu1}, 0, "", "", "timeline-1cpu.txt"},
 		{"timeline 2 cpus", []string{"-timeline", cpu2}, 0, "", "", "timeline-2cpu.txt"},
 		{"timeline window 1 cpu", []string{"-timeline", "-from", "300ms", "-to", "420ms", "-width", "60", "-rows", "8", cpu1}, 0, "", "", "timeline-window-1cpu.txt"},

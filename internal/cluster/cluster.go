@@ -76,7 +76,7 @@ type Spec struct {
 	TokenBurst float64
 	// Start delays the first arrival so freshly spawned populations can
 	// park; zero selects a bound derived from the population size. No
-	// arrival, replayed ones included, comes before it.
+	// arrival comes before it.
 	Start vclock.Duration
 	// Drain is how long past the last arrival the fleet runs to let
 	// queues empty. Zero selects 60 virtual seconds.
@@ -130,25 +130,6 @@ type Spec struct {
 	// rather than goodput even when served by the first attempt. Zero
 	// means only retried/hedged successes count as degraded.
 	DegradedOver vclock.Duration
-
-	// Record, when non-nil, accumulates the fleet's admitted arrivals
-	// (virtual instant, user identity, drawn service demand) into the
-	// trace in arrival order. The driver loop is serial even under
-	// sharded advance, so the artifact is byte-identical across Shards.
-	Record *wspec.Trace
-	// Replay, when non-nil, drives the fleet from a recorded trace
-	// instead of the spec's streams: the gap, user and service draws
-	// are skipped and admission is bypassed (the trace holds only
-	// admitted arrivals). Routing and every client-side policy still
-	// run live, so the same offered load can be replayed under a
-	// different router. A replay reproduces its recording run exactly
-	// only when that run rejected nothing: it offers only the admitted
-	// arrivals, so Offered and the retry budget (a fraction of arrivals
-	// offered so far) shrink by the rejected ones. Instants must be
-	// nondecreasing and not before Start, demands positive and users
-	// non-negative; New rejects any other trace with an error wrapping
-	// wspec.ErrInvalidTrace and ErrInvalidSpec.
-	Replay *wspec.Trace
 }
 
 // resilient reports whether requests carry client state: a token per
@@ -210,8 +191,7 @@ func (s Spec) withDefaults() Spec {
 
 // ErrInvalidSpec is the sentinel every Spec validation failure wraps,
 // in the style of wspec.ErrInvalidSpec: callers gate on
-// errors.Is(err, ErrInvalidSpec) and print the wrapped detail. A bad
-// replay entry wraps it and wspec.ErrInvalidTrace both.
+// errors.Is(err, ErrInvalidSpec) and print the wrapped detail.
 var ErrInvalidSpec = errors.New("cluster: invalid spec")
 
 // Size limits. validate rejects a spec past any of them, so a mistyped
@@ -283,21 +263,6 @@ func (s Spec) validate() error {
 	}
 	if s.BreakerAfter < 0 {
 		return fmt.Errorf("cluster: BreakerAfter must be >= 0 (got %d): %w", s.BreakerAfter, ErrInvalidSpec)
-	}
-	if s.Replay != nil {
-		prev := vclock.Time(0).Add(s.Start)
-		for k, e := range s.Replay.Entries {
-			at := vclock.Time(0).Add(vclock.Duration(e.AtUS))
-			switch {
-			case at.Before(prev):
-				return fmt.Errorf("cluster: replay entry %d: instant %dus before %dus: %w: %w", k, e.AtUS, prev.Micros(), ErrInvalidSpec, wspec.ErrInvalidTrace)
-			case e.ServiceUS <= 0:
-				return fmt.Errorf("cluster: replay entry %d: demand %dus not positive: %w: %w", k, e.ServiceUS, ErrInvalidSpec, wspec.ErrInvalidTrace)
-			case e.Session < 0:
-				return fmt.Errorf("cluster: replay entry %d: negative user %d: %w: %w", k, e.Session, ErrInvalidSpec, wspec.ErrInvalidTrace)
-			}
-			prev = at
-		}
 	}
 	return nil
 }

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/vclock"
-	wspec "repro/internal/workload/spec"
 )
 
 var updateFleetDigests = flag.Bool("update", false, "rewrite testdata/fleet_digests.json from current runs")
@@ -28,22 +27,6 @@ type fleetDigest struct {
 	Summary   string `json:"summary"`
 	Events    int64  `json:"events"`
 	VirtualUs int64  `json:"virtual_us"`
-}
-
-// sharedInstantReplay is a least-loaded replay whose entries arrive four
-// to an instant, so the routing of each entry depends on whether the
-// worlds saw the injections made earlier at the same instant.
-func sharedInstantReplay() Spec {
-	spec := smallSpec()
-	spec.Router = RouteLeastLoaded
-	spec.Start = 200 * vclock.Millisecond
-	tr := wspec.NewTrace("fleet", spec.Seed)
-	for k := 0; k < 40; k++ {
-		at := vclock.Time(0).Add(spec.Start + vclock.Duration(k/4+1)*100*vclock.Microsecond)
-		tr.Add(at, "", k*3, 300*vclock.Microsecond)
-	}
-	spec.Replay = tr
-	return spec
 }
 
 func fleetDigestSpecs() map[string]Spec {
@@ -70,7 +53,6 @@ func fleetDigestSpecs() map[string]Spec {
 		Service:   50 * vclock.Microsecond,
 		Drain:     10 * vclock.Second,
 	}
-	specs["least-loaded/replay-shared-instants"] = sharedInstantReplay()
 	return specs
 }
 
@@ -93,9 +75,9 @@ func fleetDigests(t *testing.T) map[string]fleetDigest {
 
 // TestFleetDigests pins the summary and world event count of fleets
 // under every router, with and without admission control and fault
-// injection, on a background preset, and replaying a trace with shared
-// instants. A change to the cluster driver must leave every pin as it
-// is: where the barriers fall is part of what a fleet run computes.
+// injection, and on a background preset. A change to the cluster driver
+// must leave every pin as it is: where the barriers fall is part of what
+// a fleet run computes.
 func TestFleetDigests(t *testing.T) {
 	got := fleetDigests(t)
 	if *updateFleetDigests {

@@ -68,8 +68,7 @@ import (
 // the order of operations is fixed: clock gap, admission decision, user
 // draw, service draw, route. Rejected requests consume no user or
 // service draws, so the admitted subsequence's identities and demands
-// do not depend on the admission policy; a replay takes all three from
-// its trace instead and bypasses admission.
+// do not depend on the admission policy.
 
 // --- circuit breaker -------------------------------------------------
 
@@ -270,7 +269,6 @@ type driver struct {
 	loads     []int
 	landed    []landed // drainCompletions' scratch, reused at every barrier
 
-	arrivals    int64 // total to offer: Requests, or the replay's entries
 	outstanding int64 // admitted, unresolved tracked requests
 
 	offered, admitted, rejected     int64
@@ -295,15 +293,11 @@ func newDriver(c *Cluster) *driver {
 		brk:          make([]breaker, len(c.insts)),
 		tokens:       make(map[uint64]*attempt),
 		loads:        make([]int, len(c.insts)),
-		arrivals:     s.Requests,
 		firstArrival: vclock.Never,
 		clientP99:    stats.NewQuantile(0.99),
 	}
 	d.q.Register(&d.arrival, d.onArrival)
 	d.q.Register(&d.timeout, d.onTimeout)
-	if s.Replay != nil {
-		d.arrivals = int64(len(s.Replay.Entries))
-	}
 	for i := range d.brk {
 		d.brk[i] = breaker{after: s.BreakerAfter, openFor: s.BreakerOpenFor}
 	}
@@ -366,18 +360,13 @@ func (d *driver) run() *Summary {
 	return d.summary()
 }
 
-// scheduleArrival queues the arrival after the one at t, if any remain:
-// the replay's next instant, or t plus a drawn gap.
+// scheduleArrival queues the arrival after the one at t, if any remain,
+// at t plus a drawn gap.
 func (d *driver) scheduleArrival(t vclock.Time) {
-	if d.offered == d.arrivals {
+	if d.offered == d.c.spec.Requests {
 		return
 	}
-	if rp := d.c.spec.Replay; rp != nil {
-		t = vclock.Time(0).Add(vclock.Duration(rp.Entries[d.offered].AtUS))
-	} else {
-		t = t.Add(expGap(d.c.rng, d.c.spec.Rate))
-	}
-	d.arrival.Arm(t)
+	d.arrival.Arm(t.Add(expGap(d.c.rng, d.c.spec.Rate)))
 }
 
 // advance brings every world to t and folds in the tracked completions
@@ -543,32 +532,21 @@ func (d *driver) hedgeDelay() vclock.Duration {
 
 // --- event handlers --------------------------------------------------
 
-// onArrival offers one request: the replay's next entry, or an
-// admission decision followed, if admitted, by the user and service
-// draws. A tracked request enters the client state machine; an
-// untracked one is routed and injected.
+// onArrival offers one request: an admission decision followed, if
+// admitted, by the user and service draws. A tracked request enters the
+// client state machine; an untracked one is routed and injected.
 func (d *driver) onArrival() {
 	s, t := &d.c.spec, d.now
-	k := d.offered
 	d.offered++
-	var user int
-	var service vclock.Duration
-	if s.Replay != nil {
-		e := &s.Replay.Entries[k]
-		user, service = e.Session, vclock.Duration(e.ServiceUS)
-	} else if d.c.admit.Admit(t) {
-		user, service = d.c.drawUser(d.c.rng), d.c.drawService(d.c.rng)
-	} else {
+	if !d.c.admit.Admit(t) {
 		d.rejected++
 		d.scheduleArrival(t)
 		return
 	}
+	user, service := d.c.drawUser(d.c.rng), d.c.drawService(d.c.rng)
 	d.admitted++
 	if d.firstArrival == vclock.Never {
 		d.firstArrival = t
-	}
-	if s.Record != nil {
-		s.Record.Add(t, "", user, service)
 	}
 	if d.track {
 		d.outstanding++
@@ -587,7 +565,7 @@ func (d *driver) onProbe() {
 		// A shallow probe sees crashes and stalls, not brownouts.
 		return !d.c.faults.downAt(i, t) && !d.c.faults.stalledAt(i, t)
 	})
-	if d.offered < d.arrivals || d.outstanding > 0 {
+	if d.offered < d.c.spec.Requests || d.outstanding > 0 {
 		d.q.Schedule(t.Add(d.c.spec.ProbeEvery), d.onProbe)
 	}
 }

@@ -16,10 +16,10 @@ import (
 // input is read two ways:
 //
 //   - as a hostile stream: any kind (unknown ones included), huge and
-//     negative IDs, time running backwards, monitor exits with no enter,
-//     wait-dones with no wait, switches on out-of-range CPUs. The
-//     profiler, its report and its Chrome export must not panic or
-//     hang;
+//     negative IDs, time running backwards or jumping up to 2^62 µs,
+//     monitor exits with no enter, wait-dones with no wait, switches on
+//     out-of-range CPUs. The profiler, its report, its Chrome export and
+//     its ASCII and SVG timelines must not panic or hang;
 //   - as the choices of a small scheduler model that emits a well-formed
 //     stream the way the simulator does. There the online profile must
 //     equal the reference profiler's, with zero residue.
@@ -28,6 +28,13 @@ func FuzzProfile(f *testing.F) {
 	f.Add([]byte("\x01\x02\x00\x05\x02\x00\x00\x30\x08\x01\x02\x03\x04\x00\x40\x05\x00\x07\x00\x09"))
 	f.Add([]byte("\x02\x03\x01\x02\x01\x03\x02\x00\x08\x00\x0c\x01\x00\x20\x04\x06\x00\x0a\x0b\x00\x33\x07\x02"))
 	f.Add([]byte(strings.Repeat("\x01\x05\x02\x00\x08\x01\x0c\x00\x00\x11\x06\x01\x03\x00\x09\x04\x0a\x00\x07", 6)))
+	// Hostile: fork t1 at 0, switch it in 656<<47 µs later and exit it
+	// near 2^62 µs, a window whose offsets times a timeline's width
+	// overflow int64.
+	f.Add([]byte("" +
+		"\x00\x00\x00\x15\x00\x02\x00\x00\x05\x00\x00\x00" +
+		"\x08\x52\x03\xd5\x02\x00\x00\x00\x01\x00\x00\x00" +
+		"\x7f\xfc\x01\xd5\x02\x01\x00\x00\x01\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hostile(data)
 
@@ -68,7 +75,10 @@ var hostileValues = []int64{
 }
 
 // hostile decodes data as 12-byte raw records and runs them through a
-// profiler, its report, its summary and its Chrome export.
+// profiler, its report, its summary, its Chrome export and its
+// timelines over the whole profiled window. A record's time step is
+// int8(c[0])·c[1] µs, shifted left 47 bits when both top bits of c[3]
+// are set.
 func hostile(data []byte) {
 	value := func(sel byte, raw []byte) int64 {
 		switch sel % 4 {
@@ -85,7 +95,11 @@ func hostile(data []byte) {
 	var now vclock.Time
 	for ; len(data) >= 12; data = data[12:] {
 		c := data[:12]
-		now += vclock.Time(int64(int8(c[0])) * int64(c[1])) // may run backwards
+		step := int64(int8(c[0])) * int64(c[1]) // may run backwards
+		if c[3]>>6 == 3 {
+			step <<= 47 // a far jump, below 2^62 µs
+		}
+		now += vclock.Time(step)
 		p.Record(trace.Event{
 			Time:   now,
 			Kind:   trace.Kind(c[2] % 17), // two kinds past the last
@@ -98,6 +112,9 @@ func hostile(data []byte) {
 	_ = profile.NewReport(prof).String()
 	_ = profile.Summarize(prof)
 	_ = profile.WriteChromeTrace(io.Discard, prof)
+	tl := profile.Timeline{From: prof.Start, To: prof.End}
+	_, _ = tl.Render(prof)
+	_, _ = tl.RenderSVG(prof)
 }
 
 // Thread states of the stream model.

@@ -3,6 +3,7 @@ package profile
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -118,13 +119,19 @@ func (tl Timeline) Render(p *Profile) (string, error) {
 	if tl.To <= tl.From {
 		return "(empty window)\n", nil
 	}
-	span := int64(tl.To.Sub(tl.From))
+	// Offsets into the window are exact as uint64 even past 2^63, and
+	// the column is taken from the full 128-bit product, so a window of
+	// any length divides evenly into columns. offset(t) <= span, so the
+	// quotient is at most Width and Div64 cannot overflow.
+	span := offset(tl.From, tl.To)
 	bucket := func(t vclock.Time) int {
-		return min(int(int64(t.Sub(tl.From))*int64(tl.Width)/span), tl.Width-1)
+		hi, lo := bits.Mul64(offset(tl.From, t), uint64(tl.Width))
+		q, _ := bits.Div64(hi, lo, span)
+		return min(int(q), tl.Width-1)
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "timeline %s .. %s  (%s per column; '#'=running '-'=ready '.'=blocked)\n",
-		tl.From, tl.To, vclock.Duration(span/int64(tl.Width)))
+		tl.From, tl.To, vclock.Duration(span/uint64(tl.Width)))
 	cells := make([]int, tl.Width)
 	line := make([]byte, tl.Width)
 	for _, r := range rows {
@@ -165,9 +172,9 @@ func (tl Timeline) RenderSVG(p *Profile) (string, error) {
 		headerH = 28
 		footerH = 24
 	)
-	span := float64(tl.To.Sub(tl.From))
+	span := float64(offset(tl.From, tl.To))
 	x := func(t vclock.Time) float64 {
-		return labelW + float64(t.Sub(tl.From))/span*chartW
+		return labelW + float64(offset(tl.From, t))/span*chartW
 	}
 	height := headerH + len(rows)*(rowH+rowPad) + footerH
 
@@ -192,5 +199,10 @@ func (tl Timeline) RenderSVG(p *Profile) (string, error) {
 	fmt.Fprintf(&sb, `</svg>`+"\n")
 	return sb.String(), nil
 }
+
+// offset returns t − from for t at or after from. It is exact for any
+// two times: the difference of two int64s always fits in a uint64,
+// where vclock's Sub would overflow past 2^63.
+func offset(from, t vclock.Time) uint64 { return uint64(t) - uint64(from) }
 
 var svgEscape = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;").Replace

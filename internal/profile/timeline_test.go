@@ -205,3 +205,55 @@ func TestTimelineNeedsSpans(t *testing.T) {
 		t.Errorf("RenderSVG err = %v, want ErrNoSpans", err)
 	}
 }
+
+// farTimeEvents is a thread forked at 0 that first runs at switchIn and
+// exits at 2^62+2^50 µs: a window whose offsets times the default width
+// overflow int64.
+func farTimeEvents() ([]trace.Event, vclock.Time) {
+	const switchIn, exit = vclock.Time(92346332349464576), vclock.Time(1<<62 + 1<<50)
+	return []trace.Event{
+		{Time: 0, Kind: trace.KindFork, Thread: trace.NoThread, Arg: 1, Aux: 4},
+		{Time: switchIn, Kind: trace.KindSwitch, Thread: 1, Arg: trace.NoThread, Aux: 0},
+		{Time: exit, Kind: trace.KindExit, Thread: 1},
+	}, exit
+}
+
+// Columns come from the exact offset times the width, so windows far
+// past 2^63/Width µs neither index out of range nor squeeze the chart.
+func TestTimelineFarTimes(t *testing.T) {
+	evs, end := farTimeEvents()
+	out := render(t, profile.Timeline{From: 0, To: end}, spanProfile(evs, nil, end))
+	if got, want := cells(out)["t1"], "--"+strings.Repeat("#", 98); got != want {
+		t.Errorf("row = %q, want %q", got, want)
+	}
+
+	// A thread running throughout a 2^60 µs window fills every column.
+	evs = []trace.Event{
+		{Time: 0, Kind: trace.KindFork, Thread: trace.NoThread, Arg: 1, Aux: 4},
+		{Time: 0, Kind: trace.KindSwitch, Thread: 1, Arg: trace.NoThread, Aux: 0},
+	}
+	end = vclock.Time(1 << 60)
+	out = render(t, profile.Timeline{From: 0, To: end}, spanProfile(evs, nil, end))
+	if got, want := cells(out)["t1"], strings.Repeat("#", 100); got != want {
+		t.Errorf("row = %q, want %q", got, want)
+	}
+
+	// A window wider than 2^63 µs, from negative to positive times.
+	from, to := vclock.Time(-1<<62), vclock.Time(1<<62)
+	evs = []trace.Event{
+		{Time: from, Kind: trace.KindFork, Thread: trace.NoThread, Arg: 1, Aux: 4},
+		{Time: 0, Kind: trace.KindSwitch, Thread: 1, Arg: trace.NoThread, Aux: 0},
+	}
+	prof := spanProfile(evs, nil, to)
+	out = render(t, profile.Timeline{From: from, To: to, Width: 10}, prof)
+	if got, want := cells(out)["t1"], "-----#####"; got != want {
+		t.Errorf("row = %q, want %q", got, want)
+	}
+	svg, err := profile.Timeline{From: from, To: to}.RenderSVG(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(svg, `<rect x="700.0" y="28" width="500.0"`) {
+		t.Errorf("running span not drawn over the right half:\n%s", svg)
+	}
+}

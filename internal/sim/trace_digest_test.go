@@ -121,7 +121,7 @@ func traceDigests(t *testing.T, base sim.Policy) map[string]traceDigest {
 
 	specs := pinnedSpecs(t)
 	for name, sp := range specs {
-		got["spec/"+name] = digestSpec(t, sp, base, 1, workload.SpecOptions{})
+		got["spec/"+name] = digestSpec(t, sp, base)
 	}
 	// Thread-scoped faults landing on w1's session threads: injected
 	// crashes (a blocked victim is woken to die at its next dispatch)
@@ -141,21 +141,14 @@ func traceDigests(t *testing.T, base sim.Policy) map[string]traceDigest {
 	if base == nil {
 		s1 := sloLabSpec()
 		for _, policy := range []string{"pcr-rr", "edf", "sjf", "hybrid"} {
-			got["spec/s1/"+policy] = digestSpec(t, s1, sched.MustParse(policy), 1, workload.SpecOptions{})
+			got["spec/s1/"+policy] = digestSpec(t, s1, sched.MustParse(policy))
 		}
 	}
 	diurnal, err := spec.Load(filepath.Join("..", "workload", "spec", "testdata", "cohorts-diurnal.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got["spec/cohorts-diurnal"] = digestSpec(t, diurnal, base, 1, workload.SpecOptions{})
-	// A record->replay pair: the replay runs under another seed, so only
-	// the trace can reproduce the recorded arrivals. The recorded bytes
-	// are hashed into the replay's digest.
-	rec := spec.NewTrace(diurnal.Name, 1)
-	got["replay/record"] = digestSpec(t, diurnal, base, 1, workload.SpecOptions{Record: rec})
-	got["replay/replay"] = digestSpec(t, diurnal, base, 2, workload.SpecOptions{Replay: rec},
-		string(rec.Bytes()))
+	got["spec/cohorts-diurnal"] = digestSpec(t, diurnal, base)
 
 	for _, name := range []string{"cedar", "gvx"} {
 		p, err := workload.FindPreset(name)
@@ -221,28 +214,23 @@ func sloLabSpec() *spec.Spec {
 }
 
 // digestSpec compiles sp through StartSpec into a fresh world under
-// policy (nil for the default) and digests its run to the spec's
-// horizon, folding the run's stats rendering and any extra facts into
-// the hash.
-func digestSpec(t *testing.T, sp *spec.Spec, policy sim.Policy, seed int64, opts workload.SpecOptions, extra ...string) traceDigest {
+// policy (nil for the default) at seed 1 and digests its run to the
+// spec's horizon, folding the run's stats rendering into the hash.
+func digestSpec(t *testing.T, sp *spec.Spec, policy sim.Policy) traceDigest {
 	t.Helper()
 	s := newDigestSink()
-	cfg := sim.Config{Seed: seed, Trace: s, SystemDaemon: sp.SystemDaemon}
+	cfg := sim.Config{Seed: 1, Trace: s, SystemDaemon: sp.SystemDaemon}
 	cfg.Hooks.Policy = policy
 	w := sim.NewWorld(cfg)
-	run, err := workload.StartSpec(w, sp, opts)
+	run, err := workload.StartSpec(w, sp, workload.SpecOptions{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, e := range extra {
-		s.note("%s", e)
 	}
 	return digestWorld(w, s, vclock.Time(0).Add(run.Horizon), func() string { return specReport(run) })
 }
 
-// digestFaultSpec is digestSpec for seed 1 with plan's injector
-// configured into the world; the injector's counts are hashed with the
-// run.
+// digestFaultSpec is digestSpec with plan's injector configured into
+// the world; the injector's counts are hashed with the run.
 func digestFaultSpec(t *testing.T, sp *spec.Spec, policy sim.Policy, plan fault.Plan) traceDigest {
 	t.Helper()
 	inj, err := fault.New(plan, 1)
@@ -288,8 +276,8 @@ func specReport(run *workload.SpecRun) string {
 // scenario (default and steered schedules), a W1 echo world, the two
 // desktop preset worlds, and worlds compiled through workload.StartSpec:
 // the shipped W-series specs, the S1 SLO lab under four policies, the
-// diurnal cohorts spec, a record->replay pair, and W1 under thread-
-// scoped crash and stall faults. Any change to the thread execution machinery
+// diurnal cohorts spec, and W1 under thread-scoped crash and stall
+// faults. Any change to the thread execution machinery
 // must leave every digest byte-identical: the simulated program may not
 // observe how its threads are run.
 func TestTraceDigests(t *testing.T) {

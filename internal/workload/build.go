@@ -19,24 +19,9 @@ import (
 // kindTable, in the mixed and slo kinds' batch pool, and in the
 // pipeline kind's stage chains behind its first-stage pool.
 
-// RequestTap observes one injected request at injection time: the
-// arrival instant, the cohort label, the target session index, and the
-// drawn service demand. Taps run in driver context, in arrival order.
-type RequestTap func(at vclock.Time, cohort string, session int, service vclock.Duration)
-
 // SpecOptions carries the run-scoped knobs StartSpec accepts alongside
 // the declarative spec.
 type SpecOptions struct {
-	// Record, when non-nil, accumulates every generated request into
-	// the trace in arrival order.
-	Record *spec.Trace
-	// Replay, when non-nil, drives arrivals from the recorded trace
-	// instead of the spec's arrival processes: same instants, same
-	// session picks, same demands, no RNG draws. The trace must have
-	// been recorded from a compatible spec (same cohort names, session
-	// counts it fits inside). Record and Replay compose — re-recording
-	// a replayed run must reproduce the trace byte-for-byte.
-	Replay *spec.Trace
 	// Names supplies the interned session-name table for the server
 	// kind (the cluster shares one table across a fleet); nil builds a
 	// private table.
@@ -142,10 +127,6 @@ func StartSpec(w *sim.World, sp *spec.Spec, opts SpecOptions) (*SpecRun, error) 
 			preset.Background(w)
 		}
 	}
-	replays, err := replayEntries(sp, opts.Replay)
-	if err != nil {
-		return nil, err
-	}
 	run := &SpecRun{Spec: sp, Horizon: sp.Horizon()}
 	if sp.Kind == spec.KindServer {
 		c := &sp.Cohorts[0]
@@ -160,17 +141,14 @@ func StartSpec(w *sim.World, sp *spec.Spec, opts SpecOptions) (*SpecRun, error) 
 
 	k := kindTable[sp.Kind]
 	g := &generator{w: w}
-	if opts.Record != nil {
-		g.tap = opts.Record.Add
-	}
 	parkers := 0
 	if p := sp.Pipeline; p != nil {
 		run.Pipeline = startPipeline(w, p)
 		cost := run.Pipeline.cost
-		g.add(&arrivals{name: "pipeline", pool: run.Pipeline.src, rng: w.DeriveRand(k.stream),
+		g.add(&arrivals{pool: run.Pipeline.src, rng: w.DeriveRand(k.stream),
 			gap:      (&spec.Arrival{Process: spec.ProcPoisson, Rate: p.Rate}).GapSampler(),
 			svc:      func(*rand.Rand) vclock.Duration { return cost },
-			requests: p.Requests, replay: replays["pipeline"]})
+			requests: p.Requests})
 		parkers = p.Pipelines * p.Stages
 	}
 	for i := range sp.Cohorts {
@@ -189,9 +167,9 @@ func StartSpec(w *sim.World, sp *spec.Spec, opts SpecOptions) (*SpecRun, error) 
 			pool.stampSLO(c.Name, c.ServiceMean())
 		}
 		run.Pools = append(run.Pools, pool)
-		g.add(&arrivals{name: c.Name, pool: pool, rng: w.DeriveRand(stream),
+		g.add(&arrivals{pool: pool, rng: w.DeriveRand(stream),
 			gap: c.Arrival.GapSampler(), svc: c.ServiceSampler(), mod: c.Modulation,
-			requests: c.Requests, replay: replays[c.Name]})
+			requests: c.Requests})
 		parkers += c.Sessions
 	}
 	if len(run.Pools) > 0 {
@@ -224,48 +202,4 @@ func StartSpec(w *sim.World, sp *spec.Spec, opts SpecOptions) (*SpecRun, error) 
 		w.At(vclock.Time(0).Add(run.Horizon), func() { b.stopped = true })
 	}
 	return run, nil
-}
-
-// replayEntries validates a replay trace against the spec and splits it
-// per cohort (the pipeline kind files under "pipeline"). Arrival times
-// must be strictly increasing within a cohort — every generator floors
-// gaps at one microsecond, so a recorded trace always satisfies this.
-func replayEntries(sp *spec.Spec, tr *spec.Trace) (map[string][]spec.Entry, error) {
-	if tr == nil {
-		return map[string][]spec.Entry{}, nil
-	}
-	if sp.Kind == spec.KindServer {
-		return nil, fmt.Errorf("%w: %s: the server kind is externally driven — replay lives in its driver", spec.ErrInvalidSpec, sp.Name)
-	}
-	pools := map[string]int{}
-	switch sp.Kind {
-	case spec.KindPipeline:
-		pools["pipeline"] = sp.Pipeline.Pipelines
-	default:
-		for _, c := range sp.Cohorts {
-			pools[c.Name] = c.Sessions
-		}
-	}
-	out := make(map[string][]spec.Entry, len(pools))
-	last := map[string]int64{}
-	for i, e := range tr.Entries {
-		n, ok := pools[e.Cohort]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s: trace entry %d names cohort %q the spec does not declare", spec.ErrInvalidSpec, sp.Name, i, e.Cohort)
-		}
-		if e.Session >= n {
-			return nil, fmt.Errorf("%w: %s: trace entry %d targets session %d of a %d-session pool %q", spec.ErrInvalidSpec, sp.Name, i, e.Session, n, e.Cohort)
-		}
-		if prev, seen := last[e.Cohort]; seen && e.AtUS <= prev {
-			return nil, fmt.Errorf("%w: %s: trace entry %d: cohort %q arrivals must be strictly increasing", spec.ErrInvalidSpec, sp.Name, i, e.Cohort)
-		}
-		last[e.Cohort] = e.AtUS
-		out[e.Cohort] = append(out[e.Cohort], e)
-	}
-	for name := range pools {
-		if len(out[name]) == 0 {
-			return nil, fmt.Errorf("%w: %s: replay trace has no entries for cohort %q", spec.ErrInvalidSpec, sp.Name, name)
-		}
-	}
-	return out, nil
 }

@@ -5,8 +5,7 @@
 // Pareto), and rate modulation over virtual-time windows (diurnal and
 // burst shapes). The W-series load shapes that used to live as Go
 // literals ship as embedded spec files (see Shipped), so "what load did
-// this run offer" is data — diffable, fuzzable, and replayable — rather
-// than code.
+// this run offer" is data — diffable and fuzzable — rather than code.
 //
 // A Spec says what the load is; workload.StartSpec says how to run it.
 // This package deliberately imports only the simulator's leaf packages
@@ -81,7 +80,7 @@ const (
 type Spec struct {
 	// Schema must equal the package Schema constant.
 	Schema int `json:"schema"`
-	// Name labels the workload; it is stamped on recorded traces.
+	// Name labels the workload.
 	Name string `json:"name"`
 	// Kind selects the generator family (see the Kind constants).
 	Kind string `json:"kind"`
