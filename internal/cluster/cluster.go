@@ -22,6 +22,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -215,6 +216,7 @@ const (
 )
 
 // validate checks a defaulted spec; every error wraps ErrInvalidSpec.
+// The float checks are written so that NaN fails them.
 func (s Spec) validate() error {
 	if s.Instances < 1 || s.Instances > MaxInstances {
 		return fmt.Errorf("cluster: Instances must be in [1, %d] (got %d): %w", MaxInstances, s.Instances, ErrInvalidSpec)
@@ -231,16 +233,16 @@ func (s Spec) validate() error {
 	if s.Users > MaxUsers {
 		return fmt.Errorf("cluster: Users must be <= %d (got %d): %w", MaxUsers, s.Users, ErrInvalidSpec)
 	}
-	if s.Rate <= 0 {
+	if !(s.Rate > 0) || math.IsInf(s.Rate, 1) {
 		return fmt.Errorf("cluster: Rate must be > 0 (got %v): %w", s.Rate, ErrInvalidSpec)
 	}
 	if s.HotUsers < 0 || s.HotUsers >= s.Users && s.HotUsers > 0 {
 		return fmt.Errorf("cluster: HotUsers must be in [0, Users) (got %d of %d): %w", s.HotUsers, s.Users, ErrInvalidSpec)
 	}
-	if s.HotFraction < 0 || s.HotFraction > 1 {
+	if !(s.HotFraction >= 0 && s.HotFraction <= 1) {
 		return fmt.Errorf("cluster: HotFraction must be in [0,1] (got %v): %w", s.HotFraction, ErrInvalidSpec)
 	}
-	if s.HeavyFraction < 0 || s.HeavyFraction > 1 {
+	if !(s.HeavyFraction >= 0 && s.HeavyFraction <= 1) {
 		return fmt.Errorf("cluster: HeavyFraction must be in [0,1] (got %v): %w", s.HeavyFraction, ErrInvalidSpec)
 	}
 	for _, d := range []struct {
@@ -258,7 +260,7 @@ func (s Spec) validate() error {
 	if s.Retries < 0 {
 		return fmt.Errorf("cluster: Retries must be >= 0 (got %d): %w", s.Retries, ErrInvalidSpec)
 	}
-	if s.RetryBudget < 0 {
+	if !(s.RetryBudget >= 0) {
 		return fmt.Errorf("cluster: RetryBudget must be >= 0 (got %v): %w", s.RetryBudget, ErrInvalidSpec)
 	}
 	if s.BreakerAfter < 0 {
@@ -314,7 +316,7 @@ func New(spec Spec) (*Cluster, error) {
 	}
 	preset, err := workload.FindPreset(spec.Preset)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: %w: %w", err, ErrInvalidSpec)
 	}
 	route, err := newRouter(spec.Router, spec.Instances)
 	if err != nil {
@@ -328,7 +330,7 @@ func New(spec Spec) (*Cluster, error) {
 	// instance) fails at New, before any world exists to leak.
 	faults, err := compileFaults(spec.Faults, spec.Instances, spec.Seed+faultSeedOffset)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", err, ErrInvalidSpec)
 	}
 	c := &Cluster{spec: spec, preset: preset, route: route, admit: admit, faults: faults,
 		advanced: make([]*instance, 0, spec.Instances)}

@@ -3,10 +3,12 @@ package cluster
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/vclock"
 )
 
@@ -296,9 +298,9 @@ func TestBackgroundPresets(t *testing.T) {
 
 // Spec validation rejects unrunnable fleets with diagnostics.
 func TestSpecValidation(t *testing.T) {
-	// want is set on the rows Spec.validate rejects: their error must
-	// wrap ErrInvalidSpec and its text still name the field and the rule
-	// it broke. The other rows fail later in New.
+	// Every rejection, whether Spec.validate or a later step of New
+	// makes it, must wrap ErrInvalidSpec, and its text still name the
+	// field and the rule it broke. The float checks must fail on NaN.
 	cases := []struct {
 		name string
 		mut  func(*Spec)
@@ -308,13 +310,17 @@ func TestSpecValidation(t *testing.T) {
 		{"no sessions", func(s *Spec) { s.Sessions = 0 }, "cluster: Sessions must be in [1, 16384] (got 0)"},
 		{"no requests", func(s *Spec) { s.Requests = 0 }, "cluster: Requests must be in [1, 1000000] (got 0)"},
 		{"no rate", func(s *Spec) { s.Rate = 0 }, "cluster: Rate must be > 0 (got 0)"},
-		{"bad preset", func(s *Spec) { s.Preset = "vax" }, ""},
-		{"bad router", func(s *Spec) { s.Router = "random" }, ""},
-		{"bad admission", func(s *Spec) { s.Admission = "maybe" }, ""},
+		{"NaN rate", func(s *Spec) { s.Rate = math.NaN() }, "cluster: Rate must be > 0 (got NaN)"},
+		{"infinite rate", func(s *Spec) { s.Rate = math.Inf(1) }, "cluster: Rate must be > 0 (got +Inf)"},
+		{"bad preset", func(s *Spec) { s.Preset = "vax" }, `cluster: workload: no preset "vax"`},
+		{"bad router", func(s *Spec) { s.Router = "random" }, `cluster: no routing policy "random"`},
+		{"bad admission", func(s *Spec) { s.Admission = "maybe" }, `cluster: no admission policy "maybe"`},
 		{"hot users exceed users", func(s *Spec) { s.Users = 4; s.HotUsers = 9 }, "cluster: HotUsers must be in [0, Users) (got 9 of 4)"},
 		{"negative hot users", func(s *Spec) { s.HotUsers = -1 }, "cluster: HotUsers must be in [0, Users) (got -1 of 16)"},
 		{"hot fraction out of range", func(s *Spec) { s.HotUsers = 1; s.HotFraction = 1.5 }, "cluster: HotFraction must be in [0,1] (got 1.5)"},
+		{"NaN hot fraction", func(s *Spec) { s.HotUsers = 1; s.HotFraction = math.NaN() }, "cluster: HotFraction must be in [0,1] (got NaN)"},
 		{"heavy fraction out of range", func(s *Spec) { s.HeavyFraction = -0.2 }, "cluster: HeavyFraction must be in [0,1] (got -0.2)"},
+		{"NaN heavy fraction", func(s *Spec) { s.HeavyFraction = math.NaN() }, "cluster: HeavyFraction must be in [0,1] (got NaN)"},
 		{"negative probe interval", func(s *Spec) { s.ProbeEvery = -1 }, "cluster: ProbeEvery must be >= 0"},
 		{"negative timeout", func(s *Spec) { s.Timeout = -1 }, "cluster: Timeout must be >= 0"},
 		{"negative hedge delay", func(s *Spec) { s.HedgeAfter = -1 }, "cluster: HedgeAfter must be >= 0"},
@@ -322,8 +328,15 @@ func TestSpecValidation(t *testing.T) {
 		{"negative degraded bound", func(s *Spec) { s.DegradedOver = -1 }, "cluster: DegradedOver must be >= 0"},
 		{"negative retries", func(s *Spec) { s.Retries = -1 }, "cluster: Retries must be >= 0 (got -1)"},
 		{"negative retry budget", func(s *Spec) { s.RetryBudget = -0.5 }, "cluster: RetryBudget must be >= 0 (got -0.5)"},
+		{"NaN retry budget", func(s *Spec) { s.RetryBudget = math.NaN() }, "cluster: RetryBudget must be >= 0 (got NaN)"},
 		{"negative breaker threshold", func(s *Spec) { s.BreakerAfter = -2 }, "cluster: BreakerAfter must be >= 0 (got -2)"},
-		{"token bucket without rate", func(s *Spec) { s.Admission = AdmitTokenBucket }, ""},
+		{"token bucket without rate", func(s *Spec) { s.Admission = AdmitTokenBucket }, "cluster: token-bucket needs rate > 0"},
+		{"token bucket with NaN rate", func(s *Spec) {
+			s.Admission, s.TokenRate, s.TokenBurst = AdmitTokenBucket, math.NaN(), 4
+		}, "cluster: token-bucket needs rate > 0 and burst >= 1 (got rate=NaN burst=4)"},
+		{"fault rule past the fleet", func(s *Spec) {
+			s.Faults = &fault.Plan{CrashInstance: []fault.CrashInstance{{Instance: 5, At: dur(0)}}}
+		}, "cluster: fault rule targets instance 5 of a 4-instance fleet"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -332,9 +345,6 @@ func TestSpecValidation(t *testing.T) {
 			_, err := Run(spec)
 			if err == nil {
 				t.Fatal("bad spec accepted")
-			}
-			if tc.want == "" {
-				return
 			}
 			if !errors.Is(err, ErrInvalidSpec) {
 				t.Errorf("error does not wrap ErrInvalidSpec: %v", err)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/vclock"
 )
@@ -44,7 +45,7 @@ func newRouter(name string, instances int) (router, error) {
 	case RouteAffinity:
 		return affinity{n: instances}, nil
 	}
-	return nil, fmt.Errorf("cluster: no routing policy %q (have %v)", name, RouterNames())
+	return nil, fmt.Errorf("cluster: no routing policy %q (have %v): %w", name, RouterNames(), ErrInvalidSpec)
 }
 
 // roundRobin deals arrivals to instances in strict rotation, the
@@ -117,12 +118,13 @@ func newAdmitter(name string, rate, burst float64) (admitter, error) {
 	case AdmitAlways:
 		return alwaysAdmit{}, nil
 	case AdmitTokenBucket:
-		if rate <= 0 || burst < 1 {
-			return nil, fmt.Errorf("cluster: token-bucket needs rate > 0 and burst >= 1 (got rate=%v burst=%v)", rate, burst)
+		if !(rate > 0) || math.IsInf(rate, 1) || !(burst >= 1) {
+			return nil, fmt.Errorf("cluster: token-bucket needs rate > 0 and burst >= 1 (got rate=%v burst=%v): %w",
+				rate, burst, ErrInvalidSpec)
 		}
 		return &tokenBucket{rate: rate, burst: burst, tokens: burst}, nil
 	}
-	return nil, fmt.Errorf("cluster: no admission policy %q (have %v)", name, AdmitterNames())
+	return nil, fmt.Errorf("cluster: no admission policy %q (have %v): %w", name, AdmitterNames(), ErrInvalidSpec)
 }
 
 type alwaysAdmit struct{}

@@ -152,14 +152,10 @@ func FigAdaptive(cfg Config) *Report {
 
 	t := stats.NewTable(fmt.Sprintf("Fixed 10ms timeout vs adaptive timeout, %d requests", requests),
 		"Strategy", "server at 4ms", "spurious TOs", "server at 120ms", "spurious TOs")
-	fFast, fFastTO := vclock.Duration(0), 0
-	fSlow, fSlowTO := vclock.Duration(0), 0
-	aFast, aFastTO := vclock.Duration(0), 0
-	aSlow, aSlowTO := vclock.Duration(0), 0
-	fFastTO, fFast = swap(run(false, 4*vclock.Millisecond))
-	fSlowTO, fSlow = swap(run(false, 120*vclock.Millisecond))
-	aFastTO, aFast = swap(run(true, 4*vclock.Millisecond))
-	aSlowTO, aSlow = swap(run(true, 120*vclock.Millisecond))
+	fFastTO, fFast := run(false, 4*vclock.Millisecond)
+	fSlowTO, fSlow := run(false, 120*vclock.Millisecond)
+	aFastTO, aFast := run(true, 4*vclock.Millisecond)
+	aSlowTO, aSlow := run(true, 120*vclock.Millisecond)
 	t.AddRowf("%s", "fixed 10ms (tuned for the old, fast era)",
 		"%s", fFast.String(), "%d", fFastTO, "%s", fSlow.String(), "%d", fSlowTO)
 	t.AddRowf("%s", "adaptive (EWMA x2 margin, backoff on TO)",
@@ -173,6 +169,3 @@ func FigAdaptive(cfg Config) *Report {
 			"which is why §5.3 warns that timeout-driven systems 'apparently work correctly but slowly'.",
 		}}
 }
-
-// swap reorders run's (spurious, mean) return for tidy assignment above.
-func swap(spurious int, mean vclock.Duration) (int, vclock.Duration) { return spurious, mean }

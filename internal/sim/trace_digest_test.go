@@ -144,12 +144,6 @@ func traceDigests(t *testing.T, base sim.Policy) map[string]traceDigest {
 			got["spec/s1/"+policy] = digestSpec(t, s1, sched.MustParse(policy))
 		}
 	}
-	diurnal, err := spec.Load(filepath.Join("..", "workload", "spec", "testdata", "cohorts-diurnal.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got["spec/cohorts-diurnal"] = digestSpec(t, diurnal, base)
-
 	for _, name := range []string{"cedar", "gvx"} {
 		p, err := workload.FindPreset(name)
 		if err != nil {
@@ -275,9 +269,8 @@ func specReport(run *workload.SpecRun) string {
 // TestTraceDigests pins the full trace of every registered paradigm
 // scenario (default and steered schedules), a W1 echo world, the two
 // desktop preset worlds, and worlds compiled through workload.StartSpec:
-// the shipped W-series specs, the S1 SLO lab under four policies, the
-// diurnal cohorts spec, and W1 under thread-scoped crash and stall
-// faults. Any change to the thread execution machinery
+// the shipped W-series specs, the S1 SLO lab under four policies, and
+// W1 under thread-scoped crash and stall faults. Any change to the thread execution machinery
 // must leave every digest byte-identical: the simulated program may not
 // observe how its threads are run.
 func TestTraceDigests(t *testing.T) {

@@ -79,26 +79,28 @@ func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 // String formats d using the largest natural unit, e.g. "50ms", "3.5ms",
 // "120us", "2s".
 func (d Duration) String() string {
-	neg := d < 0
-	if neg {
-		d = -d
+	// The magnitude is unsigned: negating MinInt64 overflows int64.
+	u := uint64(d)
+	if d < 0 {
+		u = -u
 	}
+	const sec, ms = uint64(Second), uint64(Millisecond)
 	var s string
 	switch {
-	case d == 0:
+	case u == 0:
 		s = "0"
-	case d%Second == 0:
-		s = strconv.FormatInt(int64(d/Second), 10) + "s"
-	case d >= Second:
-		s = trimZeros(fmt.Sprintf("%.6f", d.Seconds())) + "s"
-	case d%Millisecond == 0:
-		s = strconv.FormatInt(int64(d/Millisecond), 10) + "ms"
-	case d >= Millisecond:
-		s = trimZeros(fmt.Sprintf("%.3f", d.Millis())) + "ms"
+	case u%sec == 0:
+		s = strconv.FormatUint(u/sec, 10) + "s"
+	case u >= sec:
+		s = trimZeros(fmt.Sprintf("%.6f", float64(u)/float64(sec))) + "s"
+	case u%ms == 0:
+		s = strconv.FormatUint(u/ms, 10) + "ms"
+	case u >= ms:
+		s = trimZeros(fmt.Sprintf("%.3f", float64(u)/float64(ms))) + "ms"
 	default:
-		s = strconv.FormatInt(int64(d), 10) + "us"
+		s = strconv.FormatUint(u, 10) + "us"
 	}
-	if neg {
+	if d < 0 {
 		return "-" + s
 	}
 	return s

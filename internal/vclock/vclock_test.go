@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -63,6 +64,8 @@ func TestDurationString(t *testing.T) {
 		Second + 500*Millisecond: "1.5s",
 		-Millisecond:             "-1ms",
 		2 * Minute:               "120s",
+		// One minus sign: the magnitude of MinInt64 overflows int64.
+		math.MinInt64: "-9223372036854.775391s",
 	}
 	for in, want := range cases {
 		if got := in.String(); got != want {

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/sim"
 	"repro/internal/vclock"
@@ -144,10 +143,9 @@ func StartSpec(w *sim.World, sp *spec.Spec, opts SpecOptions) (*SpecRun, error) 
 	parkers := 0
 	if p := sp.Pipeline; p != nil {
 		run.Pipeline = startPipeline(w, p)
-		cost := run.Pipeline.cost
 		g.add(&arrivals{pool: run.Pipeline.src, rng: w.DeriveRand(k.stream),
 			gap:      (&spec.Arrival{Process: spec.ProcPoisson, Rate: p.Rate}).GapSampler(),
-			svc:      func(*rand.Rand) vclock.Duration { return cost },
+			svc:      run.Pipeline.cost,
 			requests: p.Requests})
 		parkers = p.Pipelines * p.Stages
 	}
@@ -168,8 +166,7 @@ func StartSpec(w *sim.World, sp *spec.Spec, opts SpecOptions) (*SpecRun, error) 
 		}
 		run.Pools = append(run.Pools, pool)
 		g.add(&arrivals{pool: pool, rng: w.DeriveRand(stream),
-			gap: c.Arrival.GapSampler(), svc: c.ServiceSampler(), mod: c.Modulation,
-			requests: c.Requests})
+			gap: c.Arrival.GapSampler(), svc: c.ServiceMean(), requests: c.Requests})
 		parkers += c.Sessions
 	}
 	if len(run.Pools) > 0 {
@@ -191,11 +188,7 @@ func StartSpec(w *sim.World, sp *spec.Spec, opts SpecOptions) (*SpecRun, error) 
 			run.SLO.classes = append(run.SLO.classes, c.Name)
 		}
 	}
-	start := vclock.Duration(sp.StartUS)
-	if start <= 0 {
-		start = vclock.Duration(parkers)*(w.Config().SwitchCost+k.grain) + 100*vclock.Millisecond
-	}
-	g.start(start)
+	g.start(vclock.Duration(parkers)*(w.Config().SwitchCost+k.grain) + 100*vclock.Millisecond)
 	if b := run.Batch; b != nil {
 		// End the batch loops at the horizon, so a single Run(horizon)
 		// suffices and Shutdown has little to unwind.

@@ -12,19 +12,18 @@ import (
 // This file holds the one arrival process every open-loop kind runs on.
 // Each cohort owns a derived RNG stream, so adding a cohort never
 // perturbs another's draws, and injects into its own session pool. The
-// per-arrival draw order is fixed — session pick, service demand, next
-// gap. Rate modulation scales each drawn gap by 1/factor at the instant
-// of scheduling, so a window with factor 2 doubles the cohort's
-// instantaneous rate. When the last cohort has injected its last
-// request, every pool is closed at once, so idle sessions observe the
-// end and exit as their queues drain.
+// per-arrival draw order is fixed — session pick, then next gap; the
+// service demand is the cohort's constant and draws nothing. When the
+// last cohort has injected its last request, every pool is closed at
+// once, so idle sessions observe the end and exit as their queues
+// drain.
 
 // arrivals is one cohort's arrival process.
 type arrivals struct {
 	pool     *Server
 	rng      *rand.Rand
-	gap, svc spec.Sampler
-	mod      []spec.Window
+	gap      spec.Sampler
+	svc      vclock.Duration
 	requests int64
 	injected int64
 	// slot holds the cohort's next arrival: one is pending at a time, so
@@ -55,19 +54,20 @@ func (g *generator) start(start vclock.Duration) {
 	}
 }
 
-// schedule arms a's slot d from now (now, if d is negative), in the
-// place in the event order an After call made now would take.
+// schedule arms a's slot d from now, in the place in the event order
+// an After call made now would take. Every d is positive: the derived
+// start delay, or a gap quantized to at least 1us.
 func (g *generator) schedule(a *arrivals, d vclock.Duration) {
-	g.w.ArmTicket(&a.slot, g.w.Now().Add(max(d, 0)), g.w.Ticket())
+	g.w.ArmTicket(&a.slot, g.w.Now().Add(d), g.w.Ticket())
 }
 
 // arrive injects one request (driver context) and schedules the next.
 func (g *generator) arrive(a *arrivals) {
 	idx := a.rng.Intn(a.pool.Sessions())
-	a.pool.Inject(idx, a.svc(a.rng))
+	a.pool.Inject(idx, a.svc)
 	a.injected++
 	if a.injected < a.requests {
-		g.schedule(a, a.nextGap(g.w.Now()))
+		g.schedule(a, a.gap(a.rng))
 		return
 	}
 	if g.left--; g.left == 0 {
@@ -75,16 +75,4 @@ func (g *generator) arrive(a *arrivals) {
 			c.pool.Close()
 		}
 	}
-}
-
-// nextGap returns the delay to the cohort's next arrival: a fresh draw
-// scaled by the modulation in effect now (floored at the clock grain).
-func (a *arrivals) nextGap(now vclock.Time) vclock.Duration {
-	gap := a.gap(a.rng)
-	if f := spec.FactorAt(a.mod, now); f != 1 {
-		// Quantize saturates: a vanishing factor silences the cohort
-		// instead of wrapping the gap onto the floor and flooding it.
-		gap = spec.Quantize(float64(gap) / f)
-	}
-	return gap
 }

@@ -122,30 +122,6 @@ func TestMixedKeepsInteractiveFast(t *testing.T) {
 	}
 }
 
-// TestVanishingModulationSilences: a window scales each gap drawn inside
-// it by 1/factor, so a vanishing factor silences the cohort after its
-// first (unscaled) arrival. A factor that takes the scaled gap past the
-// int64 range must saturate it, not wrap it to the 1us floor and offer
-// the whole cohort at once: 1e-300 offers what 1e-9 offers.
-func TestVanishingModulationSilences(t *testing.T) {
-	offered := func(factor float64) int64 {
-		horizon := 10 * vclock.Second
-		sp := &spec.Spec{Schema: spec.Schema, Name: "mod", Kind: spec.KindCohorts,
-			Cohorts: []spec.Cohort{{Name: "a", Sessions: 4, Requests: 1000,
-				Arrival:    &spec.Arrival{Process: spec.ProcPoisson, Rate: 100},
-				Service:    &spec.Service{Dist: spec.DistConst, MeanUS: 10},
-				Modulation: []spec.Window{{FromUS: 0, ToUS: horizon.Micros(), Factor: factor}}}},
-			HorizonUS: horizon.Micros()}
-		w, run := startTestSpec(t, sp, sim.Config{Seed: 1})
-		defer w.Shutdown()
-		w.Run(vclock.Time(0).Add(run.Horizon))
-		return run.Load().Offered
-	}
-	if gentle, vanishing := offered(1e-9), offered(1e-300); gentle != 1 || vanishing != gentle {
-		t.Fatalf("offered %d at factor 1e-9 and %d at 1e-300, want 1 and 1", gentle, vanishing)
-	}
-}
-
 func TestEchoParamValidation(t *testing.T) {
 	w := sim.NewWorld(sim.Config{Seed: 1})
 	defer w.Shutdown()

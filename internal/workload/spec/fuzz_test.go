@@ -13,8 +13,9 @@ import (
 // accepted spec is a fixed point — its canonical re-encoding parses to
 // the same bytes (specs are diffable artifacts, so encode/decode must
 // not drift), and its horizon lies within the limit. Seeds are the
-// shipped W-series specs, the testdata corpus (valid and invalid alike)
-// and documents at each resource limit and one step past it.
+// shipped W-series specs, the testdata corpus of invalid documents,
+// documents at each resource limit and one step past it, and documents
+// naming fields the schema no longer carries.
 func FuzzSpecJSON(f *testing.F) {
 	for _, name := range ShippedNames() {
 		data, err := shippedFS.ReadFile("shipped/" + name + ".json")
@@ -39,7 +40,11 @@ func FuzzSpecJSON(f *testing.F) {
 	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"schema":1,"name":"x","kind":"server","cohorts":[{"name":"s","sessions":3}]}`))
-	f.Add([]byte(`{"schema":1,"name":"x","kind":"cohorts","cohorts":[{"name":"a","sessions":1,"requests":1,"arrival":{"process":"weibull","rate":0.5,"shape":0.1},"service":{"dist":"pareto","mean_us":1,"alpha":1.0001}}]}`))
+	for _, r := range removedFieldDocs {
+		f.Add([]byte(r.doc))
+	}
+	// One request at the lowest rate whose derived horizon fits the limit.
+	f.Add([]byte(`{"schema":1,"name":"x","kind":"cohorts","cohorts":[{"name":"a","sessions":1,"requests":1,"arrival":{"process":"poisson","rate":0.0011111111111111111},"service":{"dist":"const","mean_us":1}}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Parse(data)

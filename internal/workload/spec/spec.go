@@ -1,11 +1,10 @@
 // Package spec defines the declarative workload description the
 // workload generators compile from: a schema-versioned JSON document
-// naming multi-client cohorts, their arrival processes (Poisson, Gamma,
-// Weibull), their service-demand distributions (constant, exponential,
-// Pareto), and rate modulation over virtual-time windows (diurnal and
-// burst shapes). The W-series load shapes that used to live as Go
-// literals ship as embedded spec files (see Shipped), so "what load did
-// this run offer" is data — diffable and fuzzable — rather than code.
+// naming multi-client cohorts, each with Poisson arrivals at a mean
+// rate and a constant service demand: the one open-loop load every W,
+// S and K experiment and benchmark offers. The W-series load shapes
+// ship as embedded spec files (see Shipped), so "what load did this
+// run offer" is data — diffable and fuzzable — rather than code.
 //
 // A Spec says what the load is; workload.StartSpec says how to run it.
 // This package deliberately imports only the simulator's leaf packages
@@ -15,10 +14,12 @@
 package spec
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
+	"io"
+	"math"
 	"sort"
 
 	"repro/internal/sim"
@@ -50,9 +51,8 @@ func failf(format string, args ...any) error {
 //	mixed    — W3's interactive cohort over an always-ready batch pool.
 //	slo      — the S-series SLO workload: named cohorts with latency
 //	           targets and scheduler-visible metadata.
-//	cohorts  — the general form: any number of cohorts, any supported
-//	           arrival process and service distribution, optional rate
-//	           modulation windows.
+//	cohorts  — the general form: any number of named cohorts, each
+//	           with its own RNG stream and session pool.
 //	server   — a passive externally-driven session pool (the cluster
 //	           layer's per-instance world); no arrival process at all.
 const (
@@ -64,15 +64,10 @@ const (
 	KindServer   = "server"
 )
 
-// Arrival processes and service distributions.
+// The only arrival process and service distribution a spec can name.
 const (
 	ProcPoisson = "poisson"
-	ProcGamma   = "gamma"
-	ProcWeibull = "weibull"
-
-	DistConst  = "const"
-	DistExp    = "exp"
-	DistPareto = "pareto"
+	DistConst   = "const"
 )
 
 // Spec is one complete workload description. All durations are integer
@@ -101,9 +96,6 @@ type Spec struct {
 	// kinds whose populations never exit on their own (mixed, slo);
 	// optional elsewhere (0 derives 4x the injection span).
 	HorizonUS int64 `json:"horizon_us,omitempty"`
-	// StartUS delays the first arrival; 0 derives a bound from the
-	// population size, as the generators always have.
-	StartUS int64 `json:"start_us,omitempty"`
 }
 
 // Cohort is one named class of request traffic.
@@ -127,39 +119,22 @@ type Cohort struct {
 	// SLOUS is the per-request latency target in microseconds (slo
 	// kind: required; cohorts kind: optional on-time accounting).
 	SLOUS int64 `json:"slo_us,omitempty"`
-	// Modulation scales the arrival rate over virtual-time windows
-	// (cohorts kind only). Overlapping windows multiply, so a diurnal
-	// base curve composes with a burst overlay.
-	Modulation []Window `json:"modulation,omitempty"`
 }
 
-// Arrival describes an inter-arrival process with the given mean rate.
+// Arrival describes a Poisson arrival process with the given mean rate.
 type Arrival struct {
-	// Process is poisson, gamma, or weibull.
+	// Process must be poisson.
 	Process string `json:"process"`
 	// Rate is the mean arrival rate, requests per virtual second.
 	Rate float64 `json:"rate"`
-	// Shape is the gamma/weibull shape parameter (>1 regularizes the
-	// process, <1 makes it burstier than Poisson). Ignored for poisson.
-	Shape float64 `json:"shape,omitempty"`
 }
 
-// Service describes a per-request CPU demand distribution.
+// Service describes a constant per-request CPU demand.
 type Service struct {
-	// Dist is const, exp, or pareto.
+	// Dist must be const.
 	Dist string `json:"dist"`
-	// MeanUS is the mean demand in microseconds.
+	// MeanUS is the demand in microseconds.
 	MeanUS int64 `json:"mean_us"`
-	// Alpha is the Pareto tail index (>1 so the mean exists). Ignored
-	// for const and exp.
-	Alpha float64 `json:"alpha,omitempty"`
-}
-
-// Window scales a cohort's arrival rate by Factor over [FromUS, ToUS).
-type Window struct {
-	FromUS int64   `json:"from_us"`
-	ToUS   int64   `json:"to_us"`
-	Factor float64 `json:"factor"`
 }
 
 // Pipeline configures the W2 stage-chain kind.
@@ -218,29 +193,23 @@ func ParsePriority(name string) (sim.Priority, error) {
 	return p, nil
 }
 
-// Parse decodes and validates one spec document.
+// Parse decodes and validates one spec document. Unknown fields are
+// rejected, so a typo or a parameter this schema does not carry fails
+// instead of silently offering a different load.
 func Parse(data []byte) (*Spec, error) {
 	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
 		return nil, failf("parse: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, failf("parse: data after the spec document")
 	}
 	if err := s.Check(); err != nil {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// Load reads and validates a spec file.
-func Load(path string) (*Spec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("spec: %w", err)
-	}
-	s, err := Parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }
 
 // Check validates the spec. Every failure wraps ErrInvalidSpec.
@@ -251,8 +220,8 @@ func (s *Spec) Check() error {
 	if s.Name == "" {
 		return failf("name is required")
 	}
-	if s.HorizonUS < 0 || s.StartUS < 0 {
-		return failf("%s: horizon_us and start_us must be >= 0", s.Name)
+	if s.HorizonUS < 0 {
+		return failf("%s: horizon_us must be >= 0", s.Name)
 	}
 	if err := s.checkCohortNames(); err != nil {
 		return err
@@ -297,7 +266,7 @@ const (
 	// MaxRequests bounds the offered load, summed over the spec.
 	MaxRequests = 1_000_000
 	// MaxHorizonUS (one virtual hour) bounds the run horizon, declared
-	// or derived, and the start delay.
+	// or derived.
 	MaxHorizonUS = 3_600_000_000
 	// MaxBatchGrains bounds the horizon divided by the batch grain: a
 	// batch worker is dispatched once per grain, so a run costs that
@@ -349,7 +318,6 @@ func (s *Spec) checkLimits() error {
 		// require a declared horizon, so this counts whole grains.
 		bound("batch grains (horizon_us / chunk_us)", s.HorizonUS/s.BatchGrain().Micros(), MaxBatchGrains)
 	}
-	bound("start_us", s.StartUS, MaxHorizonUS)
 	if h := s.horizonUS(); err == nil && h > MaxHorizonUS {
 		err = failf("%s: horizon %.0fus exceeds the limit %d (is a rate too low for its requests?)", s.Name, h, int64(MaxHorizonUS))
 	}
@@ -377,15 +345,18 @@ func (s *Spec) checkCohortNames() error {
 	return nil
 }
 
+// badRate reports a rate that is not a finite positive number. NaN
+// fails the comparison, so it is rejected with zero and the negatives.
+func badRate(r float64) bool {
+	return !(r > 0) || math.IsInf(r, 1)
+}
+
 // checkCohortLoad validates the open-loop fields shared by every
-// arrival-driven cohort. Every such kind compiles onto the same session
-// pool and arrival generator, so the cohorts kind is the general form
-// and the others are special cases of it: echo, mixed and slo admit only
-// Poisson arrivals and constant service because that is the load their
-// documents have always described (and their metadata assumes — the slo
-// kind prices its service estimate at the constant demand), not because
-// another generator runs them.
-func (s *Spec) checkCohortLoad(c *Cohort, procs, dists []string) error {
+// arrival-driven cohort: Poisson arrivals at a finite positive rate and
+// a constant service demand, the load every kind's generator runs (and
+// the slo kind's metadata assumes — it prices its service estimate at
+// the constant demand).
+func (s *Spec) checkCohortLoad(c *Cohort) error {
 	if c.Sessions < 1 {
 		return failf("%s: cohort %q: sessions must be >= 1", s.Name, c.Name)
 	}
@@ -395,37 +366,20 @@ func (s *Spec) checkCohortLoad(c *Cohort, procs, dists []string) error {
 	if c.Arrival == nil {
 		return failf("%s: cohort %q: arrival is required", s.Name, c.Name)
 	}
-	if !contains(procs, c.Arrival.Process) {
-		return failf("%s: cohort %q: arrival process %q not valid for kind %s (want %v)",
-			s.Name, c.Name, c.Arrival.Process, s.Kind, procs)
+	if c.Arrival.Process != ProcPoisson {
+		return failf("%s: cohort %q: arrival process %q not valid for kind %s (want %s)",
+			s.Name, c.Name, c.Arrival.Process, s.Kind, ProcPoisson)
 	}
-	if c.Arrival.Rate <= 0 {
+	if badRate(c.Arrival.Rate) {
 		return failf("%s: cohort %q: arrival rate must be > 0 (got %v)", s.Name, c.Name, c.Arrival.Rate)
 	}
-	if (c.Arrival.Process == ProcGamma || c.Arrival.Process == ProcWeibull) && c.Arrival.Shape <= 0 {
-		return failf("%s: cohort %q: %s arrivals need shape > 0", s.Name, c.Name, c.Arrival.Process)
-	}
 	if c.Service != nil {
-		if !contains(dists, c.Service.Dist) {
-			return failf("%s: cohort %q: service dist %q not valid for kind %s (want %v)",
-				s.Name, c.Name, c.Service.Dist, s.Kind, dists)
+		if c.Service.Dist != DistConst {
+			return failf("%s: cohort %q: service dist %q not valid for kind %s (want %s)",
+				s.Name, c.Name, c.Service.Dist, s.Kind, DistConst)
 		}
 		if c.Service.MeanUS <= 0 {
 			return failf("%s: cohort %q: service mean_us must be > 0", s.Name, c.Name)
-		}
-		if c.Service.Dist == DistPareto && c.Service.Alpha <= 1 {
-			return failf("%s: cohort %q: pareto service needs alpha > 1", s.Name, c.Name)
-		}
-	}
-	if len(c.Modulation) > 0 && s.Kind != KindCohorts {
-		return failf("%s: cohort %q: modulation is only valid for kind cohorts", s.Name, c.Name)
-	}
-	for i, w := range c.Modulation {
-		if w.FromUS < 0 || w.ToUS <= w.FromUS {
-			return failf("%s: cohort %q: modulation window %d must have 0 <= from_us < to_us", s.Name, c.Name, i)
-		}
-		if w.Factor <= 0 {
-			return failf("%s: cohort %q: modulation window %d factor must be > 0", s.Name, c.Name, i)
 		}
 	}
 	return nil
@@ -459,15 +413,12 @@ func (s *Spec) checkEcho() error {
 	if c.SLOUS != 0 {
 		return failf("%s: cohort %q: slo_us is not valid for kind echo", s.Name, c.Name)
 	}
-	return s.checkCohortLoad(c, []string{ProcPoisson}, []string{DistConst})
+	return s.checkCohortLoad(c)
 }
 
 func (s *Spec) checkPipeline() error {
 	if s.Pipeline == nil || len(s.Cohorts) != 0 || s.Batch != nil {
 		return failf("%s: kind pipeline wants a pipeline block and no cohorts/batch", s.Name)
-	}
-	if s.StartUS != 0 {
-		return failf("%s: kind pipeline derives its own start delay; start_us must be 0", s.Name)
 	}
 	p := s.Pipeline
 	if p.Pipelines < 1 || p.Stages < 2 {
@@ -476,7 +427,7 @@ func (s *Spec) checkPipeline() error {
 	if p.Requests < 1 {
 		return failf("%s: pipeline requests must be >= 1", s.Name)
 	}
-	if p.Rate <= 0 {
+	if badRate(p.Rate) {
 		return failf("%s: pipeline rate must be > 0 (got %v)", s.Name, p.Rate)
 	}
 	if p.Buffer < 0 || p.StageCostUS < 0 {
@@ -492,9 +443,6 @@ func (s *Spec) checkMixed() error {
 	if s.HorizonUS <= 0 {
 		return failf("%s: kind mixed requires horizon_us > 0 (the batch pool never exits)", s.Name)
 	}
-	if s.StartUS != 0 {
-		return failf("%s: kind mixed derives its own start delay; start_us must be 0", s.Name)
-	}
 	c := &s.Cohorts[0]
 	if c.Priority != "" && c.Priority != "high" {
 		return failf("%s: cohort %q: kind mixed pins the interactive cohort at priority high", s.Name, c.Name)
@@ -508,7 +456,7 @@ func (s *Spec) checkMixed() error {
 	if s.Batch.Priority != "" && s.Batch.Priority != "background" {
 		return failf("%s: kind mixed pins the batch pool at priority background", s.Name)
 	}
-	return s.checkCohortLoad(c, []string{ProcPoisson}, []string{DistConst})
+	return s.checkCohortLoad(c)
 }
 
 func (s *Spec) checkSLO() error {
@@ -526,7 +474,7 @@ func (s *Spec) checkSLO() error {
 		if c.Service == nil {
 			return failf("%s: cohort %q: kind slo requires a service block", s.Name, c.Name)
 		}
-		if err := s.checkCohortLoad(c, []string{ProcPoisson}, []string{DistConst}); err != nil {
+		if err := s.checkCohortLoad(c); err != nil {
 			return err
 		}
 	}
@@ -542,9 +490,7 @@ func (s *Spec) checkCohorts() error {
 		if c.Service == nil {
 			return failf("%s: cohort %q: kind cohorts requires a service block", s.Name, c.Name)
 		}
-		if err := s.checkCohortLoad(c,
-			[]string{ProcPoisson, ProcGamma, ProcWeibull},
-			[]string{DistConst, DistExp, DistPareto}); err != nil {
+		if err := s.checkCohortLoad(c); err != nil {
 			return err
 		}
 	}
@@ -559,7 +505,7 @@ func (s *Spec) checkServer() error {
 	if c.Sessions < 1 {
 		return failf("%s: cohort %q: sessions must be >= 1", s.Name, c.Name)
 	}
-	if c.Arrival != nil || c.Service != nil || c.Requests != 0 || c.SLOUS != 0 || len(c.Modulation) > 0 {
+	if c.Arrival != nil || c.Service != nil || c.Requests != 0 || c.SLOUS != 0 {
 		return failf("%s: cohort %q: kind server is externally driven — only sessions and priority apply", s.Name, c.Name)
 	}
 	return nil
@@ -605,13 +551,4 @@ func (s *Spec) horizonUS() float64 {
 		h = max(h, 4*float64(c.Requests)/c.Arrival.Rate*1e6)
 	}
 	return h
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
