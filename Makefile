@@ -2,7 +2,7 @@
 # PR must clear: vet (which also fails on any file gofmt would
 # rewrite), build, the full test suite under the race
 # detector — the race run is what proves the parallel experiment
-# harness (experiments.RunAll) shares no hidden state — plus a short
+# harness (experiments.RunWith) shares no hidden state — plus a short
 # fuzz pass over the plan/trace parsers, the four differential
 # oracles (event queue, running quantile, percentile selection,
 # profiler) and the cluster
@@ -64,11 +64,11 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./internal/sim ./internal/eventq ./internal/cluster
 
 # Short coverage-guided fuzzing of the attacker-facing parsers — JSON
-# fault plans, JSON workload specs, and the binary trace codec (v1 and
-# v2 decode robustness: errors wrap ErrBadTrace, no switch off
-# [0, MaxCPUs), a decoded v2 trace and its name table survive a round
-# trip; plus the encode/decode round trip) — plus the event-queue/
-# reference differential (FuzzWheelDifferential, named for the timing
+# fault plans, JSON workload specs, and the binary trace codec (decode
+# robustness: errors wrap ErrBadTrace, no switch off [0, MaxCPUs), no
+# end before the last record, a decoded trace with its name table and
+# end survives a round trip; plus the encode/decode round trip) — plus
+# the event-queue/reference differential (FuzzWheelDifferential, named for the timing
 # wheel the queue once was): random op streams, timer-slot arms and
 # disarms included, must keep the heap and its slots byte-for-byte
 # equivalent to the naive sorted-list event queue —
@@ -90,7 +90,6 @@ bench:
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz FuzzPlanJSON -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/fault
 	$(GO) test -run='^$$' -fuzz FuzzSpecJSON -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/workload/spec
-	$(GO) test -run='^$$' -fuzz FuzzRead'$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/trace
 	$(GO) test -run='^$$' -fuzz FuzzReadTrace -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/trace
 	$(GO) test -run='^$$' -fuzz FuzzEncodeDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/trace
 	$(GO) test -run='^$$' -fuzz FuzzWheelDifferential -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/eventq

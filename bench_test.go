@@ -368,7 +368,7 @@ func BenchmarkRunAll(b *testing.B) {
 		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				outs := experiments.RunAll(experiments.Config{Quick: true, Seed: 1}, par)
+				outs := experiments.RunWith(experiments.Config{Quick: true, Seed: 1}, experiments.Options{Parallelism: par})
 				if want := len(experiments.All()); len(outs) != want {
 					b.Fatalf("got %d outcomes, want %d", len(outs), want)
 				}

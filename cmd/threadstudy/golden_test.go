@@ -24,7 +24,6 @@ var goldenCases = []struct {
 	{file: "quick.txt", args: []string{"-quick"}},
 	{file: "quick-markdown.txt", args: []string{"-quick", "-format", "markdown"}},
 	{file: "t1-markdown.txt", args: []string{"-experiment", "T1", "-format", "markdown"}},
-	{file: "profile.txt", args: []string{"-profile", "-traceduration", "2s"}},
 	{file: "cseries-quick.txt", args: []string{"-series", "c", "-quick"}},
 	{file: "dseries-quick.txt", args: []string{"-series", "d", "-quick"}},
 	{file: "sseries-quick.txt", args: []string{"-series", "s", "-quick"}},

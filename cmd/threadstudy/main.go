@@ -19,16 +19,9 @@
 //	threadstudy -verify          # run each experiment twice, concurrently,
 //	                             # and fail on any output difference
 //	threadstudy -trace out.bin -benchmark "Cedar/Idle Cedar"
-//	                             # capture a benchmark's raw event trace
-//	                             # (inspect with cmd/traceview)
-//	threadstudy -profile         # per-thread scheduler accounting, monitor
-//	                             # contention, CV waits and §6.2 inversion
-//	                             # episodes for the -benchmark world
-//	threadstudy -chrometrace out.json
-//	                             # export the profiled run as Chrome
-//	                             # trace-event JSON (load in Perfetto)
-//	threadstudy -profilejson out.json
-//	                             # machine-readable accounting summary
+//	                             # capture a benchmark's event trace, thread
+//	                             # names and end instant; cmd/traceview
+//	                             # renders every profile view from it
 //	threadstudy -faults plan.json -experiment R1
 //	                             # replace the R-series' built-in fault
 //	                             # plans with one loaded from JSON
@@ -81,7 +74,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/paradigm"
-	"repro/internal/profile"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -93,9 +85,9 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// outputSchema versions every machine-readable output this command
-// writes (-json, -profilejson). Downstream tooling checks it
-// before parsing; the schedcheck replay-token prefix "v1" is the same
+// outputSchema versions the machine-readable -json output (and
+// cmd/traceview's -profilejson). Downstream tooling checks it before
+// parsing; the schedcheck replay-token prefix "v1" is the same
 // version 1. The schemas are documented in EXPERIMENTS.md.
 const outputSchema = 1
 
@@ -136,9 +128,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		faultSeed = fs.Int64("faultseed", 0, "seed for the fault injector RNG (default: derived from -seed)")
 		audit     = fs.Bool("audit", false, "run the §5.3 CV auditors and print findings after each report")
 		auditMin  = fs.Int("auditmin", 10, "minimum observed waits before a CV is auditable (lower is more sensitive)")
-		profFlag  = fs.Bool("profile", false, "print per-thread scheduler accounting for the -benchmark world")
-		chromeOut = fs.String("chrometrace", "", "write the profiled -benchmark run as Chrome trace-event JSON to this file")
-		profJSON  = fs.String("profilejson", "", "write the profiled run's accounting summary as JSON (\"-\" for stdout)")
 		shards    = fs.Int("shards", 0, "cluster advance parallelism for the C/D-series fleets (0: GOMAXPROCS; output is byte-identical at any value)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -243,27 +232,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *traceOut != "" || *profFlag || *chromeOut != "" || *profJSON != "" {
+	if *traceOut != "" {
 		dur, err := cliflag.VirtualDuration("traceduration", *traceDur)
 		if err != nil {
 			return fs.Fail(err)
 		}
-		if *traceOut != "" {
-			if err := captureTrace(stdout, *traceOut, *benchName, *seed, dur); err != nil {
-				return fs.Error(err)
-			}
-			return cliflag.ExitOK
-		}
-		err = profileBenchmark(stdout, profileOpts{
-			bench:    *benchName,
-			seed:     *seed,
-			dur:      dur,
-			markdown: *format == "markdown",
-			print:    *profFlag,
-			chrome:   *chromeOut,
-			jsonPath: *profJSON,
-		})
-		if err != nil {
+		if err := captureTrace(stdout, *traceOut, *benchName, *seed, dur); err != nil {
 			return fs.Error(err)
 		}
 		return cliflag.ExitOK
@@ -401,7 +375,9 @@ func findBench(benchName string) (workload.Benchmark, error) {
 	return b, nil
 }
 
-// captureTrace runs one benchmark and writes its raw event stream.
+// captureTrace runs one benchmark and writes its event stream, thread
+// names and end instant: everything cmd/traceview needs to reproduce the
+// run's profile.
 func captureTrace(stdout io.Writer, path, benchName string, seed int64, dur vclock.Duration) error {
 	b, err := findBench(benchName)
 	if err != nil {
@@ -425,87 +401,14 @@ func captureTrace(stdout io.Writer, path, benchName string, seed int64, dur vclo
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := trace.WriteTrace(f, trace.Trace{Events: buf.Events, Names: names}); err != nil {
-		return err
+	werr := trace.WriteTrace(f, trace.Trace{Events: buf.Events, Names: names, End: w.Now()})
+	cerr := f.Close()
+	if werr != nil {
+		return werr
+	}
+	if cerr != nil {
+		return cerr
 	}
 	fmt.Fprintf(stdout, "wrote %d events, %d thread names (%s of virtual time) to %s\n", buf.Len(), len(names), dur, path)
-	return nil
-}
-
-// profileOpts parameterizes one profiled benchmark run.
-type profileOpts struct {
-	bench    string
-	seed     int64
-	dur      vclock.Duration
-	markdown bool
-	print    bool   // print the accounting report
-	chrome   string // Chrome trace-event JSON output path, "" to skip
-	jsonPath string // accounting-summary JSON path, "" to skip, "-" for stdout
-}
-
-// profileBenchmark runs one benchmark with an attached profiler and
-// renders the per-thread scheduler accounting in the requested forms.
-func profileBenchmark(stdout io.Writer, o profileOpts) error {
-	b, err := findBench(o.bench)
-	if err != nil {
-		return err
-	}
-	set := profile.NewSet()
-	set.KeepSpans = o.chrome != ""
-	w := sim.NewWorld(sim.Config{
-		Seed:         o.seed,
-		SystemDaemon: true,
-		Hooks:        sim.Hooks{OnWorld: set.Attach},
-	})
-	defer w.Shutdown()
-	reg := paradigm.NewRegistry()
-	b.Build(w, reg)
-	w.Run(vclock.Time(0).Add(o.dur))
-
-	prof := set.Finish()[0]
-	if o.print {
-		rep := profile.NewReport(prof)
-		if o.markdown {
-			fmt.Fprintln(stdout, rep.Markdown())
-		} else {
-			fmt.Fprintln(stdout, rep.String())
-		}
-	}
-	if o.chrome != "" {
-		f, err := os.Create(o.chrome)
-		if err != nil {
-			return err
-		}
-		werr := profile.WriteChromeTrace(f, prof)
-		cerr := f.Close()
-		if werr != nil {
-			return werr
-		}
-		if cerr != nil {
-			return cerr
-		}
-		fmt.Fprintf(stdout, "wrote Chrome trace (%d spans, %s of virtual time) to %s\n",
-			len(prof.Spans), o.dur, o.chrome)
-	}
-	if o.jsonPath != "" {
-		sum := struct {
-			Schema int `json:"schema"`
-			profile.Summary
-		}{outputSchema, profile.Summarize(prof)}
-		data, err := json.MarshalIndent(sum, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if o.jsonPath == "-" {
-			_, err = stdout.Write(data)
-			return err
-		}
-		if err := os.WriteFile(o.jsonPath, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote accounting summary to %s\n", o.jsonPath)
-	}
 	return nil
 }

@@ -33,6 +33,9 @@ func TestCaptureTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := tr.Events
+	if tr.End != vclock.Time(2*vclock.Second) {
+		t.Fatalf("trace ends at %v, want the 2s horizon", tr.End)
+	}
 	if len(events) < 1000 {
 		t.Fatalf("suspiciously few events: %d", len(events))
 	}
@@ -126,6 +129,12 @@ func TestCLIValidation(t *testing.T) {
 			[]string{"-list", "-wseries"}, 2, "flag provided but not defined: -wseries", ""},
 		{"removed bench sweep is an unknown flag",
 			[]string{"-bench", "x"}, 2, "flag provided but not defined: -bench", ""},
+		{"removed live profile is an unknown flag",
+			[]string{"-profile"}, 2, "flag provided but not defined: -profile", ""},
+		{"removed live chrometrace is an unknown flag",
+			[]string{"-chrometrace", "x.json"}, 2, "flag provided but not defined: -chrometrace", ""},
+		{"removed live profilejson is an unknown flag",
+			[]string{"-profilejson", "-"}, 2, "flag provided but not defined: -profilejson", ""},
 		{"series union lists in given order",
 			[]string{"-list", "-series", "s,w"}, 0, "", "S1"},
 		{"bad policy rejected",
@@ -525,23 +534,28 @@ func TestCLIExperimentListOrder(t *testing.T) {
 	}
 }
 
-// TestCLISchemaFields: every machine-readable output carries the
-// top-level schema version.
+// TestCLISchemaFields: the machine-readable -json output carries the
+// top-level schema version. (cmd/traceview's -profilejson, the other
+// schema-1 document, is checked there.)
 func TestCLISchemaFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.json")
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-profilejson", "-", "-traceduration", "100ms"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("profilejson exit %d, stderr: %s", code, stderr.String())
+	if code := run([]string{"-experiment", "F5", "-quick", "-json", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-json exit %d, stderr: %s", code, stderr.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var doc map[string]any
-	if err := json.Unmarshal(stdout.Bytes(), &doc); err != nil {
-		t.Fatalf("unmarshal: %v\n%s", err, stdout.String())
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("unmarshal: %v\n%s", err, data)
 	}
-	if v, ok := doc["schema"].(float64); !ok || v != 1 {
-		t.Errorf("-profilejson schema = %v, want 1", doc["schema"])
+	if v, ok := doc["schema"].(float64); !ok || v != outputSchema {
+		t.Errorf("-json schema = %v, want %d", doc["schema"], outputSchema)
 	}
-	if _, ok := doc["threads"]; !ok {
-		t.Errorf("-profilejson missing accounting payload:\n%s", stdout.String())
+	if _, ok := doc["experiments"]; !ok {
+		t.Errorf("-json missing the experiment records:\n%s", data)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Command traceview inspects binary thread-event traces written by
 // cmd/threadstudy -trace: it can dump them as text (the microscopic
-// "100 millisecond event histories" the paper's authors pored over) or
-// summarize them with the paper's macroscopic statistics.
+// "100 millisecond event histories" the paper's authors pored over),
+// summarize them with the paper's macroscopic statistics, or render the
+// run's per-thread scheduler accounting.
 //
 // Usage:
 //
@@ -9,16 +10,22 @@
 //	traceview idle.bin                       # summary
 //	traceview -dump idle.bin                 # full text dump
 //	traceview -dump -from 1s -to 1.1s idle.bin
-//	traceview -profile idle.bin              # per-thread scheduler accounting
+//	traceview -profile idle.bin              # per-thread scheduler accounting,
+//	                                         # monitor contention, CV waits and
+//	                                         # §6.2 inversion episodes
+//	traceview -profilejson - idle.bin        # machine-readable accounting summary
 //	traceview -chrometrace out.json idle.bin # Chrome trace-event JSON (Perfetto)
 //	traceview -timeline -from 1s -to 1.1s idle.bin # ASCII thread timeline
 //	traceview -svg out.svg -from 1s -to 1.1s idle.bin
 //
-// The last four draw from one replay of the trace through the
-// accounting profiler (internal/profile).
+// The last five draw from one replay of the trace through the
+// accounting profiler (internal/profile), which ends at the instant the
+// capture recorded as its end: the same window, and so the same
+// numbers, as a profiler attached to the live run.
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -31,7 +38,12 @@ import (
 	"repro/internal/vclock"
 )
 
-const usageLine = "usage: traceview [-dump|-timeline|-profile] [-chrometrace f] [-from d] [-to d] trace.bin"
+const usageLine = "usage: traceview [-dump|-timeline|-profile] [-profilejson f] [-chrometrace f] [-from d] [-to d] trace.bin"
+
+// profileSchema versions the -profilejson document; it is the schema
+// version of cmd/threadstudy's -json output, documented in
+// EXPERIMENTS.md.
+const profileSchema = 1
 
 // maxWidth caps -width: the ASCII timeline allocates that many columns
 // up front, so an unbounded width is an out-of-memory crash, not a chart.
@@ -54,6 +66,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		from     = fs.Duration("from", 0, "window start (virtual)")
 		to       = fs.Duration("to", 0, "window end (virtual; 0 = end of trace)")
 		prof     = fs.Bool("profile", false, "print per-thread scheduler accounting for the whole trace")
+		profJSON = fs.String("profilejson", "", "write the whole trace's accounting summary as JSON to this file (\"-\" for stdout)")
 		chrome   = fs.String("chrometrace", "", "write the whole trace as Chrome trace-event JSON to this file")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -73,7 +86,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		return fs.Fail(err)
 	}
 	m := mode{dump: *dump, timeline: *timeline, svg: *svg, width: *width, rows: *rows,
-		profile: *prof, chrome: *chrome, stdout: stdout}
+		profile: *prof, profJSON: *profJSON, chrome: *chrome, stdout: stdout}
 	if err := run(fs.Arg(0), m, *from, *to); err != nil {
 		return fs.Error(err)
 	}
@@ -86,6 +99,7 @@ type mode struct {
 	svg            string
 	width, rows    int
 	profile        bool
+	profJSON       string // "-" for stdout
 	chrome         string
 	stdout         io.Writer // defaults to os.Stdout when nil
 }
@@ -115,7 +129,7 @@ func run(path string, m mode, from, to time.Duration) error {
 		hi = vclock.Time(to.Microseconds())
 	}
 
-	if m.profile || m.chrome != "" || m.timeline || m.svg != "" {
+	if m.profile || m.profJSON != "" || m.chrome != "" || m.timeline || m.svg != "" {
 		return profileTrace(tr, m, lo, hi)
 	}
 	if m.dump {
@@ -156,22 +170,20 @@ func run(path string, m mode, from, to time.Duration) error {
 
 // profileTrace replays the whole trace through the accounting profiler
 // once and writes every view m asks for from that one profile: the
-// Chrome trace, the SVG and ASCII timelines of the window [lo, hi], and
-// the report. The replay ends at the last record, or at hi when the
-// window reaches past it. The CPU count is inferred from the switch
-// records, so CPUs that never dispatched a thread contribute no idle
-// time here (the live profiler in cmd/threadstudy knows the real count
-// and is exact).
+// Chrome trace, the SVG and ASCII timelines of the window [lo, hi], the
+// accounting summary and the report. The replay ends at the capture's
+// end, or at hi when the window reaches past it. The CPU count is
+// inferred from the switch records, so a CPU that never dispatched a
+// thread contributes no idle time here.
 func profileTrace(tr trace.Trace, m mode, lo, hi vclock.Time) error {
 	stdout := m.out()
 	cpus := 1
-	var end vclock.Time
 	for _, ev := range tr.Events {
 		if ev.Kind == trace.KindSwitch && int(ev.Aux)+1 > cpus {
 			cpus = int(ev.Aux) + 1
 		}
-		end = ev.Time
 	}
+	end := tr.End
 	if hi != vclock.Never {
 		end = max(end, hi)
 	}
@@ -217,7 +229,33 @@ func profileTrace(tr trace.Trace, m mode, lo, hi vclock.Time) error {
 		fmt.Fprint(stdout, ascii)
 	}
 	if m.profile {
-		fmt.Fprint(stdout, profile.NewReport(prof).String())
+		fmt.Fprintln(stdout, profile.NewReport(prof).String())
 	}
+	if m.profJSON != "" {
+		return writeSummary(stdout, m.profJSON, prof)
+	}
+	return nil
+}
+
+// writeSummary writes prof's accounting summary, under the schema
+// version, as indented JSON to path, or to stdout when path is "-".
+func writeSummary(stdout io.Writer, path string, prof *profile.Profile) error {
+	doc := struct {
+		Schema int `json:"schema"`
+		profile.Summary
+	}{profileSchema, profile.Summarize(prof)}
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if path == "-" {
+		_, err = stdout.Write(data)
+		return err
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "wrote accounting summary to %s\n", path)
 	return nil
 }

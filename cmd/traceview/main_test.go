@@ -3,12 +3,14 @@ package main
 import (
 	"encoding/binary"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/paradigm"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vclock"
@@ -32,7 +34,7 @@ func writeTrace(t *testing.T) string {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := trace.Write(f, events); err != nil {
+	if err := trace.WriteTrace(f, trace.Trace{Events: events, End: vclock.Time(25 * vclock.Millisecond)}); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -75,11 +77,13 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// writeHostileTrace writes a one-record v1 trace whose switch names CPU
-// 1<<50, encoded by hand because trace.Write refuses such a record.
+// writeHostileTrace writes a one-record trace whose switch names CPU
+// 1<<50, encoded by hand because trace.WriteTrace refuses such a record.
 func writeHostileTrace(t *testing.T) string {
 	t.Helper()
-	rec := []byte("THTRACE1")
+	rec := []byte("THTRACE3")
+	rec = binary.AppendUvarint(rec, 0)                        // end
+	rec = binary.AppendUvarint(rec, 0)                        // name count
 	rec = binary.AppendUvarint(rec, 0)                        // time delta
 	rec = binary.AppendUvarint(rec, uint64(trace.KindSwitch)) // kind
 	rec = binary.AppendVarint(rec, 1)                         // thread
@@ -108,7 +112,7 @@ func writeFarTimeTrace(t *testing.T) string {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := trace.WriteTrace(f, trace.Trace{Events: events}); err != nil {
+	if err := trace.WriteTrace(f, trace.Trace{Events: events, End: events[len(events)-1].Time}); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -138,7 +142,57 @@ func writeBenchmarkTrace(t *testing.T, system, name string, cpus int) string {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := trace.WriteTrace(f, trace.Trace{Events: buf.Events, Names: names}); err != nil {
+	if err := trace.WriteTrace(f, trace.Trace{Events: buf.Events, Names: names, End: world.Now()}); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// writeCapture writes the trace `threadstudy -trace -benchmark
+// system/name -traceduration dur` writes at seed 1: the world is built,
+// run and captured, end instant included, before it is shut down.
+func writeCapture(t *testing.T, system, name string, dur vclock.Duration) string {
+	t.Helper()
+	b, err := workload.FindBenchmark(system, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf trace.Buffer
+	w := sim.NewWorld(sim.Config{Trace: &buf, Seed: 1, SystemDaemon: true})
+	defer w.Shutdown()
+	b.Build(w, paradigm.NewRegistry())
+	w.Run(vclock.Time(0).Add(dur))
+	names := map[int32]string{}
+	for _, th := range w.Threads() {
+		names[th.ID()] = th.Name()
+	}
+	path := filepath.Join(t.TempDir(), "capture.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := trace.WriteTrace(f, trace.Trace{Events: buf.Events, Names: names, End: w.Now()}); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// writeEndlessTrace writes a two-record trace whose header claims the
+// capture ran until math.MaxInt64 µs, the latest end the format holds.
+func writeEndlessTrace(t *testing.T) string {
+	t.Helper()
+	events := []trace.Event{
+		{Time: 0, Kind: trace.KindFork, Thread: trace.NoThread, Arg: 1, Aux: 4},
+		{Time: 0, Kind: trace.KindSwitch, Thread: 1, Arg: trace.NoThread, Aux: 0},
+	}
+	path := filepath.Join(t.TempDir(), "endless.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := trace.WriteTrace(f, trace.Trace{Events: events, End: math.MaxInt64}); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -152,6 +206,9 @@ func TestCLI(t *testing.T) {
 	farSVG := filepath.Join(t.TempDir(), "far.svg")
 	cpu1 := writeBenchmarkTrace(t, "Cedar", "Mouse movement", 1)
 	cpu2 := writeBenchmarkTrace(t, "Cedar", "Document formatting", 2)
+	idle := writeCapture(t, "Cedar", "Idle Cedar", 2*vclock.Second)
+	endless := writeEndlessTrace(t)
+	endlessChrome := filepath.Join(t.TempDir(), "endless.json")
 	svg1 := filepath.Join(t.TempDir(), "1cpu.svg")
 	svg2 := filepath.Join(t.TempDir(), "2cpu.svg")
 	cases := []struct {
@@ -176,6 +233,11 @@ func TestCLI(t *testing.T) {
 		{"zero rows rejected", []string{"-timeline", "-rows", "0", path}, 2, "", "-rows 0: the timeline needs at least one row", ""},
 		{"missing file", []string{"nope.bin"}, 1, "", "traceview: ", ""},
 		{"profile", []string{"-profile", path}, 0, "per-thread scheduler accounting", "", ""},
+		{"profile of a 2s capture", []string{"-profile", idle}, 0, "", "", "golden/profile.txt"},
+		{"profilejson schema", []string{"-profilejson", "-", path}, 0, `"schema": 1`, "", ""},
+		{"profile ends at the recorded end", []string{"-profilejson", "-", path}, 0, `"virtual_us": 25000`, "", ""},
+		{"profile to a later -to", []string{"-profilejson", "-", "-to", "30ms", path}, 0, `"virtual_us": 30000`, "", ""},
+		{"endless trace", []string{"-profile", "-profilejson", "-", "-chrometrace", endlessChrome, "-timeline", endless}, 0, `"virtual_us": 9223372036854775807`, "", ""},
 		{"hostile CPU index rejected", []string{"-profile", hostile}, 1, "", "malformed trace data: switch on CPU 1125899906842624", ""},
 		{"far-time timeline", []string{"-timeline", far}, 0, "t1 ", "", ""},
 		{"far-time svg", []string{"-svg", farSVG, far}, 0, "wrote " + farSVG, "", ""},

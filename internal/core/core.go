@@ -1,9 +1,7 @@
-// Package core is the top-level facade of the reproduction: one import
+// Package core is the facade the runnable examples build on: one import
 // that exposes the PCR-like thread kernel (package sim), Mesa monitors
-// and condition variables (package monitor), the ten thread-usage
-// paradigms with their Table 4 census (package paradigm), the Cedar/GVX
-// workload models (package workload), and the paper's experiments
-// (package experiments).
+// and condition variables (package monitor) and the thread-usage
+// paradigm census behind Table 4 (package paradigm).
 //
 // A minimal program:
 //
@@ -17,14 +15,10 @@
 package core
 
 import (
-	"repro/internal/experiments"
 	"repro/internal/monitor"
 	"repro/internal/paradigm"
 	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/vclock"
-	"repro/internal/workload"
 )
 
 // Re-exported kernel types.
@@ -54,17 +48,6 @@ type (
 	Time = vclock.Time
 	// Duration is a span of virtual time.
 	Duration = vclock.Duration
-
-	// TraceEvent is one microsecond-stamped thread event.
-	TraceEvent = trace.Event
-	// TraceBuffer captures a full event stream.
-	TraceBuffer = trace.Buffer
-
-	// Analysis digests a trace into the paper's metrics.
-	Analysis = stats.Analysis
-
-	// Report is one regenerated table/figure.
-	Report = experiments.Report
 )
 
 // Re-exported priority levels and time units.
@@ -95,37 +78,3 @@ func NewRegistry() *Registry { return paradigm.NewRegistry() }
 // At converts a duration-from-epoch into an absolute virtual time, for
 // World.Run horizons: w.Run(core.At(30 * core.Second)).
 func At(d Duration) Time { return Time(0).Add(d) }
-
-// Analyze digests captured trace events over [from, to].
-func Analyze(events []TraceEvent, from, to Time) *Analysis {
-	return stats.Analyze(events, from, to)
-}
-
-// Experiments returns the IDs and titles of every regenerable table and
-// figure (T1..T4, F1..F8).
-func Experiments() map[string]string {
-	out := make(map[string]string)
-	for _, e := range experiments.All() {
-		out[e.ID] = e.Title
-	}
-	return out
-}
-
-// RunExperiment regenerates one of the paper's tables or figures by ID.
-// quick shortens the measurement windows about threefold.
-func RunExperiment(id string, quick bool, seed int64) (*Report, error) {
-	e, err := experiments.ByID(id)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(experiments.Config{Quick: quick, Seed: seed}), nil
-}
-
-// Benchmarks lists the twelve Table 1–3 benchmarks as "System/Name".
-func Benchmarks() []string {
-	var out []string
-	for _, b := range workload.AllBenchmarks() {
-		out = append(out, b.System+"/"+b.Name)
-	}
-	return out
-}

@@ -1,16 +1,17 @@
 package core_test
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
-// TestFacadeEndToEnd drives the whole stack through the public facade:
-// world, monitor, CV, trace capture, analysis.
+// TestFacadeEndToEnd drives a world, a monitor and a CV through the
+// facade, then checks the captured trace with the stats package.
 func TestFacadeEndToEnd(t *testing.T) {
-	var buf core.TraceBuffer
+	var buf trace.Buffer
 	w := core.NewWorld(core.WorldConfig{Seed: 42, Trace: &buf})
 	defer w.Shutdown()
 
@@ -43,53 +44,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if got != "payload" {
 		t.Fatalf("consumer got %q", got)
 	}
-	a := core.Analyze(buf.Events, 0, core.At(core.Second))
+	a := stats.Analyze(buf.Events, 0, core.At(core.Second))
 	if a.MLEnters < 3 || a.WaitDones != 1 || a.Notifies != 1 {
 		t.Fatalf("analysis wrong: enters=%d dones=%d notifies=%d", a.MLEnters, a.WaitDones, a.Notifies)
-	}
-}
-
-func TestExperimentsListing(t *testing.T) {
-	exps := core.Experiments()
-	if len(exps) != 19 { // T1-T4 + F1-F12 + R1-R3
-		t.Fatalf("experiments = %d, want 19", len(exps))
-	}
-	for _, id := range []string{"T1", "T4", "F5", "F11", "R1", "R3"} {
-		if exps[id] == "" {
-			t.Errorf("missing experiment %s", id)
-		}
-	}
-}
-
-func TestRunExperimentFacade(t *testing.T) {
-	r, err := core.RunExperiment("F5", true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.ID != "F5" || len(r.Tables) == 0 {
-		t.Fatalf("report = %+v", r)
-	}
-	if !strings.Contains(r.String(), "Spurious") {
-		t.Fatalf("report text missing title:\n%s", r.String())
-	}
-	if _, err := core.RunExperiment("nope", true, 1); err == nil {
-		t.Fatal("expected error for unknown experiment")
-	}
-}
-
-func TestBenchmarksListing(t *testing.T) {
-	bs := core.Benchmarks()
-	if len(bs) != 12 {
-		t.Fatalf("benchmarks = %d, want 12", len(bs))
-	}
-	found := false
-	for _, b := range bs {
-		if b == "Cedar/Idle Cedar" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("missing Cedar/Idle Cedar in %v", bs)
 	}
 }
 

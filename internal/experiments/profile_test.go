@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+
+	"repro/internal/profile"
 )
 
 // payloadFile pins each swept experiment's deterministic payload.
@@ -26,6 +28,24 @@ type payload struct {
 	Events  int64  `json:"events"`
 	Profile string `json:"profile"`
 	Residue int64  `json:"residue_us"`
+}
+
+// profiled returns exps with each experiment's Run wrapped to attach a
+// fresh profile.Set, through Config.Hooks.OnWorld, to every world it
+// builds, and the sets in the same order: one set per experiment, so
+// each summary stays exact however RunWith schedules the runs.
+func profiled(exps []Experiment) ([]Experiment, []*profile.Set) {
+	out := make([]Experiment, len(exps))
+	sets := make([]*profile.Set, len(exps))
+	for i, e := range exps {
+		set, run := profile.NewSet(), e.Run
+		e.Run = func(cfg Config) *Report {
+			cfg.Hooks.OnWorld = set.Attach
+			return run(cfg)
+		}
+		out[i], sets[i] = e, set
+	}
+	return out, sets
 }
 
 // checkPayloads compares one sweep's payloads with the pin, naming every
@@ -97,25 +117,23 @@ func TestSweepPayload(t *testing.T) {
 		if shards == 1 {
 			par = 1
 		}
+		exps, sets := profiled(sweep)
 		outs := RunWith(Config{Quick: true, Seed: 1, Shards: shards}, Options{
 			Parallelism: par,
-			Profile:     true,
-			Experiments: sweep,
+			Experiments: exps,
 		})
 		got := make(map[string]payload, len(outs))
 		records := make(map[string]string, len(outs))
-		for _, o := range outs {
+		for i, o := range outs {
 			m := o.Metrics
-			if o.Profile == nil {
-				t.Fatalf("%s: no profile summary (Options.Profile was set)", m.ID)
-			}
-			prof, err := json.Marshal(o.Profile)
+			sum := sets[i].Summary()
+			prof, err := json.Marshal(&sum)
 			if err != nil {
 				t.Fatal(err)
 			}
 			h := fnv.New64a()
 			h.Write(prof)
-			got[m.ID] = payload{Events: m.Events, Profile: fmt.Sprintf("%016x", h.Sum64()), Residue: int64(o.Profile.Residue)}
+			got[m.ID] = payload{Events: m.Events, Profile: fmt.Sprintf("%016x", h.Sum64()), Residue: int64(sum.Residue)}
 			m.WallTime, m.EventsPerSec, m.VirtualPerWall, m.AllocBytes, m.AllocObjects = 0, 0, 0, 0, 0
 			rec, err := json.Marshal(m)
 			if err != nil {
@@ -159,49 +177,34 @@ func TestProfileDeterministicAcrossParallelism(t *testing.T) {
 		}
 		subset = append(subset, e)
 	}
-	run := func(par int) []Outcome {
-		return RunWith(Config{Quick: true, Seed: 1}, Options{
+	run := func(par int) ([]Outcome, []profile.Summary) {
+		exps, sets := profiled(subset)
+		outs := RunWith(Config{Quick: true, Seed: 1}, Options{
 			Parallelism: par,
-			Profile:     true,
-			Experiments: subset,
+			Experiments: exps,
 		})
+		sums := make([]profile.Summary, len(sets))
+		for i, set := range sets {
+			sums[i] = set.Summary()
+		}
+		return outs, sums
 	}
-	seq := run(1)
-	par := run(4)
+	seq, seqProf := run(1)
+	par, parProf := run(4)
 	if len(seq) != len(subset) || len(par) != len(subset) {
 		t.Fatalf("outcome counts %d/%d, want %d", len(seq), len(par), len(subset))
 	}
 	for i := range seq {
 		id := seq[i].Metrics.ID
-		if seq[i].Profile == nil || par[i].Profile == nil {
-			t.Fatalf("%s: missing profile summary (Options.Profile was set)", id)
-		}
-		if !reflect.DeepEqual(*seq[i].Profile, *par[i].Profile) {
+		if !reflect.DeepEqual(seqProf[i], parProf[i]) {
 			t.Errorf("%s: profile summary differs between -parallel 1 and 4:\n seq: %+v\n par: %+v",
-				id, *seq[i].Profile, *par[i].Profile)
+				id, seqProf[i], parProf[i])
 		}
-		if r := seq[i].Profile.Residue; r != 0 {
+		if r := seqProf[i].Residue; r != 0 {
 			t.Errorf("%s: accounting residue %dus, want 0", id, int64(r))
 		}
 		if seq[i].Report.String() != par[i].Report.String() {
 			t.Errorf("%s: report differs across parallelism", id)
 		}
-	}
-}
-
-// TestProfileOffByDefault pins that profiling stays opt-in: without
-// Options.Profile the outcome carries no summary and no profiler is
-// attached to the run's worlds.
-func TestProfileOffByDefault(t *testing.T) {
-	e, err := ByID("T4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs := RunWith(Config{Quick: true, Seed: 1}, Options{
-		Parallelism: 1,
-		Experiments: []Experiment{e},
-	})
-	if outs[0].Profile != nil {
-		t.Fatalf("profile summary present without Options.Profile")
 	}
 }

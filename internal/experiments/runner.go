@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/profile"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/vclock"
 	"repro/internal/workload/capacity"
 )
@@ -79,13 +77,6 @@ type Outcome struct {
 	// every monitor the run created (Options.Audit); nil when auditing
 	// was off or nothing was suspicious.
 	Audit []string
-
-	// Profile aggregates per-thread scheduler accounting over every
-	// world the run created (Options.Profile); nil when profiling was
-	// off. Purely observational: reports are byte-identical with
-	// profiling on or off, and the profile itself is deterministic
-	// across Parallelism settings.
-	Profile *profile.Summary
 }
 
 // Options configures RunWith.
@@ -113,16 +104,6 @@ type Options struct {
 	// AuditMinWaits is the minimum completed-wait count before a CV is
 	// suspicious; values < 1 select 10.
 	AuditMinWaits int
-	// Profile attaches a profiler to every world of each run (via
-	// sim.Hooks.OnWorld) and stores the aggregated accounting summary
-	// in the outcome.
-	Profile bool
-}
-
-// RunAll executes every experiment with the given parallelism and
-// returns the outcomes in presentation order.
-func RunAll(cfg Config, parallelism int) []Outcome {
-	return RunWith(cfg, Options{Parallelism: parallelism})
 }
 
 // RunWith executes opts.Experiments on a pool of opts.Parallelism
@@ -188,21 +169,6 @@ func runOne(e Experiment, cfg Config, opts Options) Outcome {
 	runCfg := cfg
 	runCfg.Hooks.Probe = probe
 
-	var set *profile.Set
-	if opts.Profile {
-		set = profile.NewSet()
-		prev := runCfg.Hooks.OnWorld
-		runCfg.Hooks.OnWorld = func(w *sim.World) trace.Sink {
-			s := set.Attach(w)
-			if prev != nil {
-				if extra := prev(w); extra != nil {
-					return trace.Tee(s, extra)
-				}
-			}
-			return s
-		}
-	}
-
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
@@ -246,10 +212,6 @@ func runOne(e Experiment, cfg Config, opts Options) Outcome {
 	m.Sched = report.Sched
 	m.Capacity = report.Capacity
 	out := Outcome{Report: report, Metrics: m}
-	if set != nil {
-		sum := set.Summary()
-		out.Profile = &sum
-	}
 	if verify {
 		out.Verified = true
 		out.Mismatch = report.String() != again.String()

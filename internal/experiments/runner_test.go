@@ -27,8 +27,8 @@ func TestRunAllMatchesSerial(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg := Config{Quick: true, Seed: seed}
-			serial := RunAll(cfg, 1)
-			parallel := RunAll(cfg, 4)
+			serial := RunWith(cfg, Options{Parallelism: 1})
+			parallel := RunWith(cfg, Options{Parallelism: 4})
 			if len(serial) != len(All()) || len(parallel) != len(All()) {
 				t.Fatalf("got %d serial / %d parallel outcomes, want %d", len(serial), len(parallel), len(All()))
 			}
@@ -64,7 +64,7 @@ func TestRunWithEmitsInOrder(t *testing.T) {
 // time, virtual time, world and event counts — the -json acceptance
 // criterion.
 func TestRunMetricsPopulated(t *testing.T) {
-	for _, o := range RunAll(Config{Quick: true, Seed: 1}, 0) {
+	for _, o := range RunWith(Config{Quick: true, Seed: 1}, Options{}) {
 		m := o.Metrics
 		if m.ID == "" || m.Title == "" {
 			t.Errorf("metrics missing identity: %+v", m)

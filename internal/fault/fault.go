@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"time"
@@ -234,13 +235,17 @@ func Load(path string) (Plan, error) {
 
 // Parse decodes and validates a JSON fault plan. Unknown fields are
 // rejected so a typo'd injector name fails loudly instead of silently
-// injecting nothing.
+// injecting nothing, and so is data after the plan, whose rules would
+// otherwise be dropped.
 func Parse(data []byte) (Plan, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var p Plan
 	if err := dec.Decode(&p); err != nil {
 		return Plan{}, fmt.Errorf("%w: %w", ErrInvalidPlan, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Plan{}, fmt.Errorf("%w: data after the plan", ErrInvalidPlan)
 	}
 	if err := p.Check(); err != nil {
 		return Plan{}, err

@@ -51,6 +51,25 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestParseRejectsTrailingData: a plan file holds one document. Data
+// after it — a second plan, whose rules would otherwise be silently
+// dropped, or garbage — is rejected; trailing whitespace is not.
+func TestParseRejectsTrailingData(t *testing.T) {
+	for _, doc := range []string{
+		`{} {"crash_thread":[{"thread":"x("}]} garbage`,
+		`{} {}`,
+		`{"lost_notify": [{"cv": "x"}]}]`,
+		`{}garbage`,
+	} {
+		if _, err := Parse([]byte(doc)); !errors.Is(err, ErrInvalidPlan) || !strings.Contains(err.Error(), "data after the plan") {
+			t.Errorf("Parse(%s): err = %v, want ErrInvalidPlan (data after the plan)", doc, err)
+		}
+	}
+	if _, err := Parse([]byte("{}\n\t ")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+}
+
 func TestPlanCheckErrors(t *testing.T) {
 	cases := []struct {
 		name string

@@ -11,8 +11,9 @@ import (
 
 // FuzzPlanJSON throws arbitrary bytes at the plan parser. Invariants:
 // Parse never panics; every rejection wraps ErrInvalidPlan (callers
-// branch on it); and an accepted plan survives a marshal → parse round
-// trip, i.e. what Check admits, MarshalJSON can express.
+// branch on it); an accepted document is exactly one JSON value; and an
+// accepted plan survives a marshal → parse round trip, i.e. what Check
+// admits, MarshalJSON can express.
 func FuzzPlanJSON(f *testing.F) {
 	seeds, err := filepath.Glob(filepath.Join("testdata", "*.json"))
 	if err != nil || len(seeds) == 0 {
@@ -31,6 +32,7 @@ func FuzzPlanJSON(f *testing.F) {
 	f.Add([]byte(`{"fork_exhaustion": [{"max": 0, "until": 1}]}`))
 	f.Add([]byte(`{"clock_jitter": [{"frac": 2}]}`))
 	f.Add([]byte(`not json at all`))
+	f.Add([]byte(`{} {"crash_thread":[{"thread":"x("}]} garbage`))
 	f.Add([]byte(`{"crash_instance": [{"instance": -1, "at": "400ms", "restart": "250ms"}]}`))
 	f.Add([]byte(`{"crash_instance": [{"instance": -2, "at": 0}]}`))
 	f.Add([]byte(`{"stall_instance": [{"instance": 1, "from": "100ms"}]}`))
@@ -51,6 +53,9 @@ func FuzzPlanJSON(f *testing.F) {
 				t.Fatalf("rejection does not wrap ErrInvalidPlan: %v", err)
 			}
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("accepted a document that is not one JSON value: %q", data)
 		}
 		out, err := json.Marshal(p)
 		if err != nil {

@@ -36,7 +36,8 @@ type run struct {
 
 // check compares r.online with the reference replay of r.events and
 // with a replay of the events after WriteTrace → ReadTrace through a
-// fresh profile.New(r.cpus).
+// fresh profile.New(r.cpus), finished at the decoded end: the file
+// alone must reproduce the online profile.
 func (r run) check(t *testing.T) {
 	t.Helper()
 	ref := replay(r.events, r.cpus, r.keepSpans, r.online.End)
@@ -46,7 +47,7 @@ func (r run) check(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := trace.WriteTrace(&buf, trace.Trace{Events: r.events, Names: r.names}); err != nil {
+	if err := trace.WriteTrace(&buf, trace.Trace{Events: r.events, Names: r.names, End: r.online.End}); err != nil {
 		t.Fatalf("%s: WriteTrace: %v", r.label, err)
 	}
 	tr, err := trace.ReadTrace(&buf)
@@ -58,7 +59,7 @@ func (r run) check(t *testing.T) {
 	for _, ev := range tr.Events {
 		p.Record(ev)
 	}
-	again := p.Finish(r.online.End)
+	again := p.Finish(tr.End)
 	again.ApplyNames(tr.Names)
 	if d := diffProfiles(again, r.online); len(d) > 0 {
 		t.Errorf("%s: decoded-trace replay differs from the online profile:\n  %s", r.label, strings.Join(d, "\n  "))

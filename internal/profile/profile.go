@@ -247,7 +247,7 @@ func (p *Profile) Residue() vclock.Duration {
 	return vclock.Duration(int64(p.CPUs))*p.Window() - p.TotalRunning() - p.TotalIdle()
 }
 
-// ApplyNames attaches debug names (e.g. from a v2 trace's name table or
+// ApplyNames attaches debug names (e.g. from a trace file's name table or
 // World.Threads) to the profile's threads for rendering.
 func (p *Profile) ApplyNames(names map[int32]string) {
 	if len(names) == 0 {

@@ -26,7 +26,7 @@ type Report struct {
 	Tables []*stats.Table
 	Notes  []string
 	// Blocks are preformatted multi-line sections (histogram bar
-	// charts); markdown output fences them.
+	// charts).
 	Blocks []string
 }
 
@@ -44,25 +44,6 @@ func (r *Report) String() string {
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(&sb, "note: %s\n", n)
-	}
-	return sb.String()
-}
-
-// Markdown renders the report as GitHub-flavored markdown.
-func (r *Report) Markdown() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "## profile — %s\n\n", r.Title)
-	for _, t := range r.Tables {
-		sb.WriteString(t.Markdown())
-		sb.WriteByte('\n')
-	}
-	for _, b := range r.Blocks {
-		sb.WriteString("```\n")
-		sb.WriteString(b)
-		sb.WriteString("```\n\n")
-	}
-	for _, n := range r.Notes {
-		fmt.Fprintf(&sb, "> %s\n", n)
 	}
 	return sb.String()
 }

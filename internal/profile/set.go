@@ -17,9 +17,6 @@ import (
 // worlds from more than one goroutine, but each returned sink is still
 // single-world (worlds record events from one goroutine at a time).
 type Set struct {
-	// KeepSpans is copied to every attached Profiler.
-	KeepSpans bool
-
 	mu     sync.Mutex
 	worlds []*sim.World
 	profs  []*Profiler
@@ -33,7 +30,6 @@ func NewSet() *Set { return &Set{} }
 // sink for the world; it has the sim.Hooks.OnWorld signature.
 func (s *Set) Attach(w *sim.World) trace.Sink {
 	p := New(w.Config().CPUs)
-	p.KeepSpans = s.KeepSpans
 	s.mu.Lock()
 	s.worlds = append(s.worlds, w)
 	s.profs = append(s.profs, p)
@@ -68,7 +64,7 @@ func (s *Set) Finish() []*Profile {
 func (s *Set) Summary() Summary { return Summarize(s.Finish()...) }
 
 // Summary is the machine-readable aggregate of one or more profiles;
-// cmd/threadstudy -profilejson emits it as JSON. Every duration field is in
+// cmd/traceview -profilejson emits it as JSON. Every duration field is in
 // virtual microseconds.
 type Summary struct {
 	Worlds  int `json:"worlds"`

@@ -6,7 +6,7 @@
 // Traces flow through the Sink interface so that experiments can choose
 // between full in-memory capture (Buffer), cheap online aggregation (the
 // stats and profile packages implement Sink), or any combination (Tee).
-// Write and WriteTrace encode a captured trace to a file.
+// WriteTrace and ReadTrace encode and decode a captured trace.
 package trace
 
 import (

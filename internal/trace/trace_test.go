@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -66,57 +67,86 @@ func TestTee(t *testing.T) {
 	}
 }
 
+// sampleTrace is sampleEvents with a name table, ending 900 µs after
+// the last record.
+func sampleTrace() Trace {
+	return Trace{
+		Events: sampleEvents(),
+		Names:  map[int32]string{1: "parent", 2: "Notifier"},
+		End:    51000,
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	evs := sampleEvents()
+	tr := Trace{Events: evs, Names: map[int32]string{}, End: evs[len(evs)-1].Time}
 	var buf bytes.Buffer
-	if err := Write(&buf, evs); err != nil {
+	if err := WriteTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, evs) {
-		t.Fatalf("round trip mismatch:\n got %v\nwant %v", got, evs)
+	if !reflect.DeepEqual(got, tr) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, tr)
+	}
+}
+
+// TestTraceV2RoundTrip: the name table (added to the format in v2) and
+// an end past the last record both survive a round trip.
+func TestTraceV2RoundTrip(t *testing.T) {
+	tr := sampleTrace()
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, tr) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, tr)
 	}
 }
 
 func TestEncodeDecodeEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, nil); err != nil {
+	if err := WriteTrace(&buf, Trace{}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 0 {
-		t.Fatalf("expected empty trace, got %d events", len(got))
+	if len(got.Events) != 0 || len(got.Names) != 0 || got.End != 0 {
+		t.Fatalf("expected an empty trace, got %+v", got)
 	}
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("not a trace at all")); err == nil {
-		t.Fatal("expected error for bad magic")
+	if _, err := ReadTrace(strings.NewReader("not a trace at all")); !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("bad magic: err = %v, want ErrBadTrace", err)
 	}
-	if _, err := Read(strings.NewReader("")); err == nil {
-		t.Fatal("expected error for empty input")
+	if _, err := ReadTrace(strings.NewReader("")); !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("empty input: err = %v, want ErrBadTrace", err)
 	}
 	// Valid header, truncated record.
 	var buf bytes.Buffer
-	if err := Write(&buf, sampleEvents()); err != nil {
+	if err := WriteTrace(&buf, sampleTrace()); err != nil {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-2]
-	if _, err := Read(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("expected error for truncated trace")
+	if _, err := ReadTrace(bytes.NewReader(trunc)); !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("truncated trace: err = %v, want ErrBadTrace", err)
 	}
 }
 
-// rawTrace encodes events in the v1 format without Write's checks, so
-// tests can build traces Write refuses to produce.
-func rawTrace(events ...Event) []byte {
-	b := append([]byte(nil), magic...)
+// records encodes events as the format's record stream, without
+// WriteTrace's checks, so tests can build traces WriteTrace refuses to
+// produce.
+func records(events ...Event) []byte {
+	var b []byte
 	var prev vclock.Time
 	for _, ev := range events {
 		b = binary.AppendUvarint(b, uint64(ev.Time-prev))
@@ -129,21 +159,73 @@ func rawTrace(events ...Event) []byte {
 	return b
 }
 
-// TestSwitchCPUBounds: a switch must name a CPU in [0, MaxCPUs). Read
-// rejects any other index as ErrBadTrace, so a consumer that sizes
-// per-CPU state from a decoded trace cannot be made to allocate
-// gigabytes (or panic in makeslice), and Write refuses to produce one.
+// rawTrace is a trace file ending at end, with an empty name table and
+// events as its records.
+func rawTrace(end uint64, events ...Event) []byte {
+	b := binary.AppendUvarint(append([]byte(nil), magic...), end)
+	b = binary.AppendUvarint(b, 0)
+	return append(b, records(events...)...)
+}
+
+// Encodings of events in the two earlier formats, which ReadTrace no
+// longer accepts: v1 was "THTRACE1" and the records, v2 was "THTRACE2",
+// a name table and then a whole v1 file.
+func v1Trace(events ...Event) []byte {
+	return append([]byte("THTRACE1"), records(events...)...)
+}
+
+func v2Trace(events ...Event) []byte {
+	return append([]byte("THTRACE2\x00"), v1Trace(events...)...)
+}
+
+// TestSwitchCPUBounds: a switch must name a CPU in [0, MaxCPUs).
+// ReadTrace rejects any other index as ErrBadTrace, so a consumer that
+// sizes per-CPU state from a decoded trace cannot be made to allocate
+// gigabytes (or panic in makeslice), and WriteTrace refuses to produce
+// one.
 func TestSwitchCPUBounds(t *testing.T) {
 	sw := func(cpu int64) Event { return Event{Time: 5, Kind: KindSwitch, Thread: 1, Arg: NoThread, Aux: cpu} }
-	if got, err := Read(bytes.NewReader(rawTrace(sw(MaxCPUs - 1)))); err != nil || len(got) != 1 {
-		t.Fatalf("switch on CPU MaxCPUs-1: %v, %d events", err, len(got))
+	if got, err := ReadTrace(bytes.NewReader(rawTrace(5, sw(MaxCPUs-1)))); err != nil || len(got.Events) != 1 {
+		t.Fatalf("switch on CPU MaxCPUs-1: %v, %d events", err, len(got.Events))
 	}
 	for _, cpu := range []int64{-1, MaxCPUs, 1 << 26, 1 << 50} {
-		if _, err := Read(bytes.NewReader(rawTrace(sampleEvents()[0], sw(cpu)))); !errors.Is(err, ErrBadTrace) {
-			t.Errorf("Read of a switch on CPU %d: err = %v, want ErrBadTrace", cpu, err)
+		if _, err := ReadTrace(bytes.NewReader(rawTrace(5, sampleEvents()[0], sw(cpu)))); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("ReadTrace of a switch on CPU %d: err = %v, want ErrBadTrace", cpu, err)
 		}
-		if err := Write(io.Discard, []Event{sw(cpu)}); !errors.Is(err, ErrBadTrace) {
-			t.Errorf("Write of a switch on CPU %d: err = %v, want ErrBadTrace", cpu, err)
+		if err := WriteTrace(io.Discard, Trace{Events: []Event{sw(cpu)}, End: 5}); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("WriteTrace of a switch on CPU %d: err = %v, want ErrBadTrace", cpu, err)
+		}
+	}
+}
+
+// TestTraceEnd: a capture's end may equal or follow its last record,
+// never precede it. WriteTrace refuses such a trace (and a negative
+// end) and ReadTrace rejects one, as it does an end that does not fit
+// a vclock.Time.
+func TestTraceEnd(t *testing.T) {
+	last := sampleEvents()[len(sampleEvents())-1].Time
+	for _, end := range []vclock.Time{last, last + 1, vclock.Never} {
+		tr := Trace{Events: sampleEvents(), Names: map[int32]string{}, End: end}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, tr); err != nil {
+			t.Fatalf("WriteTrace with end %d: %v", int64(end), err)
+		}
+		got, err := ReadTrace(&buf)
+		if err != nil || got.End != end {
+			t.Fatalf("ReadTrace with end %d: end %d, %v", int64(end), int64(got.End), err)
+		}
+	}
+	for _, end := range []vclock.Time{last - 1, 0, -1} {
+		if err := WriteTrace(io.Discard, Trace{Events: sampleEvents(), End: end}); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("WriteTrace with end %d: err = %v, want ErrBadTrace", int64(end), err)
+		}
+	}
+	if err := WriteTrace(io.Discard, Trace{End: -1}); !errors.Is(err, ErrBadTrace) {
+		t.Errorf("WriteTrace of an empty trace with end -1: err = %v, want ErrBadTrace", err)
+	}
+	for _, end := range []uint64{uint64(last) - 1, 0, math.MaxInt64 + 1, math.MaxUint64} {
+		if _, err := ReadTrace(bytes.NewReader(rawTrace(end, sampleEvents()...))); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("ReadTrace with end %d: err = %v, want ErrBadTrace", end, err)
 		}
 	}
 }
@@ -168,17 +250,17 @@ func TestRoundTripProperty(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := Write(&buf, evs); err != nil {
+		if err := WriteTrace(&buf, Trace{Events: evs, End: tm}); err != nil {
 			return false
 		}
-		got, err := Read(&buf)
-		if err != nil {
+		got, err := ReadTrace(&buf)
+		if err != nil || got.End != tm {
 			return false
 		}
 		if len(evs) == 0 {
-			return len(got) == 0
+			return len(got.Events) == 0
 		}
-		return reflect.DeepEqual(got, evs)
+		return reflect.DeepEqual(got.Events, evs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -227,35 +309,15 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestTraceV2RoundTrip(t *testing.T) {
-	tr := Trace{
-		Events: sampleEvents(),
-		Names:  map[int32]string{1: "parent", 2: "Notifier"},
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, tr) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, tr)
-	}
-}
-
-func TestReadTraceAcceptsV1(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, sampleEvents()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Events, sampleEvents()) || len(got.Names) != 0 {
-		t.Fatalf("v1 decode wrong: %+v", got)
+// TestReadTraceRejectsOldFormats: the v1 and v2 formats had no end
+// instant, so their files fail as ErrBadTrace (bad magic) rather than
+// decoding into a trace whose replay would stop at the last record.
+func TestReadTraceRejectsOldFormats(t *testing.T) {
+	for name, data := range map[string][]byte{"v1": v1Trace(sampleEvents()...), "v2": v2Trace(sampleEvents()...)} {
+		_, err := ReadTrace(bytes.NewReader(data))
+		if !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), "bad magic") {
+			t.Errorf("%s file: err = %v, want ErrBadTrace (bad magic)", name, err)
+		}
 	}
 }
 
@@ -266,21 +328,21 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 	if _, err := ReadTrace(strings.NewReader("TH")); err == nil {
 		t.Fatal("expected short-header error")
 	}
-	// v2 header with truncated name table.
+	// Truncated name table.
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, Trace{Events: nil, Names: map[int32]string{1: "averyveryverylongname"}}); err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:12]
+	trunc := buf.Bytes()[:13]
 	if _, err := ReadTrace(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("expected truncation error")
 	}
 }
 
-// TestReadTraceHugeNameCount feeds a v2 header whose name table claims
+// TestReadTraceHugeNameCount feeds a header whose name table claims
 // 1<<20 entries and then ends. The decode must fail as ErrBadTrace
 // without allocating for the claimed count: sizing the name map from it
-// once cost these 11 bytes 56 MB.
+// once cost these 12 bytes 56 MB.
 func TestReadTraceHugeNameCount(t *testing.T) {
 	in := hugeNameCount()
 	const runs = 10

@@ -21,6 +21,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 
 	"repro/internal/sim"
 	"repro/internal/vclock"
@@ -319,7 +320,10 @@ func (s *Spec) checkLimits() error {
 		bound("batch grains (horizon_us / chunk_us)", s.HorizonUS/s.BatchGrain().Micros(), MaxBatchGrains)
 	}
 	if h := s.horizonUS(); err == nil && h > MaxHorizonUS {
-		err = failf("%s: horizon %.0fus exceeds the limit %d (is a rate too low for its requests?)", s.Name, h, int64(MaxHorizonUS))
+		// The shortest exact rendering, so a horizon a fraction of a
+		// microsecond past the limit does not print as the limit.
+		err = failf("%s: horizon %sus exceeds the limit %d (is a rate too low for its requests?)",
+			s.Name, strconv.FormatFloat(h, 'f', -1, 64), int64(MaxHorizonUS))
 	}
 	return err
 }

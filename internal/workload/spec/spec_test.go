@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -394,6 +396,7 @@ var limitDocs = func() []struct {
 		{"declared horizon past limit", false, doc("cohorts", `,"horizon_us":3600000001`, cohort("a", 1, 1, 1))},
 		{"derived horizon at limit", true, doc("cohorts", "", cohort("a", 1, 900, 1))},
 		{"derived horizon past limit", false, doc("cohorts", "", cohort("a", 1, 901, 1))},
+		{"derived horizon a fraction past limit", false, doc("cohorts", "", cohort("a", 1, 1, 0.001111111111111111))},
 		{"vanishing rate", false, doc("cohorts", "", cohort("a", 1, 1, 1e-300))},
 		{"batch grains at limit", true, doc("slo", `,"horizon_us":1000000,"batch":{"workers":1,"chunk_us":1}`, cohort("a", 1, 1, 1))},
 		{"batch grains past limit", false, doc("slo", `,"horizon_us":1000001,"batch":{"workers":1,"chunk_us":1}`, cohort("a", 1, 1, 1))},
@@ -414,9 +417,25 @@ func TestCheckLimits(t *testing.T) {
 			case tc.ok && s.Horizon() > MaxHorizonUS:
 				t.Fatalf("accepted horizon %v past the limit", s.Horizon())
 			}
+			// A horizon rejection prints a horizon that visibly
+			// exceeds the limit, however small the excess.
+			m := horizonMsg.FindStringSubmatch(fmt.Sprint(err))
+			if !tc.ok && strings.Contains(tc.name, "horizon") && m == nil {
+				t.Fatalf("err = %v, want the horizon rejection", err)
+			}
+			if m != nil {
+				h, herr := strconv.ParseFloat(m[1], 64)
+				limit, lerr := strconv.ParseFloat(m[2], 64)
+				if herr != nil || lerr != nil || !(h > limit) {
+					t.Fatalf("horizon message %q does not show the horizon past the limit", m[0])
+				}
+			}
 		})
 	}
 }
+
+// horizonMsg matches checkLimits' horizon rejection.
+var horizonMsg = regexp.MustCompile(`horizon ([0-9.e+]+)us exceeds the limit ([0-9]+)`)
 
 // removedFieldDocs are valid documents each extended by one field the
 // schema once carried: Parse must reject every one rather than run a
